@@ -285,6 +285,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
+    if b.data.ndim == 2:
+        return _matmul_folded(a, b)
     out = Tensor(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
 
     def bwd():
@@ -296,6 +298,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
             b.accumulate_grad(_unbroadcast(gb, b.shape))
+
+    _record(out, bwd)
+    return out
+
+
+def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` for a 2-D ``b`` (a weight): all leading axes of ``a`` fold
+    into one (M, k) matrix, so forward and both gradients are single GEMMs
+    and the weight gradient needs no per-sample temporary or reduction."""
+    k, n = b.shape
+    out = Tensor(np.matmul(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,)),
+                 a.requires_grad or b.requires_grad)
+
+    def bwd():
+        if out.grad is None:
+            return
+        g = out.grad.reshape(-1, n)
+        if a.requires_grad:
+            a.accumulate_grad(np.matmul(g, b.data.T).reshape(a.shape))
+        if b.requires_grad:
+            b.accumulate_grad(np.matmul(a.data.reshape(-1, k).T, g))
 
     _record(out, bwd)
     return out

@@ -5,7 +5,9 @@ moments, the step counter, and PRNG states. Round-trips are bitwise."""
 from __future__ import annotations
 
 import json
+import os
 import zipfile
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -58,10 +60,25 @@ def _read_array(zf: zipfile.ZipFile, name: str, meta: dict) -> np.ndarray:
 
 def save_checkpoint(path, model: EncoderModel, opt: OptimizerState | None = None,
                     header: dict[str, Any] | None = None) -> None:
+    """Write the archive to a temp file beside ``path``, then rename it over
+    ``path``, so a crash mid-write leaves the previous checkpoint intact."""
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            _write_archive(fh, model, opt, header)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def _write_archive(fh, model: EncoderModel, opt: OptimizerState | None,
+                   header: dict[str, Any] | None) -> None:
     header = dict(header or {})
     header["config"] = model.cfg.to_dict()
     manifest: dict[str, dict] = {}
-    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as zf:
+    with zipfile.ZipFile(fh, "w", compression=zipfile.ZIP_STORED) as zf:
         for p in model.parameters():
             manifest[p.name] = _write_array(zf, f"params/{p.name}", p.data)
             manifest[p.name]["decay"] = p.decay

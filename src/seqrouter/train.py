@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import copy
 import json
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,7 +23,7 @@ from .autodiff import Tape, zero_grads
 from .checkpoint import generator_state, load_checkpoint, restore_generator, save_checkpoint
 from .config import RunConfig, apply_overrides
 from .model import EncoderModel, loss as model_loss
-from .optim import OptimizerState, adamw_step, clip_gradients, grad_norm
+from .optim import NonFiniteGradient, OptimizerState, adamw_step, clip_gradients, grad_norm
 from .rng import RngTree
 from .tasks.data import Sample, Vocab
 
@@ -88,15 +89,34 @@ def evaluate_checkpoint(ckpt_path, split: str, test_steps: int | None = None,
 
 
 class _MetricsLog:
-    def __init__(self, path):
+    """``metrics.ndjson``. A fresh run starts it empty; a resumed run keeps the
+    complete records up to the checkpoint's iteration and appends after them."""
+
+    def __init__(self, path, resume_iter: int | None = None):
         self.path = Path(path)
-        self._fh = open(self.path, "w")
+        if resume_iter is not None and self.path.exists():
+            _truncate_log(self.path, resume_iter)
+        self._fh = open(self.path, "w" if resume_iter is None else "a")
 
     def write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
 
     def close(self) -> None:
         self._fh.close()
+
+
+def _truncate_log(path: Path, iteration: int) -> None:
+    """Cut the log at its first record past ``iteration`` or first partial line."""
+    keep = 0
+    with open(path, "rb") as fh:
+        for line in fh:
+            try:
+                if not line.endswith(b"\n") or json.loads(line)["iter"] > iteration:
+                    break
+            except ValueError:
+                break
+            keep += len(line)
+    os.truncate(path, keep)
 
 
 def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> TrainResult:
@@ -134,7 +154,7 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
         batch_gen = restore_generator(header["batch_gen_state"])
 
     params = model.parameters()
-    metrics = _MetricsLog(out_dir / "metrics.ndjson")
+    metrics = _MetricsLog(out_dir / "metrics.ndjson", start_iter if resume is not None else None)
     best_path = out_dir / "best.ckpt"
     last_path = out_dir / "last.ckpt"
 
@@ -143,42 +163,48 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
                 "iteration": iteration, "best_accuracy": best_acc, "best_iteration": best_iter,
                 "batch_gen_state": generator_state(batch_gen), "run_config": cfg.to_dict()}
 
-    for it in range(start_iter, cfg.n_iters):
-        idx = batch_gen.integers(0, len(train_set), size=cfg.batch_size)
-        batch = [train_set[i] for i in idx]
-        tokens, lengths, targets = encode_batch(batch, vocab)
-        mode = Mode(train=True, rng=drop_tree.child(f"iter{it}"))
-        zero_grads(params)
-        with Tape() as tape:
-            out = model.forward(tokens, lengths, mode=mode)
-            step_loss = model_loss(out, targets)
-            loss_value = step_loss.item()
-            if not np.isfinite(loss_value):
-                save_checkpoint(out_dir / "diverged.ckpt", model, opt, header_for(it))
-                metrics.close()
-                raise TrainingDiverged(
-                    f"non-finite loss {loss_value} at iteration {it}; "
-                    f"state dumped to {out_dir / 'diverged.ckpt'}")
-            tape.backward(step_loss)
-        clip_gradients(params, cfg.grad_clip)
-        post_norm = grad_norm(params)
-        adamw_step(opt, params)
-        metrics.write({"iter": it + 1, "loss": loss_value, "grad_norm": post_norm})
+    def diverged(reason: str, it: int) -> TrainingDiverged:
+        path = out_dir / "diverged.ckpt"
+        save_checkpoint(path, model, opt, header_for(it))
+        return TrainingDiverged(f"{reason} at iteration {it}; state dumped to {path}")
 
-        if (it + 1) % cfg.eval_every == 0 or it + 1 == cfg.n_iters:
-            for name, split_samples in eval_sets.items():
-                acc = evaluate_model(model, split_samples, vocab, cfg.batch_size)
-                metrics.write({"iter": it + 1, "split": name, "accuracy": acc})
-                if not quiet:
-                    print(f"iter {it + 1}: {name} accuracy {acc:.4f}")
-                if name == "valid_ood" and acc > best_acc:
-                    best_acc, best_iter = acc, it + 1
-                    save_checkpoint(best_path, model, opt, header_for(it + 1))
+    try:
+        for it in range(start_iter, cfg.n_iters):
+            idx = batch_gen.integers(0, len(train_set), size=cfg.batch_size)
+            batch = [train_set[i] for i in idx]
+            tokens, lengths, targets = encode_batch(batch, vocab)
+            mode = Mode(train=True, rng=drop_tree.child(f"iter{it}"))
+            zero_grads(params)
+            with Tape() as tape:
+                out = model.forward(tokens, lengths, mode=mode)
+                step_loss = model_loss(out, targets)
+                loss_value = step_loss.item()
+                if not np.isfinite(loss_value):
+                    raise diverged(f"non-finite loss {loss_value}", it)
+                tape.backward(step_loss)
+            clip_gradients(params, cfg.grad_clip)
+            post_norm = grad_norm(params)
+            try:
+                adamw_step(opt, params)
+            except NonFiniteGradient as err:
+                raise diverged(str(err), it) from err
+            metrics.write({"iter": it + 1, "loss": loss_value, "grad_norm": post_norm})
 
-    save_checkpoint(last_path, model, opt, header_for(cfg.n_iters))
-    if not best_path.exists():  # eval never ran (tiny n_iters)
-        save_checkpoint(best_path, model, opt, header_for(cfg.n_iters))
-    metrics.close()
+            if (it + 1) % cfg.eval_every == 0 or it + 1 == cfg.n_iters:
+                for name, split_samples in eval_sets.items():
+                    acc = evaluate_model(model, split_samples, vocab, cfg.batch_size)
+                    metrics.write({"iter": it + 1, "split": name, "accuracy": acc})
+                    if not quiet:
+                        print(f"iter {it + 1}: {name} accuracy {acc:.4f}")
+                    if name == "valid_ood" and acc > best_acc:
+                        best_acc, best_iter = acc, it + 1
+                        save_checkpoint(best_path, model, opt, header_for(it + 1))
+
+        save_checkpoint(last_path, model, opt, header_for(cfg.n_iters))
+        if not best_path.exists():  # eval never ran (tiny n_iters)
+            save_checkpoint(best_path, model, opt, header_for(cfg.n_iters))
+    finally:
+        metrics.close()
     return TrainResult(cfg=cfg, model=model, opt=opt, iteration=cfg.n_iters,
                        best_accuracy=best_acc, best_iteration=best_iter,
                        best_path=str(best_path), last_path=str(last_path),

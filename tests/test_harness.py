@@ -5,7 +5,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqrouter import tasks
+from seqrouter import checkpoint, tasks
+from seqrouter import train as train_mod
 from seqrouter.checkpoint import load_checkpoint, save_checkpoint
 from seqrouter.config import RunConfig, apply_overrides, default_config, load_config
 from seqrouter.model import EncoderModel, ModelConfig
@@ -183,6 +184,69 @@ def test_divergence_aborts_with_state_dump(ctl_data, tmp_path):
     with pytest.raises(TrainingDiverged, match="diverged.ckpt"):
         train(cfg)
     assert (tmp_path / "run" / "diverged.ckpt").exists()
+
+
+def test_nonfinite_gradient_dumps_state_and_closes_log(ctl_data, tmp_path, monkeypatch):
+    real_clip = train_mod.clip_gradients
+    calls = []
+
+    def clip_then_poison(params, max_norm):
+        calls.append(1)
+        if len(calls) == 3:
+            params[0].grad[...] = np.nan
+        return real_clip(params, max_norm)
+
+    monkeypatch.setattr(train_mod, "clip_gradients", clip_then_poison)
+    cfg = tiny_run_config(ctl_data, tmp_path / "run", n_iters=6, eval_every=100)
+    with pytest.raises(TrainingDiverged, match="non-finite gradient.*iteration 2.*diverged.ckpt"):
+        train(cfg)
+    _, _, header = load_checkpoint(tmp_path / "run" / "diverged.ckpt")
+    assert header["iteration"] == 2
+    text = (tmp_path / "run" / "metrics.ndjson").read_text()
+    assert text.endswith("\n")
+    assert [json.loads(l)["iter"] for l in text.splitlines()] == [1, 2]
+
+
+def test_resume_keeps_log_through_checkpoint_iteration(ctl_data, tmp_path):
+    run = tmp_path / "run"
+    train(tiny_run_config(ctl_data, run, n_iters=2, eval_every=2))
+    early = tmp_path / "early.ckpt"
+    early.write_bytes((run / "last.ckpt").read_bytes())
+    train(tiny_run_config(ctl_data, run, n_iters=4, eval_every=2), resume=str(early))
+    with open(run / "metrics.ndjson", "a") as fh:
+        fh.write('{"iter": 5, "lo')  # a record cut short by a crash
+    result = train(tiny_run_config(ctl_data, run, n_iters=6, eval_every=2), resume=str(early))
+    iters = [json.loads(l)["iter"] for l in open(result.metrics_path) if "loss" in l]
+    assert iters == [1, 2, 3, 4, 5, 6]
+    straight = train(tiny_run_config(ctl_data, tmp_path / "straight", n_iters=6, eval_every=2))
+    assert Path(result.metrics_path).read_bytes() == Path(straight.metrics_path).read_bytes()
+
+
+def test_failed_checkpoint_write_keeps_previous(ctl_data, tmp_path, monkeypatch):
+    result = train(tiny_run_config(ctl_data, tmp_path / "run", n_iters=2, eval_every=2))
+    before = Path(result.best_path).read_bytes()
+    real_write = checkpoint._write_array
+    calls = []
+
+    def write_then_crash(zf, name, arr):
+        calls.append(name)
+        if len(calls) == 3:
+            raise OSError("disk full")
+        return real_write(zf, name, arr)
+
+    monkeypatch.setattr(checkpoint, "_write_array", write_then_crash)
+    saved = [p.data.copy() for p in result.model.parameters()]
+    for p in result.model.parameters():
+        p.data += 1.0
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(result.best_path, result.model, result.opt, {"iteration": 99})
+    assert Path(result.best_path).read_bytes() == before
+    assert sorted(f.name for f in (tmp_path / "run").iterdir()) == [
+        "best.ckpt", "last.ckpt", "metrics.ndjson"]
+    model, _, header = load_checkpoint(result.best_path)
+    assert header["iteration"] == 2
+    for p_loaded, want in zip(model.parameters(), saved):
+        np.testing.assert_array_equal(p_loaded.data, want)
 
 
 def test_task_mismatch_rejected(ctl_data, tmp_path):
