@@ -288,9 +288,10 @@ def geometric_ordering(i: int, n: int) -> list[int]:
 
 
 @lru_cache(maxsize=None)
-def _ordering_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
+def _ordering_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """ORD[i] lists sources (0-based) by closeness; INV[i, j] is j's rank in
-    ORD[i], with the diagonal pointing at an extra all-zero slot n-1."""
+    ORD[i], with the diagonal pointing at an extra all-zero slot n-1.
+    SRC[i] is ORD[i] followed by i: the inverse permutation of INV[i]."""
     ord_idx = np.empty((n, max(n - 1, 1)), dtype=np.int64)
     inv_idx = np.full((n, n), n - 1, dtype=np.int64)
     for i in range(n):
@@ -301,7 +302,8 @@ def _ordering_arrays(n: int) -> tuple[np.ndarray, np.ndarray]:
         ord_idx[i] = order
         for rank, j in enumerate(order):
             inv_idx[i, j] = rank
-    return ord_idx, inv_idx
+    src_idx = np.argsort(inv_idx, axis=-1)
+    return ord_idx, inv_idx, src_idx
 
 
 def _weights_from_logs(logp: Tensor, log1mp: Tensor) -> Tensor:
@@ -310,12 +312,10 @@ def _weights_from_logs(logp: Tensor, log1mp: Tensor) -> Tensor:
     n = logp.shape[-1]
     if n == 1:
         return ad.scale(logp, 0.0)
-    ord_idx, inv_idx = _ordering_arrays(n)
     lead = (1,) * (logp.data.ndim - 2)
-    ord_b = ord_idx.reshape(lead + ord_idx.shape)
-    inv_b = inv_idx.reshape(lead + inv_idx.shape)
+    ord_b, inv_b, src_b = (x.reshape(lead + x.shape) for x in _ordering_arrays(n))
 
-    shadow = ad.take_along(log1mp, ord_b, axis=-1)  # (..., N, N-1) ordered
+    shadow = ad._permute(log1mp, ord_b, inv_b)  # (..., N, N-1) ordered
     zeros1 = Tensor(np.zeros(logp.shape[:-1] + (1,), dtype=logp.dtype.type))
     if n == 2:
         prefix = zeros1
@@ -323,10 +323,10 @@ def _weights_from_logs(logp: Tensor, log1mp: Tensor) -> Tensor:
         csum = ad.cumsum(shadow, axis=-1)
         head = ad.split(csum, [n - 2, 1], axis=-1)[0]
         prefix = ad.concat([zeros1, head], axis=-1)
-    log_a = ad.add(ad.take_along(logp, ord_b, axis=-1), prefix)
+    log_a = ad.add(ad._permute(logp, ord_b, inv_b), prefix)
     a_ordered = ad.exp(log_a)
     padded = ad.concat([a_ordered, zeros1], axis=-1)
-    return ad.take_along(padded, inv_b, axis=-1)
+    return ad._permute(padded, inv_b, src_b)
 
 
 def geometric_weights(p: Tensor) -> Tensor:
@@ -346,7 +346,7 @@ def geometric_weights_direct(p: np.ndarray) -> np.ndarray:
     n = p.shape[-1]
     if n == 1:
         return np.zeros_like(p)
-    ord_idx, inv_idx = _ordering_arrays(n)
+    ord_idx, inv_idx, _ = _ordering_arrays(n)
     shadow = np.take_along_axis(1.0 - p, np.broadcast_to(ord_idx, p.shape[:-2] + ord_idx.shape), axis=-1)
     prefix = np.cumprod(shadow, axis=-1)
     prefix = np.concatenate([np.ones(p.shape[:-1] + (1,), dtype=p.dtype), prefix[..., :-1]], axis=-1)

@@ -56,8 +56,12 @@ class Tape:
             raise DimensionError(f"backward needs a scalar loss, got shape {loss.shape}")
         self._spent = True
         loss.grad = np.ones_like(loss.data)
-        for node in reversed(self._nodes):
-            node()
+        # Pop each node before running it: once it returns, nothing holds its
+        # closure, so the forward arrays it captured and the gradient of an
+        # output no caller kept are freed while the walk goes on.
+        nodes = self._nodes
+        while nodes:
+            nodes.pop()()
 
     @property
     def spent(self) -> bool:
@@ -71,7 +75,7 @@ def _tape() -> Tape | None:
 class Tensor:
     """Dense n-dimensional array of reals, optionally tracked for gradients."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad", "grad", "_owns_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
@@ -80,6 +84,7 @@ class Tensor:
         self.data = arr
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
+        self._owns_grad = False
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -93,43 +98,26 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
+        """Add ``g`` to this tensor's gradient.
+
+        A C-contiguous first gradient is adopted without a copy. It may be
+        shared, e.g. ``add`` hands one array to both operands, so the first
+        accumulation into it allocates a new array, and only arrays
+        allocated here are updated in place. Any other first gradient is
+        copied to C order: numpy's reductions follow memory layout, so a
+        strided view would round differently downstream.
+        """
         if self.grad is None:
-            self.grad = g.copy()
-        else:
+            self._owns_grad = not g.flags.c_contiguous
+            self.grad = g.copy() if self._owns_grad else g
+        elif self._owns_grad:
             self.grad += g
+        else:
+            self.grad = self.grad + g
+            self._owns_grad = True
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
-
-    # Arithmetic sugar; the named functions below do the work.
-    def __add__(self, other):
-        return add(self, other) if isinstance(other, Tensor) else shift(self, other)
-
-    def __radd__(self, other):
-        return shift(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other) if isinstance(other, Tensor) else shift(self, -other)
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), other)
-
-    def __mul__(self, other):
-        return mul(self, other) if isinstance(other, Tensor) else scale(self, other)
-
-    def __rmul__(self, other):
-        return scale(self, other)
-
-    def __truediv__(self, other):
-        if isinstance(other, Tensor):
-            raise TypeError("tensor/tensor division is not part of the op set")
-        return scale(self, 1.0 / other)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
 
 class Parameter(Tensor):
@@ -211,26 +199,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
             a.accumulate_grad(_unbroadcast(out.grad, a.shape))
         if b.requires_grad:
             b.accumulate_grad(_unbroadcast(out.grad, b.shape))
-
-    _record(out, bwd)
-    return out
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    try:
-        data = a.data - b.data
-    except ValueError:
-        raise DimensionError(f"sub: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
-
-    def bwd():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(-out.grad, b.shape))
 
     _record(out, bwd)
     return out
@@ -603,6 +571,25 @@ def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
     return out
 
 
+def _permute(a: Tensor, idx: np.ndarray, inv: np.ndarray) -> Tensor:
+    """Gather along the last axis by ``idx``, whose rows take each source at
+    most once, so the backward is a gather by the inverse ``inv`` instead of
+    a scatter. ``inv[..., j]`` is the output column that took source j; a
+    source no column took points one past the output's last column, at a
+    zero slot appended to the gradient."""
+    out = Tensor(np.take_along_axis(a.data, idx, axis=-1), a.requires_grad)
+
+    def bwd():
+        if out.grad is not None and a.requires_grad:
+            g = out.grad
+            if g.shape[-1] < a.shape[-1]:
+                g = np.concatenate([g, np.zeros(g.shape[:-1] + (1,), g.dtype)], axis=-1)
+            a.accumulate_grad(np.take_along_axis(g, inv, axis=-1))
+
+    _record(out, bwd)
+    return out
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[..., :] = table[ids[...], :]."""
     ids = np.asarray(ids)
@@ -626,13 +613,13 @@ def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
         raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
     if rate == 0.0:
         return a
-    keep = (gen.random(a.shape) >= rate).astype(a.dtype)
-    factor = keep / a.dtype.type(1.0 - rate)
-    out = Tensor(a.data * factor, a.requires_grad)
+    keep = gen.random(a.shape) >= rate
+    s = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
+    out = Tensor(a.data * (keep * s), a.requires_grad)
 
     def bwd():
         if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * factor)
+            a.accumulate_grad(out.grad * (keep * s))
 
     _record(out, bwd)
     return out
@@ -651,11 +638,6 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
     _record(out, bwd)
     return out
-
-
-def mean_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    count = a.data.size if axis is None else a.shape[axis]
-    return scale(sum_(a, axis=axis, keepdims=keepdims), 1.0 / count)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -75,5 +75,5 @@ def clip_gradients(params: list[Parameter], max_norm: float) -> float:
     factor = max_norm / norm
     for p in params:
         if p.grad is not None:
-            p.grad *= p.dtype.type(factor)
+            p.grad = p.grad * p.dtype.type(factor)
     return factor

@@ -75,6 +75,24 @@ def _check_vocab(header: dict, vocab: Vocab) -> None:
         raise ValueError("vocabulary mismatch between checkpoint and dataset")
 
 
+# Run-config keys a resumed run may change: how long it runs, how often it
+# evaluates and where it writes. Every other key shapes the model, the data
+# or the optimizer, which the checkpoint fixes.
+_RESUME_MAY_CHANGE = ("n_iters", "eval_every", "out_dir")
+
+
+def _check_resume_config(header: dict, cfg: RunConfig) -> None:
+    stored = header.get("run_config")
+    if stored is None:
+        return
+    new = json.loads(json.dumps(cfg.to_dict()))
+    differ = sorted(k for k in stored.keys() | new.keys()
+                    if k not in _RESUME_MAY_CHANGE and stored.get(k) != new.get(k))
+    if differ:
+        raise ValueError("resume config differs from the checkpoint's in "
+                         + ", ".join(f"{k} ({stored.get(k)!r} -> {new.get(k)!r})" for k in differ))
+
+
 def evaluate_checkpoint(ckpt_path, split: str, test_steps: int | None = None,
                         data_dir=None) -> float:
     model, _, header = load_checkpoint(ckpt_path)
@@ -148,6 +166,7 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
     if resume is not None:
         model, opt, header = load_checkpoint(resume)
         _check_vocab(header, vocab)
+        _check_resume_config(header, cfg)
         start_iter = header["iteration"]
         best_acc = header.get("best_accuracy", -1.0)
         best_iter = header.get("best_iteration", -1)

@@ -1,10 +1,17 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqrouter import autodiff as ad
+from seqrouter.attention import Mode
 from seqrouter.autodiff import Tape, Tensor
+from seqrouter.model import EncoderModel, ModelConfig, loss as model_loss
+from seqrouter.optim import clip_gradients
+from seqrouter.rng import RngTree
 
 from oracles import numeric_grad
 
@@ -70,6 +77,74 @@ def test_backward_twice_raises():
         tape.backward(loss)
         with pytest.raises(ad.TapeError):
             tape.backward(loss)
+
+
+def test_backward_frees_each_node_after_it_runs():
+    x = t64(np.arange(6.0).reshape(2, 3))
+    with Tape() as tape:
+        h = ad.relu(ad.scale(x, 2.0))
+        held = weakref.ref(h.data)
+        loss = ad.sum_(ad.mul(h, h))
+        del h
+        assert held() is not None  # the tape's closures still hold it
+        tape.backward(loss)
+        assert held() is None
+        assert tape._nodes == []
+        with pytest.raises(ad.TapeError):
+            tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 8.0 * x.data)
+
+
+def test_shared_first_gradient_survives_accumulation_and_clip():
+    a, b, c = t64(np.ones(3)), t64(np.ones(3)), t64(np.ones(3))
+    w = np.array([1.0, -2.0, 3.0])
+    with Tape() as tape:
+        u = ad.scale(a, 3.0)  # recorded first, so it accumulates into a last
+        s = ad.add(ad.add(a, b), c)
+        tape.backward(ad.sum_(ad.mul(ad.add(s, u), Tensor(w))))
+    # add hands one gradient array to both operands: a, b and c all
+    # adopted it before scale's backward added a second term into a.
+    assert b.grad is c.grad
+    np.testing.assert_array_equal(a.grad, 4.0 * w)
+    np.testing.assert_array_equal(b.grad, w)
+    factor = clip_gradients([a, b, c], 1.0)
+    assert factor < 1.0
+    np.testing.assert_array_equal(a.grad, 4.0 * w * factor)
+    np.testing.assert_array_equal(b.grad, w * factor)
+    np.testing.assert_array_equal(c.grad, w * factor)
+
+
+def test_transposed_first_gradient_is_stored_c_contiguous():
+    gen = np.random.default_rng(3)
+    x = t64(gen.normal(size=(2, 3, 4)))
+    r = gen.normal(size=(2, 4, 3))
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.mul(ad.transpose(x, (0, 2, 1)), Tensor(r))))
+    assert x.grad.flags.c_contiguous
+    np.testing.assert_array_equal(x.grad, r.transpose(0, 2, 1))
+
+
+def test_backward_peak_stays_near_forward_activations():
+    cfg = ModelConfig(vocab_size=12, n_classes=5, d_model=32, d_ff=64, n_heads=2, n_layers=6,
+                      kind="geometric", gated=True, dropout=0.1, att_dropout=0.1)
+    model = EncoderModel.build(cfg, RngTree(0))
+    gen = np.random.default_rng(1)
+    tokens = gen.integers(0, 12, size=(16, 20))
+    lengths = gen.integers(10, 21, size=16)
+    targets = gen.integers(0, 5, size=16)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        with Tape() as tape:
+            out = model.forward(tokens, lengths, mode=Mode(train=True, rng=RngTree(2)))
+            loss = model_loss(out, targets)
+            held = tracemalloc.get_traced_memory()[0] - base
+            tracemalloc.reset_peak()
+            tape.backward(loss)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * held, f"backward peak {peak / held:.2f}x the forward-held bytes"
 
 
 def test_backward_needs_scalar():
@@ -170,6 +245,20 @@ def test_dropout_inverted_scaling():
     kept = y != 0
     np.testing.assert_allclose(y[kept], 1.0 / 0.75, rtol=1e-12)
     assert abs(kept.mean() - 0.75) < 0.05
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_dropout_matches_float_mask_bitwise(dtype):
+    gen = np.random.default_rng(6)
+    x = Tensor(gen.normal(size=(8, 33)).astype(dtype), requires_grad=True)
+    r = gen.normal(size=(8, 33)).astype(dtype)
+    with Tape() as tape:
+        y = ad.dropout(x, 0.3, np.random.default_rng(7))
+        tape.backward(ad.sum_(ad.mul(y, Tensor(r))))
+    factor = (np.random.default_rng(7).random(x.shape) >= 0.3).astype(dtype) / dtype(1.0 - 0.3)
+    assert y.data.dtype == dtype and x.grad.dtype == dtype
+    assert y.data.tobytes() == (x.data * factor).tobytes()
+    assert x.grad.tobytes() == (r * factor).tobytes()
 
 
 def test_masked_fill_blocks_gradient():

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, geometric_ordering, geometric_weights, geometric_weights_direct
-from seqrouter.autodiff import Init, Tensor
+from seqrouter.autodiff import Init, Tape, Tensor
 from seqrouter.rng import RngTree
 
 from oracles import naive_geometric_probs, naive_geometric_weights
@@ -233,3 +233,24 @@ def test_geometric_weights_grad_vs_fd():
         return ad.sum_(ad.mul(a, Tensor(r, dtype=np.float64)))
 
     assert ad.grad_check(f, [logits], step=1e-6) < 1e-3
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 52])
+def test_permutation_gathers_match_scatter_grads(n, monkeypatch):
+    gen = np.random.default_rng(n)
+    logits = gen.normal(size=(2, 3, n, n)).astype(np.float32)
+    r = Tensor(gen.normal(size=(2, 3, n, n)).astype(np.float32))
+
+    def weights_and_grad():
+        x = Tensor(logits.copy(), requires_grad=True)
+        with Tape() as tape:
+            a = att._weights_from_logs(ad.logsigmoid(x), ad.logsigmoid(ad.scale(x, -1.0)))
+            tape.backward(ad.sum_(ad.mul(a, r)))
+        return a.data, x.grad
+
+    a, g = weights_and_grad()
+    # Reference: every gather's backward scatters through np.add.at.
+    monkeypatch.setattr(ad, "_permute", lambda t, idx, inv: ad.take_along(t, idx, axis=-1))
+    a_ref, g_ref = weights_and_grad()
+    assert a.tobytes() == a_ref.tobytes()
+    assert g.tobytes() == g_ref.tobytes()

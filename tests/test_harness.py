@@ -222,6 +222,22 @@ def test_resume_keeps_log_through_checkpoint_iteration(ctl_data, tmp_path):
     assert Path(result.metrics_path).read_bytes() == Path(straight.metrics_path).read_bytes()
 
 
+def test_resume_refuses_changed_config(ctl_data, tmp_path):
+    run = tmp_path / "run"
+    head = train(tiny_run_config(ctl_data, run, n_iters=2, eval_every=2))
+    log = Path(head.metrics_path).read_bytes()
+    changed = apply_overrides(tiny_run_config(ctl_data, run, n_iters=4), ["lr=0.002"])
+    with pytest.raises(ValueError, match=r"differs from the checkpoint's in lr \(0\.001 -> 0\.002\)$"):
+        train(changed, resume=head.last_path)
+    assert Path(head.metrics_path).read_bytes() == log
+    # A checkpoint written before headers carried run_config resumes as before.
+    model, opt, header = load_checkpoint(head.last_path)
+    del header["run_config"]
+    legacy = tmp_path / "legacy.ckpt"
+    save_checkpoint(legacy, model, opt, header)
+    assert train(changed, resume=str(legacy)).iteration == 4
+
+
 def test_failed_checkpoint_write_keeps_previous(ctl_data, tmp_path, monkeypatch):
     result = train(tiny_run_config(ctl_data, tmp_path / "run", n_iters=2, eval_every=2))
     before = Path(result.best_path).read_bytes()
