@@ -62,9 +62,6 @@ class MhaParams:
     w_v: Parameter
     w_o: Parameter
 
-    def params(self) -> list[Parameter]:
-        return [self.w_q, self.w_k, self.w_v, self.w_o]
-
 
 @dataclass
 class RelAttentionParams:
@@ -78,12 +75,6 @@ class RelAttentionParams:
     w_o: Parameter
     w_ar: Parameter | None = None  # abs/rel gate, shared across heads
     b_ar: Parameter | None = None
-
-    def params(self) -> list[Parameter]:
-        out = [self.w_q, self.w_ke, self.w_kp, self.b_qe, self.b_qp, self.w_v, self.w_o]
-        if self.w_ar is not None:
-            out += [self.w_ar, self.b_ar]
-        return out
 
 
 @dataclass
@@ -101,10 +92,6 @@ class GeometricAttentionParams:
     gamma: Parameter
     w_v: Parameter
     w_o: Parameter
-
-    def params(self) -> list[Parameter]:
-        return [self.w_q, self.b_q, self.w_ke, self.w_lr, self.b_lr, self.w_rl, self.b_rl,
-                self.alpha, self.beta, self.gamma, self.w_v, self.w_o]
 
 
 def init_attention(init: Init, cfg: AttentionConfig):
@@ -220,14 +207,12 @@ def mha_standard(h: Tensor, p: MhaParams, valid: np.ndarray, mode: Mode = EVAL):
 # relative / gated absolute-relative attention
 
 
-def rel_scores(h: Tensor, p: RelAttentionParams, gate_mode: str, valid: np.ndarray,
+def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
                mode: Mode = EVAL, pos_base: int = 0) -> Tensor:
     """Raw pre-softmax scores, decomposed into content, content bias and a
     positional term that interpolates relative offsets and absolute
-    positions with a per-target scalar gate (fixed at 1 for relative_only).
+    positions with a per-target scalar gate (fixed at 1 when p.w_ar is None).
     Masked sources are already pushed to -inf."""
-    if gate_mode not in ("relative_only", "abs_rel_gated"):
-        raise ValueError(f"unknown gate_mode: {gate_mode}")
     cfg = p.cfg
     b, n, d = h.shape
     dtype = h.dtype
@@ -250,7 +235,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, gate_mode: str, valid: np.ndarr
     offset_idx = (i_idx - j_idx) + (n - 1)
     score_rel = ad.take_along(score_rel_all, offset_idx[None, None, :, :], axis=-1)
 
-    if gate_mode == "relative_only":
+    if p.w_ar is None:
         positional = score_rel
     else:
         abs_emb = Tensor(sinusoid_table(pos_base + np.arange(n), d, dtype))
@@ -267,8 +252,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, gate_mode: str, valid: np.ndarr
 def rel_attend(h: Tensor, p: RelAttentionParams, valid: np.ndarray, mode: Mode = EVAL,
                pos_base: int = 0):
     _check_sources(valid)
-    gate_mode = "abs_rel_gated" if p.w_ar is not None else "relative_only"
-    weights = ad.softmax(rel_scores(h, p, gate_mode, valid, mode, pos_base))
+    weights = ad.softmax(rel_scores(h, p, valid, mode, pos_base))
     v = _project(h, p.w_v, p.cfg.n_heads)
     out = ad.matmul(_merge_heads(ad.matmul(weights, v)), p.w_o)
     return out, weights

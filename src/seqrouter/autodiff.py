@@ -9,6 +9,7 @@ code in float64.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Iterable, Sequence
 
@@ -140,6 +141,20 @@ def zero_grads(tensors: Iterable[Tensor]) -> None:
         t.grad = None
 
 
+def parameters(bundle) -> list[Parameter]:
+    """Every Parameter field of a dataclass, in declaration order, with
+    nested dataclasses walked in place and None fields skipped. The order
+    is load-bearing: gradient norms are summed in list order."""
+    out: list[Parameter] = []
+    for f in dataclasses.fields(bundle):
+        value = getattr(bundle, f.name)
+        if isinstance(value, Parameter):
+            out.append(value)
+        elif dataclasses.is_dataclass(value):
+            out += parameters(value)
+    return out
+
+
 def check_unique_names(params: Sequence[Parameter]) -> None:
     seen: set[str] = set()
     for p in params:
@@ -174,10 +189,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 def _check_same_dtype(a: Tensor, b: Tensor) -> None:
     if a.dtype != b.dtype:
         raise ValueError(f"mixed dtypes: {a.dtype} vs {b.dtype}")
-
-
-def constant(data, dtype=np.float32) -> Tensor:
-    return Tensor(np.asarray(data, dtype=dtype), requires_grad=False)
 
 
 # ---------------------------------------------------------------------------

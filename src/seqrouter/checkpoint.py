@@ -4,6 +4,7 @@ moments, the step counter, and PRNG states. Round-trips are bitwise."""
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import zipfile
@@ -15,6 +16,9 @@ import numpy as np
 from .model import EncoderModel, ModelConfig
 from .optim import OptimizerState
 from .rng import RngTree
+
+# Optimizer scalars stored in optimizer.json; the moments m and v are arrays.
+_OPT_FIELDS = [f.name for f in dataclasses.fields(OptimizerState) if f.name not in ("m", "v")]
 
 
 def _to_jsonable(obj):
@@ -84,9 +88,8 @@ def _write_archive(fh, model: EncoderModel, opt: OptimizerState | None,
             manifest[p.name]["decay"] = p.decay
         opt_meta = None
         if opt is not None:
-            opt_meta = {"lr": opt.lr, "weight_decay": opt.weight_decay, "beta1": opt.beta1,
-                        "beta2": opt.beta2, "eps": opt.eps, "step_count": opt.step_count,
-                        "moments": {}}
+            opt_meta = {k: getattr(opt, k) for k in _OPT_FIELDS}
+            opt_meta["moments"] = {}
             for name, m in opt.m.items():
                 opt_meta["moments"][name] = _write_array(zf, f"opt_m/{name}", m)
                 _write_array(zf, f"opt_v/{name}", opt.v[name])
@@ -114,9 +117,7 @@ def load_checkpoint(path) -> tuple[EncoderModel, OptimizerState | None, dict]:
         opt = None
         if "optimizer.json" in zf.namelist():
             meta = json.loads(zf.read("optimizer.json"))
-            opt = OptimizerState(lr=meta["lr"], weight_decay=meta["weight_decay"],
-                                 beta1=meta["beta1"], beta2=meta["beta2"], eps=meta["eps"],
-                                 step_count=meta["step_count"])
+            opt = OptimizerState(**{k: meta[k] for k in _OPT_FIELDS})
             for name, arr_meta in meta["moments"].items():
                 opt.m[name] = _read_array(zf, f"opt_m/{name}", arr_meta)
                 opt.v[name] = _read_array(zf, f"opt_v/{name}", arr_meta)

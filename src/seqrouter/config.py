@@ -51,12 +51,10 @@ class RunConfig:
         if self.act != "none":
             act = ACTConfig(variant=self.act, t_max=self.act_t_max,
                             epsilon=self.act_epsilon, reg_weight=self.act_reg_weight)
-        return ModelConfig(
-            vocab_size=vocab_size, n_classes=n_classes, d_model=self.d_model,
-            d_ff=self.d_ff, n_heads=self.n_heads, n_layers=self.n_layers,
-            test_steps=self.test_steps, kind=self.kind, gated=self.gated,
-            readout=self.readout, act=act, dropout=self.dropout,
-            att_dropout=self.att_dropout)
+        # Shared fields are copied by name; act is a string here, an ACTConfig there.
+        names = {f.name for f in dataclasses.fields(ModelConfig)} - {"act"}
+        shared = {k: v for k, v in self.to_dict().items() if k in names}
+        return ModelConfig(vocab_size=vocab_size, n_classes=n_classes, act=act, **shared)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)
@@ -92,14 +90,13 @@ def _coerce(key: str, raw: str):
     hint = _HINTS[key]
     raw = raw.strip()
     if hint in (int, float, str, bool):
-        kinds = {int: int, float: float, str: str}
         if hint is bool:
             if raw.lower() in ("true", "1", "yes"):
                 return True
             if raw.lower() in ("false", "0", "no"):
                 return False
             raise ValueError(f"config key {key!r} expects a boolean, got {raw!r}")
-        return kinds[hint](raw)
+        return hint(raw)
     # Optional[int] is the only other hint in use.
     if raw.lower() in ("none", ""):
         return None

@@ -86,7 +86,7 @@ def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> fl
         out, _ = att.attend(points[0], params, valid)
         return ad.sum_(ad.mul(out, Tensor(r, dtype=np.longdouble)))
 
-    return grad_check(fn, [h] + params.params(), step=1e-5)
+    return grad_check(fn, [h] + ad.parameters(params), step=1e-5)
 
 
 def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> float:
@@ -98,7 +98,7 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
     h = Tensor(gen.normal(size=(1, n, d)), dtype=np.longdouble)
     r = gen.normal(size=(1, n, d))
     valid = np.ones((1, n), dtype=bool)
-    points = [h] + lp.params()
+    points = [h] + ad.parameters(lp)
 
     if act_variant is None:
         def fn(pts):

@@ -57,15 +57,6 @@ class LayerParams:
     ln_ffn_g: Parameter | None = None
     ln_ffn_b: Parameter | None = None
 
-    def params(self) -> list[Parameter]:
-        out = self.attn.params() + [self.ffn_w1, self.ffn_b1, self.ffn_w2, self.ffn_b2,
-                                    self.ln_att_g, self.ln_att_b]
-        for p in (self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2,
-                  self.ln_ffn_g, self.ln_ffn_b):
-            if p is not None:
-                out.append(p)
-        return out
-
 
 def init_layer(init: Init, att_cfg: AttentionConfig, variant: LayerVariant, d_ff: int) -> LayerParams:
     d = att_cfg.d_model
@@ -170,6 +161,14 @@ def act_halting(h: Tensor, w_h: Parameter, b_h: Parameter) -> Tensor:
     return ad.reshape(ad.sigmoid(logits), h.shape[:2])
 
 
+def _halt_steps(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per-column halt step (1-based, T if never crossed) and whether the
+    float64 cumulative sum crosses 1 - epsilon; shared so all callers agree."""
+    crossed = np.cumsum(np.asarray(p_hats, dtype=np.float64), axis=0) >= 1.0 - epsilon
+    any_cross = crossed.any(axis=0)
+    return np.where(any_cross, np.argmax(crossed, axis=0) + 1, crossed.shape[0]), any_cross
+
+
 def act_schedule(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Pure remainder-correct schedule over a (T, ...) stack of halting
     units. Returns (halt step 1-based, per-step readout weights, remainder).
@@ -177,16 +176,11 @@ def act_schedule(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nda
     as their final weight, so weights always sum to 1."""
     p_hats = np.asarray(p_hats, dtype=np.float64)
     t_max = p_hats.shape[0]
-    thresh = 1.0 - epsilon
-    cum = np.cumsum(p_hats, axis=0)
-    crossed = cum >= thresh
-    any_cross = crossed.any(axis=0)
-    first = np.argmax(crossed, axis=0)  # 0-based step index of first crossing
-    halt_step = np.where(any_cross, first + 1, t_max)
+    halt_step, _ = _halt_steps(p_hats, epsilon)
     steps = np.arange(1, t_max + 1).reshape((t_max,) + (1,) * (p_hats.ndim - 1))
     running = steps < halt_step
     halting = steps == halt_step
-    cum_before = cum - p_hats
+    cum_before = np.cumsum(p_hats, axis=0) - p_hats
     remainder = np.take_along_axis(1.0 - cum_before, halt_step[None, ...] - 1, axis=0)[0]
     weights = p_hats * running + remainder * halting
     return halt_step, weights, remainder
@@ -206,11 +200,7 @@ def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
         raise ValueError("act_readout needs at least one step")
     t_max = len(states)
     b, n, d = states[0].shape
-    phat_data = np.stack([p.data for p in p_hats], axis=0)
-    halt_step, _, _ = act_schedule(phat_data, cfg.epsilon)
-    thresh = 1.0 - cfg.epsilon
-    cum = np.cumsum(phat_data, axis=0)
-    any_cross = (cum >= thresh).any(axis=0)
+    halt_step, any_cross = _halt_steps(np.stack([p.data for p in p_hats]), cfg.epsilon)
 
     dtype = states[0].dtype.type
     readout: Tensor | None = None

@@ -8,6 +8,7 @@ parameters.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -52,22 +53,14 @@ class ModelConfig:
                                content_dropout=self.att_dropout, position_dropout=pos_drop)
 
     def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in (
-            "vocab_size", "n_classes", "d_model", "d_ff", "n_heads", "n_layers",
-            "test_steps", "kind", "gated", "readout", "dropout", "att_dropout")}
-        if self.act is not None:
-            d["act"] = {"variant": self.act.variant, "t_max": self.act.t_max,
-                        "epsilon": self.act.epsilon, "reg_weight": self.act.reg_weight}
-        return d
+        return dataclasses.asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
-        act = d.pop("act", None)
-        cfg = cls(**d)
-        if act is not None:
-            cfg.act = ACTConfig(**act)
-        return cfg
+        if d.get("act") is not None:
+            d["act"] = ACTConfig(**d["act"])
+        return cls(**d)
 
 
 @dataclass
@@ -83,17 +76,17 @@ class ForwardOut:
     trace: StepTrace | None = None
 
 
+@dataclass(eq=False)
 class EncoderModel:
-    def __init__(self, cfg: ModelConfig, embed: Parameter, layer: LayerParams,
-                 out_w: Parameter, out_b: Parameter,
-                 act_w: Parameter | None = None, act_b: Parameter | None = None):
-        self.cfg = cfg
-        self.embed = embed
-        self.layer = layer
-        self.out_w = out_w
-        self.out_b = out_b
-        self.act_w = act_w
-        self.act_b = act_b
+    cfg: ModelConfig
+    embed: Parameter
+    layer: LayerParams
+    out_w: Parameter
+    out_b: Parameter
+    act_w: Parameter | None = None
+    act_b: Parameter | None = None
+
+    def __post_init__(self):
         check_unique_names(self.parameters())
 
     @classmethod
@@ -110,10 +103,7 @@ class EncoderModel:
         return cls(cfg, embed, layer, out_w, out_b, act_w, act_b)
 
     def parameters(self) -> list[Parameter]:
-        out = [self.embed] + self.layer.params() + [self.out_w, self.out_b]
-        if self.act_w is not None:
-            out += [self.act_w, self.act_b]
-        return out
+        return ad.parameters(self)
 
     def param_count(self) -> int:
         return sum(p.data.size for p in self.parameters())
@@ -145,34 +135,27 @@ class EncoderModel:
 
         rec = StepTrace() if trace else None
         act_cfg = self.cfg.act
-        if act_cfg is None:
-            for t in range(steps):
-                h, weights, gate = encoder_step(h, self.layer, valid, mode.child(f"step{t}"),
-                                                self.cfg.dropout)
-                if rec is not None:
-                    rec.attention.append(weights.data[0].copy())
-                    if gate is not None:
-                        rec.gates.append(gate.data[0].copy())
-            final = h
-            act_res = None
-        else:
-            t_max = act_cfg.t_max if act_cfg.t_max is not None else steps
-            states: list[Tensor] = []
-            p_hats: list[Tensor] = []
-            for t in range(t_max):
-                if act_cfg.variant == "U":
-                    p_hats.append(act_halting(h, self.act_w, self.act_b))
-                h, weights, gate = encoder_step(h, self.layer, valid, mode.child(f"step{t}"),
-                                                self.cfg.dropout)
-                if act_cfg.variant == "A":
-                    p_hats.append(act_halting(h, self.act_w, self.act_b))
+        halting = act_cfg.variant if act_cfg is not None else None
+        if act_cfg is not None:
+            steps = act_cfg.t_max or steps
+        # Only the ACT readout keeps every step's states; a no-tape eval holds one.
+        states: list[Tensor] = []
+        p_hats: list[Tensor] = []
+        for t in range(steps):
+            if halting == "U":
+                p_hats.append(act_halting(h, self.act_w, self.act_b))
+            h, weights, gate = encoder_step(h, self.layer, valid, mode.child(f"step{t}"),
+                                            self.cfg.dropout)
+            if halting == "A":
+                p_hats.append(act_halting(h, self.act_w, self.act_b))
+            if halting is not None:
                 states.append(h)
-                if rec is not None:
-                    rec.attention.append(weights.data[0].copy())
-                    if gate is not None:
-                        rec.gates.append(gate.data[0].copy())
-            act_res = act_readout(states, p_hats, act_cfg, valid)
-            final = act_res.readout
+            if rec is not None:
+                rec.attention.append(weights.data[0].copy())
+                if gate is not None:
+                    rec.gates.append(gate.data[0].copy())
+        act_res = act_readout(states, p_hats, act_cfg, valid) if act_cfg is not None else None
+        final = h if act_res is None else act_res.readout
 
         if self.cfg.readout == "last":
             col = lengths - 1

@@ -64,15 +64,19 @@ def capture(model, tokens: list[str], vocab: Vocab, steps: int | None = None) ->
 # portable graymap output
 
 
-def write_pgm(path, image: np.ndarray) -> None:
-    """8-bit binary PGM, linearly scaled so 0 maps to black and the image
+def quantize(image: np.ndarray) -> np.ndarray:
+    """8-bit pixels, linearly scaled so 0 maps to black and the image
     maximum to white."""
     image = np.asarray(image, dtype=np.float64)
     if image.ndim != 2:
         raise ValueError(f"heatmaps are 2-d, got shape {image.shape}")
     peak = image.max()
     scaled = np.zeros_like(image) if peak <= 0 else np.clip(image / peak, 0.0, 1.0)
-    pixels = np.round(scaled * 255).astype(np.uint8)
+    return np.round(scaled * 255).astype(np.uint8)
+
+
+def write_pgm(path, pixels: np.ndarray) -> None:
+    """8-bit binary PGM of uint8 pixels, e.g. from ``quantize``."""
     h, w = pixels.shape
     with open(path, "wb") as fh:
         fh.write(f"P5\n{w} {h}\n255\n".encode())
@@ -118,18 +122,16 @@ def export(trace: Trace, out_dir) -> dict:
 
     files = ["trace.json"]
     for t, step in enumerate(trace.attention.steps):
-        head_images = []
-        for head in range(n_heads):
+        head_images = [quantize(head) for head in step]
+        for head, pixels in enumerate(head_images):
             name = f"att_t{t}_h{head}.pgm"
-            write_pgm(out / name, step[head])
-            head_images.append(read_pgm(out / name))
+            write_pgm(out / name, pixels)
             files.append(name)
         name = f"att_t{t}_max.pgm"
-        pixel_max = np.max(np.stack(head_images), axis=0)
-        _write_raw_pgm(out / name, pixel_max)
+        write_pgm(out / name, np.max(np.stack(head_images), axis=0))
         files.append(name)
     if trace.gates is not None:
-        write_pgm(out / "gates.pgm", trace.gates.means())
+        write_pgm(out / "gates.pgm", quantize(trace.gates.means()))
         files.append("gates.pgm")
 
     index = {"files": files, "steps": n_steps, "heads": n_heads,
@@ -138,14 +140,6 @@ def export(trace: Trace, out_dir) -> dict:
         json.dump(index, fh, sort_keys=True, indent=1)
     files.append("index.json")
     return index
-
-
-def _write_raw_pgm(path, pixels: np.ndarray) -> None:
-    pixels = np.asarray(pixels, dtype=np.uint8)
-    h, w = pixels.shape
-    with open(path, "wb") as fh:
-        fh.write(f"P5\n{w} {h}\n255\n".encode())
-        fh.write(pixels.tobytes())
 
 
 def load_trace_json(path) -> dict:

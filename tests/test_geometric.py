@@ -133,7 +133,7 @@ def test_direct_product_matches_pairwise_oracle():
 
 def test_probs_all_zero_states_are_half():
     p = geo_params()
-    for param in p.params():
+    for param in ad.parameters(p):
         if param.name.endswith(("alpha",)):
             continue
         param.data[:] = 0.0

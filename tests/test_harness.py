@@ -1,4 +1,5 @@
 import copy
+import dataclasses
 import json
 from pathlib import Path
 
@@ -9,7 +10,9 @@ from seqrouter import checkpoint, tasks
 from seqrouter import train as train_mod
 from seqrouter.checkpoint import load_checkpoint, save_checkpoint
 from seqrouter.config import RunConfig, apply_overrides, default_config, load_config
+from seqrouter.layers import ACTConfig
 from seqrouter.model import EncoderModel, ModelConfig
+from seqrouter.optim import OptimizerState
 from seqrouter.rng import RngTree
 from seqrouter.tasks.data import SplitPlan, SplitSpec
 from seqrouter.train import (TrainingDiverged, encode_batch, evaluate_checkpoint,
@@ -162,6 +165,43 @@ def test_checkpoint_roundtrip_bitwise(ctl_data, tmp_path):
     vocab = tasks.vocab_for_task("ctl_fwd")
     samples = tasks.load_split(ctl_data, "valid_ood")
     assert evaluate_model(model, samples, vocab) == evaluate_model(result.model, samples, vocab)
+
+
+def test_checkpoint_roundtrip_restores_act_config_and_optimizer_fields(tmp_path):
+    cfg = ModelConfig(vocab_size=9, n_classes=4, d_model=8, d_ff=16, n_heads=2, n_layers=3,
+                      kind="abs_rel_gated", act=ACTConfig(variant="U", t_max=5, epsilon=0.05,
+                                                          reg_weight=0.1))
+    model = EncoderModel.build(cfg, RngTree(3))
+    opt = OptimizerState(lr=3e-4, weight_decay=0.05, beta1=0.8, beta2=0.99, eps=1e-7,
+                         step_count=7)
+    for p in model.parameters():
+        opt.m[p.name] = np.full_like(p.data, 0.25)
+        opt.v[p.name] = np.full_like(p.data, 0.5)
+    save_checkpoint(tmp_path / "act.ckpt", model, opt)
+    loaded, opt2, _ = load_checkpoint(tmp_path / "act.ckpt")
+    assert loaded.cfg == cfg
+    assert [p.name for p in loaded.parameters()] == [p.name for p in model.parameters()]
+    for p, q in zip(model.parameters(), loaded.parameters()):
+        np.testing.assert_array_equal(p.data, q.data)
+    for f in dataclasses.fields(OptimizerState):
+        if f.name in ("m", "v"):
+            continue
+        assert getattr(opt2, f.name) == getattr(opt, f.name), f.name
+    for name in opt.m:
+        np.testing.assert_array_equal(opt2.m[name], opt.m[name])
+        np.testing.assert_array_equal(opt2.v[name], opt.v[name])
+
+
+def test_run_config_model_config_copies_shared_fields():
+    cfg = RunConfig(d_model=32, d_ff=48, n_heads=4, n_layers=5, test_steps=7, kind="relative",
+                    gated=False, readout="first", act="A", act_t_max=6, act_epsilon=0.02,
+                    act_reg_weight=0.3, dropout=0.2, att_dropout=0.05)
+    assert cfg.model_config(11, 3) == ModelConfig(
+        vocab_size=11, n_classes=3, d_model=32, d_ff=48, n_heads=4, n_layers=5, test_steps=7,
+        kind="relative", gated=False, readout="first",
+        act=ACTConfig(variant="A", t_max=6, epsilon=0.02, reg_weight=0.3),
+        dropout=0.2, att_dropout=0.05)
+    assert RunConfig(act="none").model_config(11, 3).act is None
 
 
 def test_resume_reproduces_trajectory(ctl_data, tmp_path):

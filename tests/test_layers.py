@@ -100,7 +100,7 @@ def test_ungated_single_column_sequence():
 
 def test_weight_sharing_has_no_per_step_params():
     lp = build_layer(seed=13)
-    names = [p.name for p in lp.params()]
+    names = [p.name for p in ad.parameters(lp)]
     assert len(names) == len(set(names))
     h = states(1, 4, 8, seed=14)
     valid = np.ones((1, 4), dtype=bool)
@@ -202,6 +202,27 @@ def test_act_readout_variant_u_halted_column_keeps_remainder():
     want = 0.3 * states_list[1].data + 0.7 * 0.7 * states_list[0].data
     np.testing.assert_allclose(res.readout.data, want, atol=1e-12)
     np.testing.assert_allclose(res.remainder.data, 0.3, atol=1e-12)
+
+
+def test_act_readout_uses_float64_schedule_for_never_crossing_columns():
+    # The float32 sum of these halting units reaches 0.99, the float64 sum
+    # does not, so by act_schedule the column never crosses the threshold.
+    rows = np.array([0.2944336533546448, 0.37925174832344055, 0.31631457805633545], dtype=np.float32)
+    halt, _, _ = layers.act_schedule(rows[:, None], epsilon=0.01)
+    assert halt[0] == 3
+    states_list = [Tensor(np.full((1, 1, 1), t, dtype=np.float32)) for t in (1.0, 2.0, 3.0)]
+    p_hats = [Tensor(np.full((1, 1), r, dtype=np.float32)) for r in rows]
+    valid = np.ones((1, 1), dtype=bool)
+    res = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="U"), valid)
+    # U gives a never-crossing column no remainder: step 3 is weighted by p_3.
+    assert res.remainder.data[0, 0] == 0.0
+    p1, p2, p3 = rows
+    want = p3 * 3.0 + (1 - p3) * (p2 * 2.0 + (1 - p2) * (p1 * 1.0))
+    np.testing.assert_allclose(res.readout.data[0, 0, 0], want, rtol=1e-6)
+    np.testing.assert_allclose(res.readout.data[0, 0, 0], 1.5925, atol=1e-4)
+    # Variant A always reads the remainder out at the halt step.
+    res_a = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="A"), valid)
+    np.testing.assert_allclose(res_a.remainder.data[0, 0], 1.0 - p1 - p2, rtol=1e-6)
 
 
 def test_act_halting_mass_sums_to_one_when_halted():

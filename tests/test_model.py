@@ -183,3 +183,48 @@ def test_model_config_dict_roundtrip():
     cfg = tiny_config(act=ACTConfig(variant="U", t_max=9))
     back = ModelConfig.from_dict(cfg.to_dict())
     assert back == cfg
+
+
+def test_model_config_from_dict_without_act_key():
+    # Checkpoint headers written before to_dict became dataclasses.asdict have
+    # no "act" key when adaptive depth is off.
+    cfg = tiny_config(test_steps=5, kind="relative", gated=False, readout="first", dropout=0.1)
+    old = {"vocab_size": cfg.vocab_size, "n_classes": cfg.n_classes, "d_model": 16, "d_ff": 32,
+           "n_heads": 2, "n_layers": 3, "test_steps": 5, "kind": "relative", "gated": False,
+           "readout": "first", "dropout": 0.1, "att_dropout": 0.0}
+    assert ModelConfig.from_dict(old) == cfg
+    act = {"variant": "A", "t_max": 4, "epsilon": 0.02, "reg_weight": 0.1}
+    assert ModelConfig.from_dict({**old, "act": act}) == tiny_config(
+        test_steps=5, kind="relative", gated=False, readout="first", dropout=0.1,
+        act=ACTConfig(variant="A", t_max=4, epsilon=0.02, reg_weight=0.1))
+
+
+# Parameter order is the field declaration order. It is load-bearing:
+# grad_norm sums in list order, so the clip factor and every loss depend on it.
+PINNED_PARAMETER_NAMES = {
+    ("geometric", True, None): [
+        "embed", "layer.att.w_q", "layer.att.b_q", "layer.att.w_ke", "layer.att.w_lr",
+        "layer.att.b_lr", "layer.att.w_rl", "layer.att.b_rl", "layer.att.alpha",
+        "layer.att.beta", "layer.att.gamma", "layer.att.w_v", "layer.att.w_o",
+        "layer.ffn_w1", "layer.ffn_b1", "layer.ffn_w2", "layer.ffn_b2", "layer.ln_att_g",
+        "layer.ln_att_b", "layer.gate_w1", "layer.gate_b1", "layer.gate_w2", "layer.gate_b2",
+        "layer.ln_ffn_g", "layer.ln_ffn_b", "out_w", "out_b"],
+    ("abs_rel_gated", True, "U"): [
+        "embed", "layer.att.w_q", "layer.att.w_ke", "layer.att.w_kp", "layer.att.b_qe",
+        "layer.att.b_qp", "layer.att.w_v", "layer.att.w_o", "layer.att.w_ar", "layer.att.b_ar",
+        "layer.ffn_w1", "layer.ffn_b1", "layer.ffn_w2", "layer.ffn_b2", "layer.ln_att_g",
+        "layer.ln_att_b", "layer.gate_w1", "layer.gate_b1", "layer.gate_w2", "layer.gate_b2",
+        "out_w", "out_b", "act_w", "act_b"],
+    ("standard_abs", False, "A"): [
+        "embed", "layer.att.w_q", "layer.att.w_k", "layer.att.w_v", "layer.att.w_o",
+        "layer.ffn_w1", "layer.ffn_b1", "layer.ffn_w2", "layer.ffn_b2", "layer.ln_att_g",
+        "layer.ln_att_b", "layer.ln_ffn_g", "layer.ln_ffn_b", "out_w", "out_b", "act_w", "act_b"],
+}
+
+
+@pytest.mark.parametrize("kind,gated,act", list(PINNED_PARAMETER_NAMES))
+def test_parameter_order_is_pinned(kind, gated, act):
+    model = tiny_model(kind=kind, gated=gated, act=ACTConfig(variant=act) if act else None)
+    assert [p.name for p in model.parameters()] == PINNED_PARAMETER_NAMES[kind, gated, act]
+    assert [p.name for p in ad.parameters(model.layer)] == [
+        n for n in PINNED_PARAMETER_NAMES[kind, gated, act] if n.startswith("layer.")]

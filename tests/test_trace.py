@@ -87,19 +87,18 @@ def test_export_roundtrip_and_heatmaps(tmp_path):
         assert json.load(fh)["files"]
 
 
-def test_pgm_scaling_black_to_max():
-    import io
+def test_pgm_scaling_black_to_max(tmp_path):
     arr = np.array([[0.0, 0.5], [1.0, 0.25]])
-    path = "/tmp/_pgm_check.pgm"
-    tr.write_pgm(path, arr)
+    path = tmp_path / "check.pgm"
+    tr.write_pgm(path, tr.quantize(arr))
     img = tr.read_pgm(path)
     assert img[0, 0] == 0 and img[1, 0] == 255
     assert img[0, 1] == 128  # 0.5 of max scales to mid-gray
 
 
-def test_pgm_all_zero_image():
-    path = "/tmp/_pgm_zero.pgm"
-    tr.write_pgm(path, np.zeros((3, 3)))
+def test_pgm_all_zero_image(tmp_path):
+    path = tmp_path / "zero.pgm"
+    tr.write_pgm(path, tr.quantize(np.zeros((3, 3))))
     assert (tr.read_pgm(path) == 0).all()
 
 
