@@ -11,8 +11,7 @@ validity mask (B, N) marking non-pad columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -271,72 +270,84 @@ def geometric_ordering(i: int, n: int) -> list[int]:
     return sorted((k for k in range(1, n + 1) if k != i), key=lambda k: (abs(i - k), k < i))
 
 
-@lru_cache(maxsize=None)
-def _ordering_arrays(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ORD[i] lists sources (0-based) by closeness; INV[i, j] is j's rank in
-    ORD[i], with the diagonal pointing at an extra all-zero slot n-1.
-    SRC[i] is ORD[i] followed by i: the inverse permutation of INV[i]."""
-    ord_idx = np.empty((n, max(n - 1, 1)), dtype=np.int64)
-    inv_idx = np.full((n, n), n - 1, dtype=np.int64)
-    for i in range(n):
-        order = [k - 1 for k in geometric_ordering(i + 1, n)]
-        if n == 1:
-            ord_idx[i, 0] = 0
-            continue
-        ord_idx[i] = order
-        for rank, j in enumerate(order):
-            inv_idx[i, j] = rank
-    src_idx = np.argsort(inv_idx, axis=-1)
-    return ord_idx, inv_idx, src_idx
+def _closeness_mask(n: int, dtype) -> np.ndarray:
+    """C[i, k, j] = 1 when source k comes before source j in target i's
+    closeness ordering. The sort key 2|i - k| + [k < i] puts the right
+    neighbour before the left one at equal distance and reproduces
+    geometric_ordering; the diagonal sorts last, so it shadows nothing."""
+    i, k = np.ogrid[:n, :n]
+    key = 2 * np.abs(i - k) + (k < i)
+    np.fill_diagonal(key, 2 * n)
+    return (key[:, :, None] < key[:, None, :]).astype(dtype)
 
 
-def _weights_from_logs(logp: Tensor, log1mp: Tensor) -> Tensor:
-    """Distance-ordered product weights, evaluated in log space with
-    cumulative sums along each target's closeness ordering."""
-    n = logp.shape[-1]
-    if n == 1:
-        return ad.scale(logp, 0.0)
-    lead = (1,) * (logp.data.ndim - 2)
-    ord_b, inv_b, src_b = (x.reshape(lead + x.shape) for x in _ordering_arrays(n))
+def _per_target_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """out[..., i, :] = x[..., i, :] @ c[i]: one batched GEMM over targets."""
+    n = x.shape[-1]
+    by_target = np.ascontiguousarray(np.moveaxis(x.reshape(-1, n, n), 1, 0))
+    return np.moveaxis(np.matmul(by_target, c), 0, 1).reshape(x.shape)
 
-    shadow = ad._permute(log1mp, ord_b, inv_b)  # (..., N, N-1) ordered
-    zeros1 = Tensor(np.zeros(logp.shape[:-1] + (1,), dtype=logp.dtype.type))
-    if n == 2:
-        prefix = zeros1
-    else:
-        csum = ad.cumsum(shadow, axis=-1)
-        head = ad.split(csum, [n - 2, 1], axis=-1)[0]
-        prefix = ad.concat([zeros1, head], axis=-1)
-    log_a = ad.add(ad._permute(logp, ord_b, inv_b), prefix)
-    a_ordered = ad.exp(log_a)
-    padded = ad.concat([a_ordered, zeros1], axis=-1)
-    return ad._permute(padded, inv_b, src_b)
+
+def _shadowed_weights(logp: np.ndarray, log1mp: np.ndarray, c: np.ndarray,
+                      drop: np.ndarray) -> np.ndarray:
+    """exp(log P[i, j] + sum_k log(1 - P[i, k]) C[i, k, j]), zero where drop."""
+    return np.where(drop, 0, np.exp(logp + _per_target_matmul(log1mp, c)))
+
+
+def _weights_from_logs(logits: Tensor, src_invalid: np.ndarray) -> Tensor:
+    """Geometric attention weights from match logits z (..., N, N):
+    A[i, j] = p[i, j] * prod over sources k closer than j of (1 - p[i, k]),
+    with p = sigmoid(z), evaluated in log space as one masked GEMM. The
+    diagonal and pad sources (src_invalid, broadcast against z) get weight 0
+    and shadow nothing. The backward keeps only z, the weights and the mask."""
+    z = logits.data
+    n = z.shape[-1]
+    c = _closeness_mask(n, z.dtype)
+    logp, log1mp = ad._log_sigmoids(z)
+    drop = src_invalid | np.eye(n, dtype=bool)
+    w = _shadowed_weights(logp, np.where(src_invalid, 0, log1mp), c, drop)
+    out = Tensor(w, logits.requires_grad)
+
+    def bwd():
+        if out.grad is None or not logits.requires_grad:
+            return
+        # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
+        u = out.grad * w
+        logp, log1mp = ad._log_sigmoids(z)
+        g = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
+        logits.accumulate_grad(np.where(src_invalid, 0, g))
+
+    ad._record(out, bwd)
+    return out
 
 
 def geometric_weights(p: Tensor) -> Tensor:
     """Convert match probabilities (..., N, N) to attention weights
     A[i, j] = P[i, j] * prod over closer sources k of (1 - P[i, k]),
-    with a zero diagonal."""
-    if (p.data < 0).any() or (p.data > 1).any():
+    with a zero diagonal. Runs the forward of ``_weights_from_logs`` from
+    log P and log(1 - P); the result is a constant Tensor, not taped."""
+    x = p.data
+    if not ((x >= 0) & (x <= 1)).all():
         raise ValueError("match probabilities outside [0, 1]")
-    logp = ad.log(p)
-    log1mp = ad.log1p(ad.scale(p, -1.0))
-    return _weights_from_logs(logp, log1mp)
+    n = x.shape[-1]
+    with np.errstate(divide="ignore"):
+        logp = np.log(x)
+        # At P = 1, log(1 - P) = -inf would make -inf * 0 = nan in the GEMM.
+        log1mp = np.maximum(np.log1p(-x), NEG_SCORE)
+    return Tensor(_shadowed_weights(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
 
 
 def geometric_weights_direct(p: np.ndarray) -> np.ndarray:
-    """Plain product-form evaluation (no log space); vectorized second route
-    used to validate the log-space path."""
+    """Plain product-form evaluation (no log space) along geometric_ordering;
+    an independent second route used to validate the log-space path."""
     n = p.shape[-1]
-    if n == 1:
-        return np.zeros_like(p)
-    ord_idx, inv_idx, _ = _ordering_arrays(n)
-    shadow = np.take_along_axis(1.0 - p, np.broadcast_to(ord_idx, p.shape[:-2] + ord_idx.shape), axis=-1)
-    prefix = np.cumprod(shadow, axis=-1)
-    prefix = np.concatenate([np.ones(p.shape[:-1] + (1,), dtype=p.dtype), prefix[..., :-1]], axis=-1)
-    a_ordered = np.take_along_axis(p, np.broadcast_to(ord_idx, p.shape[:-2] + ord_idx.shape), axis=-1) * prefix
-    padded = np.concatenate([a_ordered, np.zeros(p.shape[:-1] + (1,), dtype=p.dtype)], axis=-1)
-    return np.take_along_axis(padded, np.broadcast_to(inv_idx, p.shape), axis=-1)
+    a = np.zeros_like(p)
+    for i in range(n):
+        order = [k - 1 for k in geometric_ordering(i + 1, n)]
+        survive = np.cumprod(1.0 - p[..., i, order], axis=-1)
+        a[..., i, order[:1]] = p[..., i, order[:1]]
+        a[..., i, order[1:]] = p[..., i, order[1:]] * survive[..., :-1]
+    return a
 
 
 def _geometric_logits(h: Tensor, p: GeometricAttentionParams, mode: Mode) -> Tensor:
@@ -374,10 +385,7 @@ def geometric_attend(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
                      mode: Mode = EVAL):
     _check_sources(valid)
     logits = _geometric_logits(h, p, mode)
-    src_invalid = _source_invalid(valid)
-    logp = ad.masked_fill(ad.logsigmoid(logits), src_invalid, NEG_SCORE)
-    log1mp = ad.masked_fill(ad.logsigmoid(ad.scale(logits, -1.0)), src_invalid, 0.0)
-    weights = _weights_from_logs(logp, log1mp)
+    weights = _weights_from_logs(logits, _source_invalid(valid))
     v = _project(h, p.w_v, p.cfg.n_heads)
     out = ad.matmul(_merge_heads(ad.matmul(weights, v)), p.w_o)
     return out, weights

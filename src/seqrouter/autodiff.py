@@ -64,10 +64,6 @@ class Tape:
         while nodes:
             nodes.pop()()
 
-    @property
-    def spent(self) -> bool:
-        return self._spent
-
 
 def _tape() -> Tape | None:
     return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
@@ -329,55 +325,6 @@ def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     return out
 
 
-def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
-    req = any(t.requires_grad for t in tensors)
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis), req)
-    sizes = [t.shape[axis] for t in tensors]
-    offsets = np.cumsum([0] + sizes)
-
-    def bwd():
-        if out.grad is None:
-            return
-        for t, lo, hi in zip(tensors, offsets[:-1], offsets[1:]):
-            if t.requires_grad:
-                idx = [slice(None)] * out.grad.ndim
-                idx[axis] = slice(lo, hi)
-                t.accumulate_grad(out.grad[tuple(idx)])
-
-    _record(out, bwd)
-    return out
-
-
-def split(a: Tensor, sizes: Sequence[int], axis: int) -> list[Tensor]:
-    if sum(sizes) != a.shape[axis]:
-        raise DimensionError(f"split sizes {sizes} do not cover axis of {a.shape}")
-    offsets = np.cumsum([0] + list(sizes))
-    outs = []
-    for lo, hi in zip(offsets[:-1], offsets[1:]):
-        idx = [slice(None)] * a.data.ndim
-        idx[axis] = slice(lo, hi)
-        outs.append(Tensor(a.data[tuple(idx)].copy(), a.requires_grad))
-
-    def bwd():
-        if not a.requires_grad:
-            return
-        g = np.zeros_like(a.data)
-        any_grad = False
-        for o, lo, hi in zip(outs, offsets[:-1], offsets[1:]):
-            if o.grad is not None:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                g[tuple(idx)] = o.grad
-                any_grad = True
-        if any_grad:
-            a.accumulate_grad(g)
-
-    tape = _tape()
-    if tape is not None and a.requires_grad:
-        tape.record(bwd)
-    return outs
-
-
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0), a.requires_grad)
     mask = a.data > 0
@@ -399,6 +346,13 @@ def _sigmoid_np(x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _log_sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """log sigmoid(x) and log(1 - sigmoid(x)) = log sigmoid(-x), sharing one
+    log1p(exp(-|x|)); exact at |x| = 1e9."""
+    soft = np.log1p(np.exp(-np.abs(x)))
+    return np.minimum(x, 0) - soft, np.minimum(-x, 0) - soft
+
+
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid_np(a.data)
     out = Tensor(y, a.requires_grad)
@@ -418,55 +372,6 @@ def tanh(a: Tensor) -> Tensor:
     def bwd():
         if out.grad is not None and a.requires_grad:
             a.accumulate_grad(out.grad * (1.0 - y * y))
-
-    _record(out, bwd)
-    return out
-
-
-def exp(a: Tensor) -> Tensor:
-    y = np.exp(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * y)
-
-    _record(out, bwd)
-    return out
-
-
-def log(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore"):
-        out = Tensor(np.log(a.data), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad / a.data)
-
-    _record(out, bwd)
-    return out
-
-
-def log1p(a: Tensor) -> Tensor:
-    with np.errstate(divide="ignore"):
-        out = Tensor(np.log1p(a.data), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad / (1.0 + a.data))
-
-    _record(out, bwd)
-    return out
-
-
-def logsigmoid(a: Tensor) -> Tensor:
-    x = a.data
-    y = np.where(x < 0, x, 0.0) - np.log1p(np.exp(-np.abs(x)))
-    out = Tensor(y.astype(x.dtype, copy=False), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * _sigmoid_np(-x))
 
     _record(out, bwd)
     return out
@@ -513,18 +418,6 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
             term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
             a.accumulate_grad(term * inv)
         del g
-
-    _record(out, bwd)
-    return out
-
-
-def cumsum(a: Tensor, axis: int) -> Tensor:
-    out = Tensor(np.cumsum(a.data, axis=axis), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            g = np.flip(np.cumsum(np.flip(out.grad, axis=axis), axis=axis), axis=axis)
-            a.accumulate_grad(g)
 
     _record(out, bwd)
     return out
@@ -577,25 +470,6 @@ def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
             grids[axis] = idx_b
             np.add.at(g, tuple(grids), out.grad)
             a.accumulate_grad(g)
-
-    _record(out, bwd)
-    return out
-
-
-def _permute(a: Tensor, idx: np.ndarray, inv: np.ndarray) -> Tensor:
-    """Gather along the last axis by ``idx``, whose rows take each source at
-    most once, so the backward is a gather by the inverse ``inv`` instead of
-    a scatter. ``inv[..., j]`` is the output column that took source j; a
-    source no column took points one past the output's last column, at a
-    zero slot appended to the gradient."""
-    out = Tensor(np.take_along_axis(a.data, idx, axis=-1), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            g = out.grad
-            if g.shape[-1] < a.shape[-1]:
-                g = np.concatenate([g, np.zeros(g.shape[:-1] + (1,), g.dtype)], axis=-1)
-            a.accumulate_grad(np.take_along_axis(g, inv, axis=-1))
 
     _record(out, bwd)
     return out

@@ -10,8 +10,9 @@ import numpy as np
 from . import attention as att
 from . import autodiff as ad
 from .attention import AttentionConfig
-from .autodiff import Init, Parameter, Tensor, grad_check
-from .layers import ACTConfig, LayerVariant, act_halting, act_readout, encoder_step, init_layer
+from .autodiff import Init, Tensor, grad_check
+from .layers import ACTConfig, LayerVariant, encoder_step, init_layer
+from .model import EncoderModel, ModelConfig, loss
 from .rng import RngTree
 
 TOLERANCE = 1e-3
@@ -55,20 +56,22 @@ def check_softmax_chain(seed: int = 1) -> float:
     def fn(points):
         (xx,) = points
         y = ad.softmax(ad.sigmoid(xx))
-        c = ad.cumsum(y, axis=1)
-        return ad.sum_(ad.mul(c, Tensor(r, dtype=np.longdouble)))
+        return ad.sum_(ad.mul(y, Tensor(r, dtype=np.longdouble)))
 
     return grad_check(fn, [x], step=1e-5)
 
 
 def check_geometric_weights(seed: int = 2, n: int = 4) -> float:
+    """Weights from logits for two rows of targets: every source valid in
+    the first, the last source a pad in the second."""
     gen = np.random.default_rng(seed)
-    logits = Tensor(gen.normal(size=(n, n)), dtype=np.longdouble)
-    r = gen.normal(size=(n, n))
+    logits = Tensor(gen.normal(size=(2, n, n)), dtype=np.longdouble)
+    r = gen.normal(size=(2, n, n))
+    src_invalid = np.zeros((2, 1, n), dtype=bool)
+    src_invalid[1, 0, -1] = True
 
     def fn(points):
-        (lg,) = points
-        a = att._weights_from_logs(ad.logsigmoid(lg), ad.logsigmoid(ad.scale(lg, -1.0)))
+        a = att._weights_from_logs(points[0], src_invalid)
         return ad.sum_(ad.mul(a, Tensor(r, dtype=np.longdouble)))
 
     return grad_check(fn, [logits], step=1e-5)
@@ -90,43 +93,36 @@ def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> fl
 
 
 def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> float:
+    """One encoder step, or for the ACT variants a two-step model run
+    through EncoderModel.forward and model.loss."""
     kind, gated, act_variant = LAYER_VARIANTS[name]
-    variant = LayerVariant(kind, gated)
-    cfg = AttentionConfig(d, 2, kind)
-    lp = init_layer(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg, variant, 2 * d)
     gen = np.random.default_rng(seed + 200)
+    if act_variant is not None:
+        cfg = ModelConfig(vocab_size=5, n_classes=3, d_model=d, d_ff=2 * d, n_heads=2,
+                          n_layers=2, kind=kind, gated=gated,
+                          act=ACTConfig(variant=act_variant, epsilon=0.01, reg_weight=0.03))
+        model = EncoderModel.build(cfg, RngTree(seed), dtype=np.longdouble)
+        # Small halting logits keep the cumulative mass far from the
+        # threshold, so finite differences cannot flip the halt step.
+        model.act_w.data *= 0.1
+        model.act_b.data[:] = -2.0
+        tokens = gen.integers(0, cfg.vocab_size, size=(1, n))
+        lengths = np.array([n])
+        targets = np.array([1])
+        return grad_check(lambda pts: loss(model.forward(tokens, lengths), targets),
+                          model.parameters(), step=1e-5)
+
+    cfg = AttentionConfig(d, 2, kind)
+    lp = init_layer(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg, LayerVariant(kind, gated), 2 * d)
     h = Tensor(gen.normal(size=(1, n, d)), dtype=np.longdouble)
     r = gen.normal(size=(1, n, d))
     valid = np.ones((1, n), dtype=bool)
-    points = [h] + ad.parameters(lp)
 
-    if act_variant is None:
-        def fn(pts):
-            out, _, _ = encoder_step(pts[0], lp, valid)
-            return ad.sum_(ad.mul(out, Tensor(r, dtype=np.longdouble)))
-    else:
-        # Small halting logits keep the cumulative mass far from the
-        # threshold, so finite differences cannot flip the halt step.
-        act_w = Parameter(gen.normal(size=(d, 1)) * 0.1, "gc.act_w", dtype=np.longdouble)
-        act_b = Parameter(np.full(1, -2.0), "gc.act_b", decay=False, dtype=np.longdouble)
-        act_cfg = ACTConfig(variant=act_variant, epsilon=0.01, reg_weight=0.03)
-        points = points + [act_w, act_b]
+    def fn(pts):
+        out, _, _ = encoder_step(pts[0], lp, valid)
+        return ad.sum_(ad.mul(out, Tensor(r, dtype=np.longdouble)))
 
-        def fn(pts):
-            state = pts[0]
-            states, p_hats = [], []
-            for _ in range(2):
-                if act_cfg.variant == "U":
-                    p_hats.append(act_halting(state, act_w, act_b))
-                state, _, _ = encoder_step(state, lp, valid)
-                if act_cfg.variant == "A":
-                    p_hats.append(act_halting(state, act_w, act_b))
-                states.append(state)
-            res = act_readout(states, p_hats, act_cfg, valid)
-            mix = ad.sum_(ad.mul(res.readout, Tensor(r, dtype=np.longdouble)))
-            return ad.add(mix, res.act_loss)
-
-    return grad_check(fn, points, step=1e-5)
+    return grad_check(fn, [h] + ad.parameters(lp), step=1e-5)
 
 
 def run_checks(module: str | None = None) -> dict[str, float]:

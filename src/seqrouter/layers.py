@@ -36,9 +36,6 @@ class LayerVariant:
             return "tanh"
         return "layernorm"
 
-    def label(self) -> str:
-        return self.kind + ("+gate" if self.gated else "")
-
 
 @dataclass
 class LayerParams:

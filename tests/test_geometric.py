@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -67,6 +69,8 @@ def test_weights_diagonal_always_zero():
 def test_weights_domain_error():
     with pytest.raises(ValueError, match="0, 1"):
         geometric_weights(Tensor(np.array([[0.0, 1.2], [0.3, 0.0]]), dtype=np.float64))
+    with pytest.raises(ValueError, match="0, 1"):
+        geometric_weights(Tensor(np.array([[0.0, np.nan], [0.3, 0.0]]), dtype=np.float64))
 
 
 def test_row_mass_identity_random():
@@ -222,35 +226,88 @@ def test_attend_row_mass_bounded_by_one():
 
 def test_geometric_weights_grad_vs_fd():
     gen = np.random.default_rng(16)
-    logits = Tensor(gen.normal(size=(3, 3)), dtype=np.float64)
-    r = gen.normal(size=(3, 3))
+    logits = Tensor(gen.normal(size=(2, 3, 3)), dtype=np.float64)
+    r = gen.normal(size=(2, 3, 3))
+    src_invalid = np.array([False, False, False, False, True, False]).reshape(2, 1, 3)
 
     def f(points):
-        (lg,) = points
-        logp = ad.logsigmoid(lg)
-        log1mp = ad.logsigmoid(ad.scale(lg, -1.0))
-        a = att._weights_from_logs(logp, log1mp)
+        a = att._weights_from_logs(points[0], src_invalid)
         return ad.sum_(ad.mul(a, Tensor(r, dtype=np.float64)))
 
     assert ad.grad_check(f, [logits], step=1e-6) < 1e-3
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 52])
-def test_permutation_gathers_match_scatter_grads(n, monkeypatch):
-    gen = np.random.default_rng(n)
-    logits = gen.normal(size=(2, 3, n, n)).astype(np.float32)
-    r = Tensor(gen.normal(size=(2, 3, n, n)).astype(np.float32))
+def test_closeness_mask_reproduces_ordering():
+    for n in range(1, 65):
+        # Source j's rank is the number of sources that come before it.
+        rank = att._closeness_mask(n, np.float64).sum(axis=1)
+        for i in range(n):
+            order = [k - 1 for k in geometric_ordering(i + 1, n)]
+            assert rank[i, order].tolist() == list(range(n - 1))
+            assert rank[i, i] == n - 1
 
-    def weights_and_grad():
-        x = Tensor(logits.copy(), requires_grad=True)
+
+def test_weights_op_matches_oracle_on_padded_batch():
+    gen = np.random.default_rng(17)
+    lengths = [6, 4, 1]
+    z = gen.normal(scale=2.0, size=(3, 2, 6, 6))
+    valid = np.arange(6)[None, :] < np.array(lengths)[:, None]
+    a = att._weights_from_logs(Tensor(z), ~valid[:, None, None, :]).data
+    for b, n in enumerate(lengths):
+        assert (a[b, :, :, n:] == 0).all()
+        for head in range(2):
+            p = 1.0 / (1.0 + np.exp(-z[b, head]))
+            p[:, n:] = 0.0  # pads neither receive mass nor shadow
+            np.testing.assert_allclose(a[b, head, :, :n], naive_geometric_weights(p)[:, :n], atol=1e-14)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_weights_op_extreme_logits_stay_finite(dtype):
+    gen = np.random.default_rng(18)
+    z = np.where(gen.random((2, 2, 7, 7)) < 0.5, -1e9, 1e9).astype(dtype)
+    x = Tensor(z, requires_grad=True)
+    r = Tensor(gen.normal(size=z.shape).astype(dtype))
+    with Tape() as tape:
+        a = att._weights_from_logs(x, np.zeros((2, 1, 1, 7), dtype=bool))
+        tape.backward(ad.sum_(ad.mul(a, r)))
+    assert np.isfinite(a.data).all() and np.isfinite(x.grad).all()
+    # p is 0 or 1: each row puts weight 1 on its nearest certain match.
+    want = geometric_weights_direct((z > 0).astype(np.float64))
+    np.testing.assert_array_equal(a.data, want)
+
+
+def test_weights_op_holds_only_weights_and_mask():
+    gen = np.random.default_rng(19)
+    x = Tensor(gen.normal(size=(4, 4, 40, 40)).astype(np.float32), requires_grad=True)
+    src_invalid = np.zeros((4, 1, 1, 40), dtype=bool)
+    mask_bytes = att._closeness_mask(40, np.float32).nbytes
+    tracemalloc.start()
+    try:
         with Tape() as tape:
-            a = att._weights_from_logs(ad.logsigmoid(x), ad.logsigmoid(ad.scale(x, -1.0)))
-            tape.backward(ad.sum_(ad.mul(a, r)))
-        return a.data, x.grad
+            before = tracemalloc.get_traced_memory()[0]
+            a = att._weights_from_logs(x, src_invalid)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(ad.sum_(a))
+    finally:
+        tracemalloc.stop()
+    assert held <= 2 * x.data.nbytes + mask_bytes + 64 * 1024, held
 
-    a, g = weights_and_grad()
-    # Reference: every gather's backward scatters through np.add.at.
-    monkeypatch.setattr(ad, "_permute", lambda t, idx, inv: ad.take_along(t, idx, axis=-1))
-    a_ref, g_ref = weights_and_grad()
-    assert a.tobytes() == a_ref.tobytes()
-    assert g.tobytes() == g_ref.tobytes()
+
+@pytest.mark.parametrize("n", [1, 2, 3, 52])
+def test_weights_op_grad_matches_direct_product_fd(n):
+    gen = np.random.default_rng(n)
+    z = gen.normal(size=(2, 3, n, n))
+    r = gen.normal(size=z.shape)
+    v = gen.normal(size=z.shape)
+    x = Tensor(z.copy(), requires_grad=True)
+    with Tape() as tape:
+        a = att._weights_from_logs(x, np.zeros((2, 1, 1, n), dtype=bool))
+        tape.backward(ad.sum_(ad.mul(a, Tensor(r))))
+
+    def direct_loss(zz):
+        return float((r * geometric_weights_direct(1.0 / (1.0 + np.exp(-zz)))).sum())
+
+    np.testing.assert_allclose(a.data, geometric_weights_direct(1.0 / (1.0 + np.exp(-z))), atol=1e-14)
+    h = 1e-6
+    numeric = (direct_loss(z + h * v) - direct_loss(z - h * v)) / (2 * h)
+    assert abs(float((x.grad * v).sum()) - numeric) <= 1e-7 * (1.0 + abs(numeric))

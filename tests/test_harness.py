@@ -70,6 +70,15 @@ def test_config_file_roundtrip(tmp_path):
     assert cfg.grad_clip == 1.0
 
 
+def test_shipped_configs_load_and_ndr_files_equal_task_defaults():
+    paths = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.cfg"))
+    assert any(p.stem.endswith("_ndr") for p in paths)
+    for path in paths:
+        cfg = load_config(path)
+        if path.stem.endswith("_ndr"):
+            assert cfg.to_dict() == default_config(cfg.task).to_dict(), path.name
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     path = tmp_path / "bad.cfg"
     path.write_text("task = arith\nbogus = 3\n")
