@@ -2,11 +2,11 @@
 algorithmic tasks and tooling to study how they route information."""
 
 from .attention import (AttentionConfig, GeometricAttentionParams, MhaParams, Mode,
-                        RelAttentionParams, geometric_attend, geometric_ordering,
-                        geometric_probs, geometric_weights, mha_standard, rel_scores)
+                        RelAttentionParams, attend, geometric_ordering, geometric_weights,
+                        rel_scores)
 from .autodiff import DimensionError, Init, Parameter, Tape, TapeError, Tensor, grad_check
 from .config import RunConfig, default_config, load_config
-from .layers import ACTConfig, LayerVariant, act_halting, act_readout, act_schedule, gated_step, ungated_step
+from .layers import ACTConfig, act_halting, act_readout, act_schedule, encoder_step
 from .model import EncoderModel, ModelConfig, depth_heuristic, loss
 from .optim import OptimizerState, adamw_step, clip_gradients
 from .rng import RngTree

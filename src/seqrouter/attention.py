@@ -143,8 +143,9 @@ def sinusoid_table(positions: np.ndarray, d: int, dtype=np.float32) -> np.ndarra
     pos = np.asarray(positions, dtype=np.float64)[:, None]
     k = np.arange(d // 2, dtype=np.float64)[None, :]
     angle = pos / np.power(10000.0, 2.0 * k / d)
-    table = np.empty((pos.shape[0], d))
-    table[:, 0::2] = np.sin(angle)
+    # d // 2 sine/cosine pairs; an odd d leaves its last column at 0.
+    table = np.zeros((pos.shape[0], d))
+    table[:, 0:d - 1:2] = np.sin(angle)
     table[:, 1::2] = np.cos(angle)
     return table.astype(dtype)
 
@@ -181,25 +182,6 @@ def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
 
 def _project(h: Tensor, w: Parameter, n_heads: int) -> Tensor:
     return _split_heads(ad.matmul(h, w), n_heads)
-
-
-# ---------------------------------------------------------------------------
-# standard multi-head attention
-
-
-def mha_standard(h: Tensor, p: MhaParams, valid: np.ndarray, mode: Mode = EVAL):
-    """Softmax attention over valid sources; returns (output, weights)."""
-    _check_sources(valid)
-    cfg = p.cfg
-    q = _project(h, p.w_q, cfg.n_heads)
-    k = _project(h, p.w_k, cfg.n_heads)
-    v = _project(h, p.w_v, cfg.n_heads)
-    q = _maybe_dropout(q, cfg.content_dropout, mode, "att_content_q")
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
-    scores = ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE)
-    weights = ad.softmax(scores)
-    out = ad.matmul(_merge_heads(ad.matmul(weights, v)), p.w_o)
-    return out, weights
 
 
 # ---------------------------------------------------------------------------
@@ -246,15 +228,6 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
 
     scores = ad.scale(ad.add(content, positional), 1.0 / math.sqrt(cfg.d_head))
     return ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE)
-
-
-def rel_attend(h: Tensor, p: RelAttentionParams, valid: np.ndarray, mode: Mode = EVAL,
-               pos_base: int = 0):
-    _check_sources(valid)
-    weights = ad.softmax(rel_scores(h, p, valid, mode, pos_base))
-    v = _project(h, p.w_v, p.cfg.n_heads)
-    out = ad.matmul(_merge_heads(ad.matmul(weights, v)), p.w_o)
-    return out, weights
 
 
 # ---------------------------------------------------------------------------
@@ -337,19 +310,6 @@ def geometric_weights(p: Tensor) -> Tensor:
     return Tensor(_shadowed_weights(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
 
 
-def geometric_weights_direct(p: np.ndarray) -> np.ndarray:
-    """Plain product-form evaluation (no log space) along geometric_ordering;
-    an independent second route used to validate the log-space path."""
-    n = p.shape[-1]
-    a = np.zeros_like(p)
-    for i in range(n):
-        order = [k - 1 for k in geometric_ordering(i + 1, n)]
-        survive = np.cumprod(1.0 - p[..., i, order], axis=-1)
-        a[..., i, order[:1]] = p[..., i, order[:1]]
-        a[..., i, order[1:]] = p[..., i, order[1:]] * survive[..., :-1]
-    return a
-
-
 def _geometric_logits(h: Tensor, p: GeometricAttentionParams, mode: Mode) -> Tensor:
     cfg = p.cfg
     b, n, d = h.shape
@@ -372,29 +332,30 @@ def _geometric_logits(h: Tensor, p: GeometricAttentionParams, mode: Mode) -> Ten
     return ad.add(ad.add(ad.mul(alpha, content), ad.mul(beta, direction)), gamma)
 
 
-def geometric_probs(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
-                    mode: Mode = EVAL) -> Tensor:
-    """Per-pair match probabilities (B, H, N, N); padded sources forced to 0
-    so they neither receive mass nor shadow closer matches."""
-    logits = _geometric_logits(h, p, mode)
-    probs = ad.sigmoid(logits)
-    return ad.masked_fill(probs, _source_invalid(valid), 0.0)
+# ---------------------------------------------------------------------------
+# one entry point for every kind
 
 
-def geometric_attend(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
-                     mode: Mode = EVAL):
+def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
+    """Self-attention over valid sources; returns (output, weights).
+
+    The parameter bundle's type picks the scores: scaled q.k for MhaParams,
+    rel_scores for RelAttentionParams, and geometric match logits for
+    GeometricAttentionParams. Geometric logits become distance-ordered
+    weights, the other scores a masked softmax. Values are projected after
+    the weights for every kind."""
     _check_sources(valid)
-    logits = _geometric_logits(h, p, mode)
-    weights = _weights_from_logs(logits, _source_invalid(valid))
-    v = _project(h, p.w_v, p.cfg.n_heads)
+    cfg = p.cfg
+    if isinstance(p, GeometricAttentionParams):
+        weights = _weights_from_logs(_geometric_logits(h, p, mode), _source_invalid(valid))
+    elif isinstance(p, RelAttentionParams):
+        weights = ad.softmax(rel_scores(h, p, valid, mode))
+    else:
+        q = _project(h, p.w_q, cfg.n_heads)
+        k = _project(h, p.w_k, cfg.n_heads)
+        q = _maybe_dropout(q, cfg.content_dropout, mode, "att_content_q")
+        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
+        weights = ad.softmax(ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE))
+    v = _project(h, p.w_v, cfg.n_heads)
     out = ad.matmul(_merge_heads(ad.matmul(weights, v)), p.w_o)
     return out, weights
-
-
-def attend(h: Tensor, params, valid: np.ndarray, mode: Mode = EVAL):
-    """Dispatch on the parameter bundle's attention kind."""
-    if isinstance(params, GeometricAttentionParams):
-        return geometric_attend(h, params, valid, mode)
-    if isinstance(params, RelAttentionParams):
-        return rel_attend(h, params, valid, mode)
-    return mha_standard(h, params, valid, mode)

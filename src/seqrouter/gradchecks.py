@@ -11,7 +11,7 @@ from . import attention as att
 from . import autodiff as ad
 from .attention import AttentionConfig
 from .autodiff import Init, Tensor, grad_check
-from .layers import ACTConfig, LayerVariant, encoder_step, init_layer
+from .layers import ACTConfig, encoder_step, init_layer
 from .model import EncoderModel, ModelConfig, loss
 from .rng import RngTree
 
@@ -113,7 +113,7 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
                           model.parameters(), step=1e-5)
 
     cfg = AttentionConfig(d, 2, kind)
-    lp = init_layer(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg, LayerVariant(kind, gated), 2 * d)
+    lp = init_layer(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg, gated, 2 * d)
     h = Tensor(gen.normal(size=(1, n, d)), dtype=np.longdouble)
     r = gen.normal(size=(1, n, d))
     valid = np.ones((1, n), dtype=bool)

@@ -1,12 +1,13 @@
 """One shared encoder step in all ablation variants, plus adaptive-depth
 readout wrappers.
 
-The gated step computes attention with a residual and layernorm, a
-feedforward update WITHOUT a residual, and a sigmoid gate that blends the
-update with the unchanged input per channel; a closed gate copies the
-column to the next step bit for bit. The ungated step is a standard
-post-norm encoder layer. Parameters are shared across steps by reusing
-the same LayerParams object.
+With a copy gate the step computes attention with a residual and
+layernorm, a feedforward update WITHOUT a residual, and a sigmoid gate
+that blends the update with the unchanged input per channel; a closed
+gate copies the column to the next step bit for bit. Without one it is a
+standard post-norm encoder layer. The LayerParams bundle is the only
+record of the variant. Parameters are shared across steps by reusing the
+same LayerParams object.
 """
 
 from __future__ import annotations
@@ -23,23 +24,8 @@ from .autodiff import Init, Parameter, Tensor
 GATE_BIAS_INIT = -3.0
 
 
-@dataclass(frozen=True)
-class LayerVariant:
-    kind: str  # standard_abs | relative | abs_rel_gated | geometric
-    gated: bool = False
-
-    @property
-    def ffn_norm(self) -> str:
-        # Gated non-geometric variants squash the update with tanh instead
-        # of a layernorm.
-        if self.gated and self.kind != "geometric":
-            return "tanh"
-        return "layernorm"
-
-
 @dataclass
 class LayerParams:
-    variant: LayerVariant
     attn: object
     ffn_w1: Parameter
     ffn_b1: Parameter
@@ -55,11 +41,12 @@ class LayerParams:
     ln_ffn_b: Parameter | None = None
 
 
-def init_layer(init: Init, att_cfg: AttentionConfig, variant: LayerVariant, d_ff: int) -> LayerParams:
+def init_layer(init: Init, att_cfg: AttentionConfig, gated: bool, d_ff: int) -> LayerParams:
+    """The one place that decides which parameters a variant has;
+    encoder_step reads the variant back from them."""
     d = att_cfg.d_model
     attn = att.init_attention(init.sub("att"), att_cfg)
     lp = LayerParams(
-        variant=variant,
         attn=attn,
         ffn_w1=init.linear("ffn_w1", d, d_ff),
         ffn_b1=init.bias("ffn_b1", d_ff),
@@ -68,60 +55,47 @@ def init_layer(init: Init, att_cfg: AttentionConfig, variant: LayerVariant, d_ff
         ln_att_g=init.gain("ln_att_g", d),
         ln_att_b=init.bias("ln_att_b", d),
     )
-    if variant.gated:
+    if gated:
         lp.gate_w1 = init.linear("gate_w1", d, d)
         lp.gate_b1 = init.bias("gate_b1", d)
         lp.gate_w2 = init.linear("gate_w2", d, d)
         lp.gate_b2 = init.bias("gate_b2", d, value=GATE_BIAS_INIT)
-    if variant.ffn_norm == "layernorm":
+    # Gated non-geometric variants squash the update with tanh instead of
+    # a layernorm, so they get no ln_ffn parameters.
+    if not gated or att_cfg.kind == "geometric":
         lp.ln_ffn_g = init.gain("ln_ffn_g", d)
         lp.ln_ffn_b = init.bias("ln_ffn_b", d)
     return lp
 
 
 def _ffn(x: Tensor, w1, b1, w2, b2, drop: float, mode: Mode, site: str) -> Tensor:
-    hidden = ad.relu(ad.add(ad.matmul(x, w1), b1))
-    if mode.train and drop > 0.0:
-        hidden = ad.dropout(hidden, drop, mode.rng.child(site).generator())
+    hidden = att._maybe_dropout(ad.relu(ad.add(ad.matmul(x, w1), b1)), drop, mode, site)
     return ad.add(ad.matmul(hidden, w2), b2)
-
-
-def _restore_pads(h_next: Tensor, h: Tensor, valid: np.ndarray) -> Tensor:
-    return ad.where_mask(valid[:, :, None], h_next, h)
-
-
-def gated_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVAL,
-               drop: float = 0.0):
-    """Copy-gated step; returns (next states, attention weights, gate)."""
-    if not lp.variant.gated:
-        raise ValueError("gated_step called with ungated layer parameters")
-    att_out, weights = att.attend(h, lp.attn, valid, mode)
-    a = ad.layernorm(ad.add(att_out, h), lp.ln_att_g, lp.ln_att_b)
-    update = _ffn(a, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2, drop, mode, "ffn")
-    if lp.variant.ffn_norm == "layernorm":
-        update = ad.layernorm(update, lp.ln_ffn_g, lp.ln_ffn_b)
-    else:
-        update = ad.tanh(update)
-    gate = ad.sigmoid(_ffn(a, lp.gate_w1, lp.gate_b1, lp.gate_w2, lp.gate_b2, 0.0, mode, "gate"))
-    mixed = ad.add(ad.mul(gate, update), ad.mul(ad.shift(ad.scale(gate, -1.0), 1.0), h))
-    return _restore_pads(mixed, h, valid), weights, gate
-
-
-def ungated_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVAL,
-                 drop: float = 0.0):
-    """Standard post-norm encoder step; returns (next states, weights, None)."""
-    att_out, weights = att.attend(h, lp.attn, valid, mode)
-    a = ad.layernorm(ad.add(att_out, h), lp.ln_att_g, lp.ln_att_b)
-    update = _ffn(a, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2, drop, mode, "ffn")
-    out = ad.layernorm(ad.add(update, a), lp.ln_ffn_g, lp.ln_ffn_b)
-    return _restore_pads(out, h, valid), weights, None
 
 
 def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVAL,
                  drop: float = 0.0):
-    if lp.variant.gated:
-        return gated_step(h, lp, valid, mode, drop)
-    return ungated_step(h, lp, valid, mode, drop)
+    """One shared step; returns (next states, attention weights, gate).
+
+    Attention with a residual and layernorm feeds the FFN. With gate
+    parameters the FFN update (tanh-squashed, or layernormed when lp has
+    ln_ffn parameters) is blended with h by the sigmoid gate; without them
+    the step is a post-norm residual layer and the gate is None. Pad
+    columns keep h."""
+    att_out, weights = att.attend(h, lp.attn, valid, mode)
+    a = ad.layernorm(ad.add(att_out, h), lp.ln_att_g, lp.ln_att_b)
+    update = _ffn(a, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2, drop, mode, "ffn")
+    if lp.gate_w1 is None:
+        gate = None
+        out = ad.layernorm(ad.add(update, a), lp.ln_ffn_g, lp.ln_ffn_b)
+    else:
+        if lp.ln_ffn_g is None:
+            update = ad.tanh(update)
+        else:
+            update = ad.layernorm(update, lp.ln_ffn_g, lp.ln_ffn_b)
+        gate = ad.sigmoid(_ffn(a, lp.gate_w1, lp.gate_b1, lp.gate_w2, lp.gate_b2, 0.0, mode, "gate"))
+        out = ad.add(ad.mul(gate, update), ad.mul(ad.shift(ad.scale(gate, -1.0), 1.0), h))
+    return ad.where_mask(valid[:, :, None], out, h), weights, gate
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ import numpy as np
 from . import autodiff as ad
 from .attention import EVAL, AttentionConfig, Mode, sinusoid_table
 from .autodiff import Init, Parameter, Tensor, check_unique_names
-from .layers import ACTConfig, ActResult, LayerParams, LayerVariant, act_halting, act_readout, encoder_step, init_layer
+from .layers import ACTConfig, ActResult, LayerParams, act_halting, act_readout, encoder_step, init_layer
 from .rng import RngTree
 
 
@@ -42,10 +42,6 @@ class ModelConfig:
             raise ValueError(f"readout must be 'last' or 'first', got {self.readout!r}")
         if self.test_steps is not None and self.test_steps < self.n_layers:
             raise ValueError(f"test_steps {self.test_steps} < n_layers {self.n_layers}")
-
-    @property
-    def variant(self) -> LayerVariant:
-        return LayerVariant(self.kind, self.gated)
 
     def attention_config(self) -> AttentionConfig:
         pos_drop = 0.0 if self.kind in ("geometric", "standard_abs") else self.att_dropout
@@ -93,7 +89,7 @@ class EncoderModel:
     def build(cls, cfg: ModelConfig, rng: RngTree, dtype=np.float32) -> "EncoderModel":
         init = Init(rng, dtype=dtype)
         embed = init.linear("embed", cfg.vocab_size, cfg.d_model)
-        layer = init_layer(init.sub("layer"), cfg.attention_config(), cfg.variant, cfg.d_ff)
+        layer = init_layer(init.sub("layer"), cfg.attention_config(), cfg.gated, cfg.d_ff)
         out_w = init.linear("out_w", cfg.d_model, cfg.n_classes)
         out_b = init.bias("out_b", cfg.n_classes)
         act_w = act_b = None

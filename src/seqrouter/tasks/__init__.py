@@ -8,48 +8,45 @@ from . import arithmetic, ctl, listops
 from .data import (Sample, SplitPlan, SplitSpec, Vocab, load_split, read_manifest,
                    write_dataset)
 
-TASKS = ("ctl_fwd", "ctl_bwd", "arith", "listops")
+# Task name -> generator module and the keyword options its generate and
+# manifest_entry take (the lookup task's presentation order).
+_TABLE = {
+    "ctl_fwd": (ctl, {"order": "forward"}),
+    "ctl_bwd": (ctl, {"order": "backward"}),
+    "arith": (arithmetic, {}),
+    "listops": (listops, {}),
+}
+TASKS = tuple(_TABLE)
 
 
-def _check_task(task: str) -> None:
-    if task not in TASKS:
+def _lookup(task: str):
+    if task not in _TABLE:
         raise ValueError(f"unknown task {task!r}; expected one of {TASKS}")
+    return _TABLE[task]
 
 
 def vocab_for_task(task: str) -> Vocab:
-    _check_task(task)
-    if task.startswith("ctl"):
-        return ctl.vocab()
-    return arithmetic.vocab() if task == "arith" else listops.vocab()
+    return _lookup(task)[0].vocab()
 
 
 def default_plan(task: str) -> SplitPlan:
-    _check_task(task)
-    if task.startswith("ctl"):
-        return ctl.default_plan()
-    return arithmetic.default_plan() if task == "arith" else listops.default_plan()
+    return _lookup(task)[0].default_plan()
 
 
 def generate(task: str, seed: int, plan: SplitPlan | None = None,
              workers: int = 1) -> dict[str, list[Sample]]:
-    _check_task(task)
-    plan = plan or default_plan(task)
-    if task.startswith("ctl"):
-        order = "forward" if task == "ctl_fwd" else "backward"
-        return ctl.generate(plan, seed, order, workers)
-    if task == "arith":
-        return arithmetic.generate(plan, seed, workers)
-    return listops.generate(plan, seed, workers)
+    module, options = _lookup(task)
+    return module.generate(plan or module.default_plan(), seed, workers=workers, **options)
 
 
 def generate_to_dir(task: str, seed: int, out_dir, plan: SplitPlan | None = None,
                     workers: int = 1) -> dict[str, list[Sample]]:
-    plan = plan or default_plan(task)
+    module, options = _lookup(task)
+    plan = plan or module.default_plan()
     splits = generate(task, seed, plan, workers)
     manifest = {"format": 1, "task": task, "seed": seed, "plan": plan.to_jsonable()}
-    if task.startswith("ctl"):
-        order = "forward" if task == "ctl_fwd" else "backward"
-        manifest["ctl"] = ctl.manifest_entry(seed, order)
+    if module is ctl:
+        manifest["ctl"] = ctl.manifest_entry(seed, **options)
     write_dataset(out_dir, splits, manifest)
     return splits
 

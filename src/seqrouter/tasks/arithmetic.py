@@ -7,7 +7,7 @@ from __future__ import annotations
 from functools import partial
 
 from ..rng import RngTree
-from .data import Sample, SplitPlan, SplitSpec, Vocab, fill_quota
+from .data import Sample, SplitPlan, SplitSpec, Vocab, generate_splits
 
 OP_PROB = 0.2
 MAX_TOKENS = 50
@@ -135,13 +135,5 @@ def _attempt(draws, target_depth: int) -> Sample | None:
 
 
 def generate(plan: SplitPlan, seed: int, workers: int = 1) -> dict[str, list[Sample]]:
-    rng = RngTree(seed, "arith/data")
-    splits: dict[str, list[Sample]] = {}
-    for split in plan.splits:
-        samples: list[Sample] = []
-        for depth, count in split.quotas():
-            attempt = partial(_attempt, target_depth=depth)
-            samples.extend(fill_quota(attempt, rng.child(f"{split.name}/d{depth}"),
-                                      count, workers))
-        splits[split.name] = samples
-    return splits
+    return generate_splits(plan, RngTree(seed, "arith/data"),
+                           lambda depth: partial(_attempt, target_depth=depth), workers)

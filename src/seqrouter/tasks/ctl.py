@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from ..rng import RngTree
-from .data import Sample, SplitPlan, SplitSpec, Vocab, fill_quota
+from .data import Sample, SplitPlan, SplitSpec, Vocab, generate_splits
 
 SYMBOLS = ("000", "001", "010", "011", "100", "101", "110", "111")
 LETTERS = tuple("abcdefghi")
@@ -87,24 +87,18 @@ def generate(plan: SplitPlan, seed: int, order: str = "forward", workers: int = 
     unit pair at depth 1, then fills each depth's quota with random
     compositions; sampling is with replacement."""
     spec = make_spec(seed, order)
-    rng = RngTree(seed, "ctl/data")
-    splits: dict[str, list[Sample]] = {}
-    for split in plan.splits:
-        samples: list[Sample] = []
-        for depth, count in split.quotas():
-            if split.name == "train" and depth == 1:
-                units = [materialize(sym, (letter,), spec)
-                         for letter in spec.letters for sym in spec.symbols]
-                if count < len(units):
-                    raise ValueError(
-                        f"train depth-1 quota {count} cannot cover all {len(units)} unit pairs")
-                samples.extend(units)
-                count -= len(units)
-            attempt = partial(_attempt, seed=seed, order=order, depth=depth)
-            samples.extend(fill_quota(attempt, rng.child(f"{split.name}/d{depth}"),
-                                      count, workers))
-        splits[split.name] = samples
-    return splits
+    units = [materialize(sym, (letter,), spec) for letter in spec.letters for sym in spec.symbols]
+
+    def lead(split: str, depth: int, count: int) -> list[Sample]:
+        if (split, depth) != ("train", 1):
+            return []
+        if count < len(units):
+            raise ValueError(f"train depth-1 quota {count} cannot cover all {len(units)} unit pairs")
+        return units
+
+    return generate_splits(plan, RngTree(seed, "ctl/data"),
+                           lambda depth: partial(_attempt, seed=seed, order=order, depth=depth),
+                           workers, lead)
 
 
 def manifest_entry(seed: int, order: str) -> dict:

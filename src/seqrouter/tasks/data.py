@@ -152,6 +152,24 @@ def chunk_sizes(total: int, chunk: int = CHUNK_SIZE) -> list[int]:
     return [chunk] * full + ([rem] if rem else [])
 
 
+def generate_splits(plan: SplitPlan, rng: RngTree, attempt_for_depth, workers: int = 1,
+                    lead=None) -> dict[str, list[Sample]]:
+    """Fill every split's per-depth quotas in plan order. A quota opens
+    with ``lead(split, depth, count)`` (at most ``count`` fixed samples, if
+    given) and fills the rest by rejection from the picklable
+    ``attempt_for_depth(depth)`` on the stream ``{split}/d{depth}``."""
+    splits: dict[str, list[Sample]] = {}
+    for split in plan.splits:
+        samples: list[Sample] = []
+        for depth, count in split.quotas():
+            head = lead(split.name, depth, count) if lead is not None else []
+            samples.extend(head)
+            samples.extend(fill_quota(attempt_for_depth(depth), rng.child(f"{split.name}/d{depth}"),
+                                      count - len(head), workers))
+        splits[split.name] = samples
+    return splits
+
+
 def fill_quota(attempt_fn, seed_rng: RngTree, count: int, workers: int = 1) -> list[Sample]:
     """Generate exactly ``count`` samples via rejection, in fixed-size
     chunks with independent streams. ``attempt_fn(draws)`` produces a

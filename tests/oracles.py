@@ -2,7 +2,10 @@
 
 Everything here is written directly against the definitions, with plain
 loops and no code shared with the package, so the tests stay a genuine
-second route.
+second route. The one exception is ``geometric_weights_direct``: it walks
+the package's ``geometric_ordering``, the definition of the source order,
+which the tests pin by example; that keeps it independent of the
+closeness key the package computes the weights with.
 """
 
 from __future__ import annotations
@@ -10,6 +13,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from seqrouter.attention import geometric_ordering
 
 
 def numeric_grad(f, x: np.ndarray, step: float = 1e-6) -> np.ndarray:
@@ -84,7 +89,7 @@ def naive_rel_scores(h, w_q, w_ke, w_kp, b_qe, b_qp, n_heads, r=None, pos_base=0
     return scores
 
 
-def naive_geometric_probs(h, w_q, b_q, w_ke, w_lr, b_lr, w_rl, b_rl, alpha, beta, gamma, n_heads):
+def naive_match_probs(h, w_q, b_q, w_ke, w_lr, b_lr, w_rl, b_rl, alpha, beta, gamma, n_heads):
     """Per-pair match probabilities for one (N, d) sequence."""
     n, d = h.shape
     dh = d // n_heads
@@ -121,6 +126,20 @@ def naive_geometric_weights(p: np.ndarray) -> np.ndarray:
                 if closer:
                     prod *= 1.0 - p[i, k]
             a[i, j] = p[i, j] * prod
+    return a
+
+
+def geometric_weights_direct(p: np.ndarray) -> np.ndarray:
+    """Plain product-form evaluation (no log space) along geometric_ordering,
+    batched over leading axes; an independent second route used to validate
+    the log-space path."""
+    n = p.shape[-1]
+    a = np.zeros_like(p)
+    for i in range(n):
+        order = [k - 1 for k in geometric_ordering(i + 1, n)]
+        survive = np.cumprod(1.0 - p[..., i, order], axis=-1)
+        a[..., i, order[:1]] = p[..., i, order[:1]]
+        a[..., i, order[1:]] = p[..., i, order[1:]] * survive[..., :-1]
     return a
 
 

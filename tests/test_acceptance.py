@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from seqrouter import tasks, trace as tr
-from seqrouter.attention import geometric_ordering, geometric_weights, geometric_weights_direct
+from seqrouter.attention import geometric_ordering, geometric_weights
 from seqrouter.autodiff import Tensor
 from seqrouter.checkpoint import load_checkpoint
 from seqrouter.config import RunConfig
@@ -24,7 +24,7 @@ from seqrouter.tasks import arithmetic, ctl, listops
 from seqrouter.tasks.data import SplitPlan, SplitSpec
 from seqrouter.train import evaluate_model, train
 
-from oracles import eval_arith, eval_ctl, eval_listops
+from oracles import eval_arith, eval_ctl, eval_listops, geometric_weights_direct
 
 
 def report(criterion: int, text: str) -> None:
@@ -84,21 +84,20 @@ def test_03_gradient_checks_all_variants():
 def test_04_copy_gate_exactness_and_init_level():
     from seqrouter.attention import AttentionConfig
     from seqrouter.autodiff import Init
-    from seqrouter.layers import LayerVariant, gated_step, init_layer
+    from seqrouter.layers import encoder_step, init_layer
 
     cfg = AttentionConfig(16, 2, "geometric")
-    lp = init_layer(Init(RngTree(7), np.float32, prefix="acc"), cfg,
-                    LayerVariant("geometric", True), 32)
+    lp = init_layer(Init(RngTree(7), np.float32, prefix="acc"), cfg, True, 32)
     gen = np.random.default_rng(7)
     h = Tensor(gen.normal(size=(4, 6, 16)).astype(np.float32))
     valid = np.ones((4, 6), dtype=bool)
 
-    _, _, gate = gated_step(h, lp, valid)
+    _, _, gate = encoder_step(h, lp, valid)
     mean_gate = float(gate.data.mean())
     assert abs(mean_gate - 0.0474) < 0.02
 
     lp.gate_b2.data[:] = -1e9
-    out, _, forced = gated_step(h, lp, valid)
+    out, _, forced = encoder_step(h, lp, valid)
     assert (forced.data == 0.0).all()
     assert (out.data == h.data).all()
     report(4, f"forced-closed gate is bitwise passthrough; fresh-init mean gate {mean_gate:.4f}")

@@ -34,10 +34,18 @@ def test_sinusoid_matches_reference():
         np.testing.assert_allclose(row, sinusoid(pos, 8), atol=1e-12)
 
 
+def test_sinusoid_odd_width_leaves_last_column_zero():
+    positions = np.array([-4, 0, 1, 5, 12])
+    table = att.sinusoid_table(positions, 7, np.float64)
+    for row, pos in zip(table, positions):
+        np.testing.assert_allclose(row, sinusoid(pos, 7), atol=1e-12)
+    assert (table[:, 6] == 0).all()
+
+
 def test_mha_single_column_is_value_projection():
     p = make_params("standard_abs", d=8, heads=2)
     h = rand_states(1, 1, 8)
-    out, weights = att.mha_standard(h, p, np.ones((1, 1), dtype=bool))
+    out, weights = att.attend(h, p, np.ones((1, 1), dtype=bool))
     expect = h.data @ p.w_v.data @ p.w_o.data
     np.testing.assert_allclose(out.data, expect, atol=1e-10)
     np.testing.assert_allclose(weights.data, 1.0)
@@ -46,7 +54,7 @@ def test_mha_single_column_is_value_projection():
 def test_mha_identical_keys_give_uniform_weights():
     p = make_params("standard_abs")
     h = Tensor(np.tile(np.linspace(-1, 1, 8), (1, 5, 1)).astype(np.float64))
-    _, weights = att.mha_standard(h, p, np.ones((1, 5), dtype=bool))
+    _, weights = att.attend(h, p, np.ones((1, 5), dtype=bool))
     np.testing.assert_allclose(weights.data, 0.2, atol=1e-12)
 
 
@@ -55,7 +63,7 @@ def test_mha_matches_naive_reference():
     gen = np.random.default_rng(2)
     h = gen.normal(size=(6, 12))
     valid = np.ones(6, dtype=bool)
-    got, _ = att.mha_standard(Tensor(h[None]), p, valid[None])
+    got, _ = att.attend(Tensor(h[None]), p, valid[None])
     want = naive_mha(h, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, 3, valid)
     np.testing.assert_allclose(got.data[0], want, atol=1e-5)
 
@@ -64,7 +72,7 @@ def test_mha_masked_sources_get_zero_weight():
     p = make_params("standard_abs")
     h = rand_states(1, 5, 8, seed=3)
     valid = np.array([[True, True, True, False, False]])
-    _, weights = att.mha_standard(h, p, valid)
+    _, weights = att.attend(h, p, valid)
     assert (weights.data[..., 3:] == 0).all()
     np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
 
@@ -73,7 +81,7 @@ def test_mha_all_masked_raises():
     p = make_params("standard_abs")
     h = rand_states(1, 3, 8)
     with pytest.raises(ValueError, match="masked"):
-        att.mha_standard(h, p, np.zeros((1, 3), dtype=bool))
+        att.attend(h, p, np.zeros((1, 3), dtype=bool))
 
 
 def test_masked_sources_contribute_zero_gradient():
@@ -82,7 +90,7 @@ def test_masked_sources_contribute_zero_gradient():
     h = Tensor(gen.normal(size=(1, 5, 8)), requires_grad=True, dtype=np.float64)
     valid = np.array([[True, True, True, True, False]])
     with Tape() as tape:
-        out, _ = att.mha_standard(h, p, valid)
+        out, _ = att.attend(h, p, valid)
         keep_rows = ad.take_along(out, np.zeros((1, 4, 8), dtype=np.int64) + np.arange(4)[None, :, None], axis=1)
         tape.backward(ad.sum_(keep_rows))
     np.testing.assert_array_equal(h.grad[0, 4], 0.0)
@@ -154,11 +162,11 @@ def test_relative_scores_shift_invariant():
     np.testing.assert_array_equal(a.data, b.data)
 
 
-def test_rel_attend_rows_sum_to_one():
+def test_relative_attend_rows_sum_to_one():
     p = make_params("relative", seed=15)
     h = rand_states(2, 5, 8, seed=16)
     valid = np.array([[True] * 5, [True, True, True, False, False]])
-    _, weights = att.rel_attend(h, p, valid)
+    _, weights = att.attend(h, p, valid)
     np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
     assert (weights.data[1, :, :, 3:] == 0).all()
 
@@ -169,8 +177,8 @@ def test_attention_dropout_only_in_train_mode():
     p.cfg.position_dropout = 0.5
     h = rand_states(1, 4, 8, seed=18)
     valid = np.ones((1, 4), dtype=bool)
-    eval_a = att.rel_attend(h, p, valid)[0]
-    eval_b = att.rel_attend(h, p, valid)[0]
+    eval_a = att.attend(h, p, valid)[0]
+    eval_b = att.attend(h, p, valid)[0]
     np.testing.assert_array_equal(eval_a.data, eval_b.data)
-    train = att.rel_attend(h, p, valid, Mode(train=True, rng=RngTree(0, "drop")))[0]
+    train = att.attend(h, p, valid, Mode(train=True, rng=RngTree(0, "drop")))[0]
     assert np.abs(train.data - eval_a.data).max() > 1e-6

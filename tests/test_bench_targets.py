@@ -1,0 +1,38 @@
+"""The benchmark's traced run wraps package functions by name from
+outside. A renamed or removed target is skipped there and its metrics
+silently read 0, so this pins every name it wraps."""
+
+import importlib.util
+import inspect
+from pathlib import Path
+
+from seqrouter import layers
+from seqrouter.autodiff import Tape
+from seqrouter.model import EncoderModel
+from seqrouter.tasks import ctl, listops
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_module_spans_resolve():
+    tracing = load_tracing()
+    missing = [f"{owner.__name__}.{attr}" for owner, attr, _ in tracing.MODULE_SPANS
+               if owner.__dict__.get(attr) is None]
+    assert not missing
+
+
+def test_own_wrapper_targets_resolve():
+    targets = [(layers, "_ffn"), (EncoderModel, "forward"), (Tape, "backward"),
+               (Tape, "record"), (ctl, "_attempt"), (listops, "_attempt")]
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets
+               if owner.__dict__.get(attr) is None]
+    assert not missing
+    # The FFN wrapper reads the site name positionally, as args[7].
+    assert list(inspect.signature(layers._ffn).parameters)[7] == "site"

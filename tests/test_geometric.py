@@ -7,16 +7,21 @@ from hypothesis import strategies as st
 
 from seqrouter import attention as att
 from seqrouter import autodiff as ad
-from seqrouter.attention import AttentionConfig, geometric_ordering, geometric_weights, geometric_weights_direct
+from seqrouter.attention import EVAL, AttentionConfig, geometric_ordering, geometric_weights
 from seqrouter.autodiff import Init, Tape, Tensor
 from seqrouter.rng import RngTree
 
-from oracles import naive_geometric_probs, naive_geometric_weights
+from oracles import geometric_weights_direct, naive_match_probs, naive_geometric_weights
 
 
 def geo_params(d=8, heads=2, seed=0, dtype=np.float64):
     cfg = AttentionConfig(d_model=d, n_heads=heads, kind="geometric")
     return att.init_attention(Init(RngTree(seed), dtype=dtype, prefix="geo"), cfg)
+
+
+def match_probs(h, p):
+    """Per-pair match probabilities sigmoid(logits), (B, H, N, N)."""
+    return ad.sigmoid(att._geometric_logits(h, p, EVAL))
 
 
 def test_ordering_forced_example():
@@ -142,9 +147,7 @@ def test_probs_all_zero_states_are_half():
             continue
         param.data[:] = 0.0
     h = Tensor(np.zeros((1, 4, 8)), dtype=np.float64)
-    valid = np.ones((1, 4), dtype=bool)
-    probs = att.geometric_probs(h, p, valid)
-    np.testing.assert_allclose(probs.data, 0.5)
+    np.testing.assert_allclose(match_probs(h, p).data, 0.5)
 
 
 def test_probs_direction_bias_blocks_left():
@@ -153,7 +156,7 @@ def test_probs_direction_bias_blocks_left():
     p.w_rl.data[:] = 0.0
     p.beta.data[:] = 1.0
     h = Tensor(np.random.default_rng(5).normal(size=(1, 5, 8)) * 0.1, dtype=np.float64)
-    probs = att.geometric_probs(h, p, np.ones((1, 5), dtype=bool)).data
+    probs = match_probs(h, p).data
     i_idx, j_idx = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
     assert probs[0][:, i_idx > j_idx].max() < 1e-6
 
@@ -162,8 +165,8 @@ def test_probs_match_pairwise_oracle():
     p = geo_params(d=8, heads=2, seed=6)
     gen = np.random.default_rng(7)
     h = gen.normal(size=(5, 8))
-    probs = att.geometric_probs(Tensor(h[None]), p, np.ones((1, 5), dtype=bool)).data[0]
-    want = naive_geometric_probs(
+    probs = match_probs(Tensor(h[None]), p).data[0]
+    want = naive_match_probs(
         h, p.w_q.data, p.b_q.data, p.w_ke.data, p.w_lr.data, p.b_lr.data,
         p.w_rl.data, p.b_rl.data, p.alpha.data, p.beta.data, p.gamma.data, 2)
     np.testing.assert_allclose(probs, want, atol=1e-6)
@@ -173,8 +176,11 @@ def test_probs_padded_sources_are_zero():
     p = geo_params(seed=8)
     h = Tensor(np.random.default_rng(9).normal(size=(1, 5, 8)), dtype=np.float64)
     valid = np.array([[True, True, True, False, False]])
-    probs = att.geometric_probs(h, p, valid).data
-    assert (probs[..., 3:] == 0).all()
+    # Pad sources neither receive mass nor shadow closer matches.
+    _, weights = att.attend(h, p, valid)
+    assert (weights.data[..., 3:] == 0).all()
+    want = naive_geometric_weights(np.pad(match_probs(h, p).data[0, 0, :, :3], ((0, 0), (0, 2))))
+    np.testing.assert_allclose(weights.data[0, 0], want, atol=1e-12)
 
 
 def test_attend_one_hot_rows_select_values():
@@ -190,7 +196,7 @@ def test_attend_one_hot_rows_select_values():
     p.w_rl.data[:] = 0.0
     p.b_lr.data[:] = 500.0
     p.b_rl.data[:] = -500.0
-    out, weights = att.geometric_attend(Tensor(h, dtype=np.float64), p, valid)
+    out, weights = att.attend(Tensor(h, dtype=np.float64), p, valid)
     # Every target except the last picks exactly its right neighbour.
     picks = weights.data[0, 0].argmax(-1)
     np.testing.assert_array_equal(picks[:-1], np.arange(1, 4))
@@ -208,10 +214,10 @@ def test_attend_padded_equals_unpadded_prefix():
     p = geo_params(seed=12)
     gen = np.random.default_rng(13)
     h = gen.normal(size=(1, 4, 8))
-    exact, _ = att.geometric_attend(Tensor(h, dtype=np.float64), p, np.ones((1, 4), dtype=bool))
+    exact, _ = att.attend(Tensor(h, dtype=np.float64), p, np.ones((1, 4), dtype=bool))
     padded_states = np.concatenate([h, gen.normal(size=(1, 3, 8))], axis=1)
     valid = np.array([[True] * 4 + [False] * 3])
-    padded, _ = att.geometric_attend(Tensor(padded_states, dtype=np.float64), p, valid)
+    padded, _ = att.attend(Tensor(padded_states, dtype=np.float64), p, valid)
     np.testing.assert_allclose(padded.data[0, :4], exact.data[0], atol=1e-6)
 
 
@@ -219,7 +225,7 @@ def test_attend_row_mass_bounded_by_one():
     p = geo_params(seed=14)
     h = Tensor(np.random.default_rng(15).normal(size=(2, 6, 8)), dtype=np.float64)
     valid = np.ones((2, 6), dtype=bool)
-    _, weights = att.geometric_attend(h, p, valid)
+    _, weights = att.attend(h, p, valid)
     assert weights.data.min() >= 0.0
     assert weights.data.sum(-1).max() <= 1.0 + 1e-6
 

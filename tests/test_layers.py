@@ -5,15 +5,14 @@ from seqrouter import autodiff as ad
 from seqrouter import layers
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.layers import LayerVariant, encoder_step, gated_step, init_layer, ungated_step
+from seqrouter.layers import encoder_step, init_layer
 from seqrouter.optim import grad_norm
 from seqrouter.rng import RngTree
 
 
 def build_layer(kind="geometric", gated=True, d=8, heads=2, d_ff=16, seed=0, dtype=np.float64):
-    variant = LayerVariant(kind, gated)
     cfg = AttentionConfig(d_model=d, n_heads=heads, kind=kind)
-    return init_layer(Init(RngTree(seed), dtype=dtype, prefix="layer"), cfg, variant, d_ff)
+    return init_layer(Init(RngTree(seed), dtype=dtype, prefix="layer"), cfg, gated, d_ff)
 
 
 def states(b, n, d, seed=0, dtype=np.float64):
@@ -22,10 +21,15 @@ def states(b, n, d, seed=0, dtype=np.float64):
 
 
 def test_ffn_norm_choice_per_variant():
-    assert LayerVariant("geometric", True).ffn_norm == "layernorm"
-    assert LayerVariant("relative", True).ffn_norm == "tanh"
-    assert LayerVariant("abs_rel_gated", True).ffn_norm == "tanh"
-    assert LayerVariant("relative", False).ffn_norm == "layernorm"
+    # A layer has ln_ffn parameters exactly when its update is layernormed;
+    # gated non-geometric layers squash it with tanh instead.
+    for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):
+        for gated in (False, True):
+            lp = build_layer(kind=kind, gated=gated)
+            layernormed = not gated or kind == "geometric"
+            assert (lp.ln_ffn_g is not None) == layernormed, (kind, gated)
+            assert (lp.ln_ffn_b is not None) == layernormed, (kind, gated)
+            assert (lp.gate_w1 is not None) == gated, (kind, gated)
 
 
 def test_gate_bias_initialized_to_minus_three():
@@ -37,7 +41,7 @@ def test_gate_forced_closed_is_bitwise_passthrough():
     lp = build_layer(seed=1)
     lp.gate_b2.data[:] = -1e9
     h = states(2, 5, 8, seed=2)
-    out, _, gate = gated_step(h, lp, np.ones((2, 5), dtype=bool))
+    out, _, gate = encoder_step(h, lp, np.ones((2, 5), dtype=bool))
     assert (gate.data == 0.0).all()
     assert (out.data == h.data).all()
 
@@ -47,7 +51,7 @@ def test_gate_forced_open_gives_update_exactly():
     lp.gate_b2.data[:] = 1e9
     h = states(1, 4, 8, seed=4)
     valid = np.ones((1, 4), dtype=bool)
-    out, _, gate = gated_step(h, lp, valid)
+    out, _, gate = encoder_step(h, lp, valid)
     assert (gate.data == 1.0).all()
     # Recompute the update head by hand: LN(att + h) -> FFN -> LN.
     import seqrouter.attention as att
@@ -61,21 +65,29 @@ def test_gate_forced_open_gives_update_exactly():
 def test_fresh_init_mean_gate_near_sigmoid_minus_three():
     lp = build_layer(seed=5, dtype=np.float32)
     h = states(8, 6, 8, seed=6, dtype=np.float32)
-    _, _, gate = gated_step(h, lp, np.ones((8, 6), dtype=bool))
+    _, _, gate = encoder_step(h, lp, np.ones((8, 6), dtype=bool))
     assert abs(gate.data.mean() - 0.0474) < 0.02
 
 
-def test_gated_step_requires_gate_params():
-    lp = build_layer(gated=False, kind="relative")
-    with pytest.raises(ValueError, match="ungated"):
-        gated_step(states(1, 3, 8), lp, np.ones((1, 3), dtype=bool))
+def test_gated_tanh_update_without_ffn_layernorm():
+    lp = build_layer(kind="relative", gated=True, seed=24)
+    lp.gate_b2.data[:] = 1e9
+    h = states(1, 4, 8, seed=25)
+    valid = np.ones((1, 4), dtype=bool)
+    out, _, gate = encoder_step(h, lp, valid)
+    assert (gate.data == 1.0).all()
+    import seqrouter.attention as att
+    a_in, _ = att.attend(h, lp.attn, valid)
+    a = ad.layernorm(ad.add(a_in, h), lp.ln_att_g, lp.ln_att_b)
+    f = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(a, lp.ffn_w1), lp.ffn_b1)), lp.ffn_w2), lp.ffn_b2)
+    np.testing.assert_allclose(out.data, np.tanh(f.data), atol=1e-12)
 
 
 def test_pad_columns_unchanged():
     lp = build_layer(seed=7)
     h = states(2, 6, 8, seed=8)
     valid = np.array([[True] * 4 + [False] * 2, [True] * 6])
-    out, _, _ = gated_step(h, lp, valid)
+    out, _, _ = encoder_step(h, lp, valid)
     np.testing.assert_array_equal(out.data[0, 4:], h.data[0, 4:])
 
 
@@ -83,9 +95,9 @@ def test_ungated_matches_manual_reference():
     lp = build_layer(kind="relative", gated=False, seed=9)
     h = states(1, 5, 8, seed=10)
     valid = np.ones((1, 5), dtype=bool)
-    out, _, _ = ungated_step(h, lp, valid)
+    out, _, _ = encoder_step(h, lp, valid)
     import seqrouter.attention as att
-    a_in, _ = att.rel_attend(h, lp.attn, valid)
+    a_in, _ = att.attend(h, lp.attn, valid)
     a = ad.layernorm(ad.add(a_in, h), lp.ln_att_g, lp.ln_att_b)
     f = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(a, lp.ffn_w1), lp.ffn_b1)), lp.ffn_w2), lp.ffn_b2)
     want = ad.layernorm(ad.add(f, a), lp.ln_ffn_g, lp.ln_ffn_b)
@@ -94,8 +106,9 @@ def test_ungated_matches_manual_reference():
 
 def test_ungated_single_column_sequence():
     lp = build_layer(kind="standard_abs", gated=False, seed=11)
-    out, _, _ = ungated_step(states(1, 1, 8, seed=12), lp, np.ones((1, 1), dtype=bool))
+    out, _, gate = encoder_step(states(1, 1, 8, seed=12), lp, np.ones((1, 1), dtype=bool))
     assert out.shape == (1, 1, 8)
+    assert gate is None
 
 
 def test_weight_sharing_has_no_per_step_params():
@@ -114,7 +127,7 @@ def test_gate_gradient_reaches_update_ffn():
     h = states(2, 4, 8, seed=16)
     valid = np.ones((2, 4), dtype=bool)
     with Tape() as tape:
-        out, _, _ = gated_step(h, lp, valid)
+        out, _, _ = encoder_step(h, lp, valid)
         tape.backward(ad.sum_(out))
     assert grad_norm([lp.ffn_w1]) > 0
     assert grad_norm([lp.ffn_w2]) > 0
@@ -235,10 +248,10 @@ def test_act_halting_mass_sums_to_one_when_halted():
     assert (halt <= 6).all() and (halt >= 1).all()
 
 
-def test_gated_step_train_mode_dropout_changes_output():
+def test_gated_encoder_step_train_mode_dropout_changes_output():
     lp = build_layer(seed=22, dtype=np.float32)
     h = states(1, 4, 8, seed=23, dtype=np.float32)
     valid = np.ones((1, 4), dtype=bool)
-    eval_out, _, _ = gated_step(h, lp, valid)
-    train_out, _, _ = gated_step(h, lp, valid, Mode(train=True, rng=RngTree(1, "d")), drop=0.5)
+    eval_out, _, _ = encoder_step(h, lp, valid)
+    train_out, _, _ = encoder_step(h, lp, valid, Mode(train=True, rng=RngTree(1, "d")), drop=0.5)
     assert np.abs(train_out.data - eval_out.data).max() > 1e-6

@@ -124,6 +124,18 @@ def test_standard_abs_adds_positions():
     np.testing.assert_array_equal(out.logits.data[0], out.logits.data[1])
 
 
+@pytest.mark.parametrize("kind", ["standard_abs", "relative", "abs_rel_gated"])
+def test_odd_d_model_forward_and_backward(kind):
+    # Sinusoid tables of odd width fill d // 2 pairs and leave the last column 0.
+    model = tiny_model(d_model=7, d_ff=10, n_heads=1, kind=kind, gated=kind == "abs_rel_gated")
+    tokens, lengths = batch_for("ctl_fwd", [["000", "a", "b"], ["111"]])
+    with Tape() as tape:
+        out = model.forward(tokens, lengths)
+        tape.backward(loss(out, np.array([0, 1])))
+    assert np.isfinite(out.logits.data).all()
+    assert all(np.isfinite(p.grad).all() for p in model.parameters())
+
+
 def test_loss_uniform_logits_is_log_classes():
     out_logits = Tensor(np.zeros((4, 8), dtype=np.float32))
     from seqrouter.model import ForwardOut
