@@ -43,10 +43,9 @@ def commands(seeds):
             cmds.append([sys.executable, "-m", "seqrouter.cli", "train",
                          "--config", config, "--out", f"runs/{task}_seed{seed}",
                          "--override", f"seed={seed}", *extra])
-            test_steps = ["--test-steps", "24"] if task == "listops" else []
             cmds.append([sys.executable, "-m", "seqrouter.cli", "eval",
                          "--checkpoint", f"runs/{task}_seed{seed}/best.ckpt",
-                         "--split", "test", *test_steps])
+                         "--split", "test"])
     return cmds
 
 

@@ -42,7 +42,6 @@ class AttentionConfig:
     n_heads: int
     kind: str = "standard_abs"  # standard_abs | relative | abs_rel_gated | geometric
     content_dropout: float = 0.0
-    position_dropout: float = 0.0
 
     def __post_init__(self):
         if self.d_model % self.n_heads != 0:
@@ -202,7 +201,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
     q_e = ad.add(q, _head_bias(p.b_qe, cfg.n_heads))
     q_p = ad.add(q, _head_bias(p.b_qp, cfg.n_heads))
     q_e = _maybe_dropout(q_e, cfg.content_dropout, mode, "att_content_q")
-    q_p = _maybe_dropout(q_p, cfg.position_dropout, mode, "att_pos_q")
+    q_p = _maybe_dropout(q_p, cfg.content_dropout, mode, "att_pos_q")
 
     k_e = _project(h, p.w_ke, cfg.n_heads)
     content = ad.matmul(q_e, ad.transpose(k_e, (0, 1, 3, 2)))
@@ -279,19 +278,15 @@ def _weights_from_logs(logits: Tensor, src_invalid: np.ndarray) -> Tensor:
     logp, log1mp = ad._log_sigmoids(z)
     drop = src_invalid | np.eye(n, dtype=bool)
     w = _shadowed_weights(logp, np.where(src_invalid, 0, log1mp), c, drop)
-    out = Tensor(w, logits.requires_grad)
 
-    def bwd():
-        if out.grad is None or not logits.requires_grad:
-            return
+    def vjp(grad):
         # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
-        u = out.grad * w
+        u = grad * w
         logp, log1mp = ad._log_sigmoids(z)
         g = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
-        logits.accumulate_grad(np.where(src_invalid, 0, g))
+        return np.where(src_invalid, 0, g)
 
-    ad._record(out, bwd)
-    return out
+    return ad._op(w, (logits, vjp))
 
 
 def geometric_weights(p: Tensor) -> Tensor:

@@ -1,10 +1,11 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
-Tensors carry dense float data; every differentiable op records a backward
-closure on the active :class:`Tape`. Recording order is execution order,
-which is a valid topological order, so the backward pass just walks the
-tape in reverse. Training runs in float32; gradient checks run the same
-code in float64.
+Tensors carry dense float data. Every differentiable op states its forward
+value and one vector-Jacobian product per operand, and ``_op`` records
+them as one backward closure on the active :class:`Tape`. Recording order
+is execution order, which is a valid topological order, so the backward
+pass just walks the tape in reverse. Training runs in float32; gradient
+checks run the same code in float64.
 """
 
 from __future__ import annotations
@@ -163,10 +164,27 @@ def check_unique_names(params: Sequence[Parameter]) -> None:
 # op plumbing
 
 
-def _record(out: Tensor, fn: Callable[[], None]) -> None:
+def _op(data: np.ndarray, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+    """Wrap an op's forward value and record its backward on the active tape.
+
+    Each ``(operand, vjp)`` pair maps the output's gradient to that
+    operand's gradient. The output requires grad when any operand does.
+    The recorded node does nothing when the output got no gradient;
+    otherwise it runs the VJPs in the given order, skips every operand
+    that does not require grad by then, and accumulates the results.
+    """
+    out = Tensor(data, any(t.requires_grad for t, _ in vjps))
     tape = _tape()
     if tape is not None and out.requires_grad:
-        tape.record(fn)
+        def bwd():
+            if out.grad is None:
+                return
+            for t, vjp in vjps:
+                if t.requires_grad:
+                    t.accumulate_grad(vjp(out.grad))
+
+        tape.record(bwd)
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -197,18 +215,8 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
-
-    def bwd():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad, b.shape))
-
-    _record(out, bwd)
-    return out
+    return _op(data, (a, lambda g: _unbroadcast(g, a.shape)),
+               (b, lambda g: _unbroadcast(g, b.shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -217,41 +225,17 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         data = a.data * b.data
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    out = Tensor(data, a.requires_grad or b.requires_grad)
-
-    def bwd():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(out.grad * b.data, a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(out.grad * a.data, b.shape))
-
-    _record(out, bwd)
-    return out
+    return _op(data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
+               (b, lambda g: _unbroadcast(g * a.data, b.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.dtype.type(c)
-    out = Tensor(a.data * c, a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * c)
-
-    _record(out, bwd)
-    return out
+    return _op(a.data * c, (a, lambda g: g * c))
 
 
 def shift(a: Tensor, c: float) -> Tensor:
-    out = Tensor(a.data + a.dtype.type(c), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad)
-
-    _record(out, bwd)
-    return out
+    return _op(a.data + a.dtype.type(c), (a, lambda g: g))
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -262,20 +246,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     if b.data.ndim == 2:
         return _matmul_folded(a, b)
-    out = Tensor(np.matmul(a.data, b.data), a.requires_grad or b.requires_grad)
-
-    def bwd():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            ga = np.matmul(out.grad, np.swapaxes(b.data, -1, -2))
-            a.accumulate_grad(_unbroadcast(ga, a.shape))
-        if b.requires_grad:
-            gb = np.matmul(np.swapaxes(a.data, -1, -2), out.grad)
-            b.accumulate_grad(_unbroadcast(gb, b.shape))
-
-    _record(out, bwd)
-    return out
+    return _op(np.matmul(a.data, b.data),
+               (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
+               (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
 
 def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
@@ -283,58 +256,24 @@ def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
     into one (M, k) matrix, so forward and both gradients are single GEMMs
     and the weight gradient needs no per-sample temporary or reduction."""
     k, n = b.shape
-    out = Tensor(np.matmul(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,)),
-                 a.requires_grad or b.requires_grad)
-
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad.reshape(-1, n)
-        if a.requires_grad:
-            a.accumulate_grad(np.matmul(g, b.data.T).reshape(a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(np.matmul(a.data.reshape(-1, k).T, g))
-
-    _record(out, bwd)
-    return out
+    return _op(np.matmul(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,)),
+               (a, lambda g: np.matmul(g.reshape(-1, n), b.data.T).reshape(a.shape)),
+               (b, lambda g: np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))))
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
     axes = tuple(axes)
-    out = Tensor(np.transpose(a.data, axes), a.requires_grad)
     inv = tuple(np.argsort(axes))
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(np.transpose(out.grad, inv))
-
-    _record(out, bwd)
-    return out
+    return _op(np.transpose(a.data, axes), (a, lambda g: np.transpose(g, inv)))
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    shape = tuple(shape)
-    out = Tensor(a.data.reshape(shape), a.requires_grad)
-    orig = a.shape
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad.reshape(orig))
-
-    _record(out, bwd)
-    return out
+    return _op(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(a.shape)))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor(np.maximum(a.data, 0), a.requires_grad)
     mask = a.data > 0
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * mask)
-
-    _record(out, bwd)
-    return out
+    return _op(np.maximum(a.data, 0), (a, lambda g: g * mask))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -355,26 +294,12 @@ def _log_sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid_np(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * y * (1.0 - y))
-
-    _record(out, bwd)
-    return out
+    return _op(y, (a, lambda g: g * y * (1.0 - y)))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    out = Tensor(y, a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * (1.0 - y * y))
-
-    _record(out, bwd)
-    return out
+    return _op(y, (a, lambda g: g * (1.0 - y * y)))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -383,15 +308,12 @@ def softmax(a: Tensor) -> Tensor:
     m = x.max(axis=-1, keepdims=True)
     e = np.exp(x - m)
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, a.requires_grad)
 
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            dot = (out.grad * y).sum(axis=-1, keepdims=True)
-            a.accumulate_grad(y * (out.grad - dot))
+    def vjp(g):
+        dot = (g * y).sum(axis=-1, keepdims=True)
+        return y * (g - dot)
 
-    _record(out, bwd)
-    return out
+    return _op(y, (a, vjp))
 
 
 def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -402,25 +324,16 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
     xhat = xc * inv
-    out = Tensor(xhat * gain.data + bias.data, a.requires_grad or gain.requires_grad or bias.requires_grad)
-    n = x.shape[-1]
 
-    def bwd():
-        if out.grad is None:
-            return
-        g = out.grad
-        if gain.requires_grad:
-            gain.accumulate_grad(_unbroadcast(g * xhat, gain.shape))
-        if bias.requires_grad:
-            bias.accumulate_grad(_unbroadcast(g, bias.shape))
-        if a.requires_grad:
-            dxhat = g * gain.data
-            term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-            a.accumulate_grad(term * inv)
-        del g
+    def vjp_a(g):
+        dxhat = g * gain.data
+        term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+        return term * inv
 
-    _record(out, bwd)
-    return out
+    return _op(xhat * gain.data + bias.data,
+               (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
+               (bias, lambda g: _unbroadcast(g, bias.shape)),
+               (a, vjp_a))
 
 
 def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
@@ -428,51 +341,32 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
     data = a.data.copy()
     data[mask] = a.dtype.type(value)
-    out = Tensor(data, a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(np.where(mask, 0.0, out.grad))
-
-    _record(out, bwd)
-    return out
+    return _op(data, (a, lambda g: np.where(mask, 0.0, g)))
 
 
 def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
     """Elementwise select: mask ? a : b, with a constant boolean mask."""
     _check_same_dtype(a, b)
     mask = np.asarray(mask, dtype=bool)
-    out = Tensor(np.where(mask, a.data, b.data), a.requires_grad or b.requires_grad)
-
-    def bwd():
-        if out.grad is None:
-            return
-        if a.requires_grad:
-            a.accumulate_grad(_unbroadcast(np.where(mask, out.grad, 0.0), a.shape))
-        if b.requires_grad:
-            b.accumulate_grad(_unbroadcast(np.where(mask, 0.0, out.grad), b.shape))
-
-    _record(out, bwd)
-    return out
+    return _op(np.where(mask, a.data, b.data),
+               (a, lambda g: _unbroadcast(np.where(mask, g, 0.0), a.shape)),
+               (b, lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape)))
 
 
 def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
     """Gather along an axis with a constant integer index array."""
     idx = np.asarray(idx)
     out_data = np.take_along_axis(a.data, idx, axis=axis)
-    out = Tensor(out_data, a.requires_grad)
     idx_b = np.broadcast_to(idx, out_data.shape)
 
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            g = np.zeros_like(a.data)
-            grids = list(np.indices(out.grad.shape, sparse=True))
-            grids[axis] = idx_b
-            np.add.at(g, tuple(grids), out.grad)
-            a.accumulate_grad(g)
+    def vjp(g):
+        ga = np.zeros_like(a.data)
+        grids = list(np.indices(g.shape, sparse=True))
+        grids[axis] = idx_b
+        np.add.at(ga, tuple(grids), g)
+        return ga
 
-    _record(out, bwd)
-    return out
+    return _op(out_data, (a, vjp))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -480,16 +374,13 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
         raise ValueError(f"embedding ids out of range [0, {table.shape[0]})")
-    out = Tensor(table.data[ids], table.requires_grad)
 
-    def bwd():
-        if out.grad is not None and table.requires_grad:
-            g = np.zeros_like(table.data)
-            np.add.at(g, ids, out.grad)
-            table.accumulate_grad(g)
+    def vjp(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, ids, g)
+        return gt
 
-    _record(out, bwd)
-    return out
+    return _op(table.data[ids], (table, vjp))
 
 
 def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
@@ -500,29 +391,16 @@ def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
         return a
     keep = gen.random(a.shape) >= rate
     s = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
-    out = Tensor(a.data * (keep * s), a.requires_grad)
-
-    def bwd():
-        if out.grad is not None and a.requires_grad:
-            a.accumulate_grad(out.grad * (keep * s))
-
-    _record(out, bwd)
-    return out
+    return _op(a.data * (keep * s), (a, lambda g: g * (keep * s)))
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    out = Tensor(a.data.sum(axis=axis, keepdims=keepdims), a.requires_grad)
-
-    def bwd():
-        if out.grad is None or not a.requires_grad:
-            return
-        g = out.grad
+    def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        a.accumulate_grad(np.broadcast_to(g, a.shape).copy())
+        return np.broadcast_to(g, a.shape).copy()
 
-    _record(out, bwd)
-    return out
+    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -541,16 +419,13 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     z = e.sum(axis=-1, keepdims=True)
     logp = (x - m) - np.log(z)
     nll = -logp[np.arange(b), targets].mean()
-    out = Tensor(np.asarray(nll, dtype=x.dtype), logits.requires_grad)
 
-    def bwd():
-        if out.grad is not None and logits.requires_grad:
-            p = e / z
-            p[np.arange(b), targets] -= 1.0
-            logits.accumulate_grad(p * (out.grad / b))
+    def vjp(g):
+        p = e / z
+        p[np.arange(b), targets] -= 1.0
+        return p * (g / b)
 
-    _record(out, bwd)
-    return out
+    return _op(np.asarray(nll, dtype=x.dtype), (logits, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -570,8 +445,7 @@ class Init:
         self.prefix = prefix
 
     def sub(self, name: str) -> "Init":
-        joined = f"{self.prefix}.{name}" if self.prefix else name
-        return Init(self.rng, self.dtype, joined)
+        return Init(self.rng, self.dtype, self._name(name))
 
     def _name(self, name: str) -> str:
         return f"{self.prefix}.{name}" if self.prefix else name

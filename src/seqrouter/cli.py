@@ -6,7 +6,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 
 def main(argv=None) -> int:

@@ -11,11 +11,6 @@ from pathlib import Path
 from .layers import ACTConfig
 from .model import ModelConfig
 
-# Canonical search values for the adaptive-depth regularizer weight,
-# usable directly as a sweep axis (act_reg_weight).
-ACT_REG_SWEEP = (0.001, 0.003, 0.01, 0.03, 0.1)
-
-
 @dataclass
 class RunConfig:
     task: str = "ctl_fwd"
@@ -60,25 +55,22 @@ class RunConfig:
         return dataclasses.asdict(self)
 
 
+# Each task's differences from the RunConfig defaults, which are the ctl recipe.
+_TASK_DEFAULTS = {
+    "ctl_fwd": {},
+    "ctl_bwd": {},
+    "arith": dict(d_ff=1024, n_heads=4, n_layers=15, grad_clip=1.0, n_iters=100_000),
+    "listops": dict(d_model=512, d_ff=1024, n_heads=16, n_layers=20, test_steps=24, lr=2e-4,
+                    weight_decay=0.09, dropout=0.1, grad_clip=1.0, n_iters=100_000),
+}
+
+
 def default_config(task: str) -> RunConfig:
     """Defaults reproducing the gated geometric-attention rows of the
     hyperparameter tables for each task."""
-    if task in ("ctl_fwd", "ctl_bwd"):
-        return RunConfig(task=task, d_model=256, d_ff=512, n_heads=1, n_layers=14,
-                         batch_size=512, lr=1.5e-4, weight_decay=0.01, dropout=0.5,
-                         att_dropout=0.1, grad_clip=5.0, n_iters=30_000,
-                         data_dir=f"data/{task}")
-    if task == "arith":
-        return RunConfig(task=task, d_model=256, d_ff=1024, n_heads=4, n_layers=15,
-                         batch_size=512, lr=1.5e-4, weight_decay=0.01, dropout=0.5,
-                         att_dropout=0.1, grad_clip=1.0, n_iters=100_000,
-                         data_dir="data/arith")
-    if task == "listops":
-        return RunConfig(task=task, d_model=512, d_ff=1024, n_heads=16, n_layers=20,
-                         test_steps=24, batch_size=512, lr=2e-4, weight_decay=0.09,
-                         dropout=0.1, att_dropout=0.1, grad_clip=1.0, n_iters=100_000,
-                         data_dir="data/listops")
-    raise ValueError(f"unknown task {task!r}")
+    if task not in _TASK_DEFAULTS:
+        raise ValueError(f"unknown task {task!r}")
+    return RunConfig(task=task, data_dir=f"data/{task}", **_TASK_DEFAULTS[task])
 
 
 _HINTS = typing.get_type_hints(RunConfig)

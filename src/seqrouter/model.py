@@ -44,9 +44,7 @@ class ModelConfig:
             raise ValueError(f"test_steps {self.test_steps} < n_layers {self.n_layers}")
 
     def attention_config(self) -> AttentionConfig:
-        pos_drop = 0.0 if self.kind in ("geometric", "standard_abs") else self.att_dropout
-        return AttentionConfig(self.d_model, self.n_heads, self.kind,
-                               content_dropout=self.att_dropout, position_dropout=pos_drop)
+        return AttentionConfig(self.d_model, self.n_heads, self.kind, content_dropout=self.att_dropout)
 
     def to_dict(self) -> dict:
         return dataclasses.asdict(self)

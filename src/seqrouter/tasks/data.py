@@ -50,9 +50,6 @@ class SplitPlan:
                 return s
         raise KeyError(name)
 
-    def names(self) -> list[str]:
-        return [s.name for s in self.splits]
-
     def to_jsonable(self) -> list[dict]:
         return [{"name": s.name, "depths": list(s.depths), "size": s.size} for s in self.splits]
 

@@ -174,7 +174,6 @@ def test_relative_attend_rows_sum_to_one():
 def test_attention_dropout_only_in_train_mode():
     p = make_params("relative", seed=17)
     p.cfg.content_dropout = 0.5
-    p.cfg.position_dropout = 0.5
     h = rand_states(1, 4, 8, seed=18)
     valid = np.ones((1, 4), dtype=bool)
     eval_a = att.attend(h, p, valid)[0]

@@ -373,3 +373,42 @@ def test_no_tape_means_no_recording():
         z = ad.scale(x, 3.0)
         tape.backward(ad.sum_(z))
     np.testing.assert_array_equal(x.grad, [3.0])
+
+
+def test_op_runs_vjps_in_operand_order_only_for_operands_needing_grad():
+    a, b, frozen, const = t64([1.0, 2.0]), t64([3.0, 4.0]), t64([5.0, 6.0]), t64([7.0, 8.0], rq=False)
+    calls = []
+
+    def vjp(name):
+        def f(g):
+            calls.append(name)
+            return g
+        return f
+
+    with Tape() as tape:
+        out = ad._op(a.data + b.data + frozen.data + const.data,
+                     (b, vjp("b")), (const, vjp("const")), (frozen, vjp("frozen")), (a, vjp("a")))
+        frozen.requires_grad = False  # read when backward runs, not when the op ran
+        tape.backward(ad.sum_(out))
+    assert calls == ["b", "a"]
+    assert const.grad is None and frozen.grad is None
+    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+
+
+def test_constant_operands_of_public_ops_get_no_grad():
+    x, c = t64([[1.0, -2.0]]), t64([[3.0, 4.0]], rq=False)
+    w = t64([[0.5], [0.25]], rq=False)
+    with Tape() as tape:
+        tape.backward(ad.sum_(ad.matmul(ad.mul(x, c), w)))
+    assert c.grad is None and w.grad is None
+    np.testing.assert_array_equal(x.grad, [[1.5, 1.0]])
+
+
+def test_branch_that_misses_the_loss_leaves_its_inputs_without_grad():
+    x, y, w = t64([1.0, 2.0]), t64([3.0, 4.0]), t64([[1.0], [2.0]])
+    with Tape() as tape:
+        loss = ad.sum_(ad.mul(x, x))
+        ad.matmul(ad.reshape(ad.add(x, y), (1, 2)), w)  # taped, never reaches the loss
+        tape.backward(loss)
+    assert y.grad is None and w.grad is None
+    np.testing.assert_array_equal(x.grad, [2.0, 4.0])

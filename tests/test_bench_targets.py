@@ -36,3 +36,5 @@ def test_own_wrapper_targets_resolve():
     assert not missing
     # The FFN wrapper reads the site name positionally, as args[7].
     assert list(inspect.signature(layers._ffn).parameters)[7] == "site"
+    # The record wrapper takes (tape, backward_fn) and passes both on positionally.
+    assert list(inspect.signature(Tape.record).parameters) == ["self", "backward_fn"]
