@@ -4,8 +4,10 @@ Four kinds are supported: standard content attention (absolute positions
 added at the embedding), decomposed relative-position attention, its
 gated absolute/relative extension, and distance-ordered geometric
 attention with a directional score term. All functions are pure given
-their parameters and operate on batches shaped (B, N, d) with a boolean
-validity mask (B, N) marking non-pad columns.
+their parameters. States are packed: one row per real token, shaped
+(M, d), with a boolean validity mask (B, N) whose true cells, in
+row-major order, are those rows. Only the per-pair scores, weights and
+their products with the values use the padded (B, H, N, ...) layout.
 """
 
 from __future__ import annotations
@@ -149,28 +151,32 @@ def sinusoid_table(positions: np.ndarray, d: int, dtype=np.float32) -> np.ndarra
     return table.astype(dtype)
 
 
-def _split_heads(x: Tensor, n_heads: int) -> Tensor:
-    b, n, d = x.shape
-    return ad.transpose(ad.reshape(x, (b, n, n_heads, d // n_heads)), (0, 2, 1, 3))
+def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
+    """Packed (M, d) rows to the padded per-head layout (B, H, N, d / H)."""
+    b, n = valid.shape
+    d = x.shape[-1]
+    return ad.transpose(ad.reshape(ad.scatter_rows(x, valid), (b, n, n_heads, d // n_heads)),
+                        (0, 2, 1, 3))
 
 
-def _merge_heads(x: Tensor) -> Tensor:
-    b, h, n, dh = x.shape
-    return ad.reshape(ad.transpose(x, (0, 2, 1, 3)), (b, n, h * dh))
+def _merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
+    """(B, H, N, d_h) back to packed (M, H * d_h) rows."""
+    _, h, _, dh = x.shape
+    rows = ad.gather_rows(ad.transpose(x, (0, 2, 1, 3)), valid)
+    return ad.reshape(rows, (rows.shape[0], h * dh))
 
 
 def _source_invalid(valid: np.ndarray) -> np.ndarray:
     return ~valid[:, None, None, :]
 
 
-def _check_sources(valid: np.ndarray) -> None:
+def _check_inputs(h: Tensor, valid: np.ndarray) -> None:
+    m = np.count_nonzero(valid)
+    if h.data.ndim != 2 or h.shape[0] != m:
+        raise ad.DimensionError(f"attention takes packed (M, d) states, one row per valid cell; "
+                                f"got {h.shape} for {m} valid cells")
     if not valid.any(axis=-1).all():
         raise ValueError("a sequence has all sources masked")
-
-
-def _head_bias(b: Parameter, n_heads: int) -> Tensor:
-    d = b.shape[0]
-    return ad.reshape(b, (n_heads, 1, d // n_heads))
 
 
 def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
@@ -179,8 +185,8 @@ def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
     return x
 
 
-def _project(h: Tensor, w: Parameter, n_heads: int) -> Tensor:
-    return _split_heads(ad.matmul(h, w), n_heads)
+def _project(h: Tensor, w: Parameter, valid: np.ndarray, n_heads: int) -> Tensor:
+    return _heads(ad.matmul(h, w), valid, n_heads)
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +195,23 @@ def _project(h: Tensor, w: Parameter, n_heads: int) -> Tensor:
 
 def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
                mode: Mode = EVAL, pos_base: int = 0) -> Tensor:
-    """Raw pre-softmax scores, decomposed into content, content bias and a
-    positional term that interpolates relative offsets and absolute
-    positions with a per-target scalar gate (fixed at 1 when p.w_ar is None).
-    Masked sources are already pushed to -inf."""
+    """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d),
+    decomposed into content, content bias and a positional term that
+    interpolates relative offsets and absolute positions with a per-target
+    scalar gate (fixed at 1 when p.w_ar is None). Masked sources are
+    already pushed to -inf."""
     cfg = p.cfg
-    b, n, d = h.shape
+    b, n = valid.shape
+    d = h.shape[-1]
     dtype = h.dtype
 
-    q = _project(h, p.w_q, cfg.n_heads)
-    q_e = ad.add(q, _head_bias(p.b_qe, cfg.n_heads))
-    q_p = ad.add(q, _head_bias(p.b_qp, cfg.n_heads))
-    q_e = _maybe_dropout(q_e, cfg.content_dropout, mode, "att_content_q")
-    q_p = _maybe_dropout(q_p, cfg.content_dropout, mode, "att_pos_q")
+    q = ad.matmul(h, p.w_q)
+    q_e = _maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q")
+    q_p = _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q")
+    q_e = _heads(q_e, valid, cfg.n_heads)
+    q_p = _heads(q_p, valid, cfg.n_heads)
 
-    k_e = _project(h, p.w_ke, cfg.n_heads)
+    k_e = _project(h, p.w_ke, valid, cfg.n_heads)
     content = ad.matmul(q_e, ad.transpose(k_e, (0, 1, 3, 2)))
 
     offsets = np.arange(-(n - 1), n)
@@ -221,8 +229,8 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
         abs_emb = Tensor(sinusoid_table(pos_base + np.arange(n), d, dtype))
         k_abs = ad.transpose(ad.reshape(ad.matmul(abs_emb, p.w_kp), (n, cfg.n_heads, cfg.d_head)), (1, 0, 2))
         score_abs = ad.matmul(q_p, ad.transpose(k_abs, (0, 2, 1)))
-        r = ad.sigmoid(ad.add(ad.matmul(h, p.w_ar), p.b_ar))  # (B, N, 1)
-        r = ad.reshape(r, (b, 1, n, 1))
+        r = ad.sigmoid(ad.add(ad.matmul(h, p.w_ar), p.b_ar))  # (M, 1)
+        r = ad.reshape(ad.scatter_rows(r, valid), (b, 1, n, 1))
         positional = ad.add(ad.mul(r, score_rel), ad.mul(ad.shift(ad.scale(r, -1.0), 1.0), score_abs))
 
     scores = ad.scale(ad.add(content, positional), 1.0 / math.sqrt(cfg.d_head))
@@ -305,19 +313,27 @@ def geometric_weights(p: Tensor) -> Tensor:
     return Tensor(_shadowed_weights(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
 
 
-def _geometric_logits(h: Tensor, p: GeometricAttentionParams, mode: Mode) -> Tensor:
+def _direction(h: Tensor, w: Parameter, bias: Parameter, valid: np.ndarray) -> Tensor:
+    """Per-head directional score of each target, (B, H, N, 1)."""
+    b, n = valid.shape
+    d = ad.scatter_rows(ad.add(ad.matmul(h, w), bias), valid)  # (B, N, H)
+    return ad.reshape(ad.transpose(d, (0, 2, 1)), (b, w.shape[1], n, 1))
+
+
+def _geometric_logits(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
+                      mode: Mode) -> Tensor:
+    """Match logits (B, H, N, N) of packed states h (M, d)."""
     cfg = p.cfg
-    b, n, d = h.shape
+    n = valid.shape[1]
     nh = cfg.n_heads
 
     q = ad.add(ad.matmul(h, p.w_q), p.b_q)
-    q = _maybe_dropout(q, cfg.content_dropout, mode, "att_content_q")
-    q = _split_heads(q, nh)
-    k_e = _project(h, p.w_ke, nh)
+    q = _heads(_maybe_dropout(q, cfg.content_dropout, mode, "att_content_q"), valid, nh)
+    k_e = _project(h, p.w_ke, valid, nh)
     content = ad.matmul(q, ad.transpose(k_e, (0, 1, 3, 2)))
 
-    d_lr = ad.reshape(ad.transpose(ad.add(ad.matmul(h, p.w_lr), p.b_lr), (0, 2, 1)), (b, nh, n, 1))
-    d_rl = ad.reshape(ad.transpose(ad.add(ad.matmul(h, p.w_rl), p.b_rl), (0, 2, 1)), (b, nh, n, 1))
+    d_lr = _direction(h, p.w_lr, p.b_lr, valid)
+    d_rl = _direction(h, p.w_rl, p.b_rl, valid)
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
     direction = ad.where_mask(right_or_self, d_lr, d_rl)
 
@@ -332,25 +348,29 @@ def _geometric_logits(h: Tensor, p: GeometricAttentionParams, mode: Mode) -> Ten
 
 
 def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
-    """Self-attention over valid sources; returns (output, weights).
+    """Self-attention of packed states h (M, d) over valid sources; returns
+    (output (M, d), weights (B, H, N, N)).
 
-    The parameter bundle's type picks the scores: scaled q.k for MhaParams,
-    rel_scores for RelAttentionParams, and geometric match logits for
+    Every projection runs on the packed rows; the per-head results are
+    scattered to (B, H, N, d_h) for the pairwise products, and the merged
+    heads are gathered back before w_o. The parameter bundle's type picks
+    the scores: scaled q.k for MhaParams, rel_scores for
+    RelAttentionParams, and geometric match logits for
     GeometricAttentionParams. Geometric logits become distance-ordered
     weights, the other scores a masked softmax. Values are projected after
     the weights for every kind."""
-    _check_sources(valid)
+    _check_inputs(h, valid)
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
-        weights = _weights_from_logs(_geometric_logits(h, p, mode), _source_invalid(valid))
+        weights = _weights_from_logs(_geometric_logits(h, p, valid, mode), _source_invalid(valid))
     elif isinstance(p, RelAttentionParams):
         weights = ad.softmax(rel_scores(h, p, valid, mode))
     else:
-        q = _project(h, p.w_q, cfg.n_heads)
-        k = _project(h, p.w_k, cfg.n_heads)
-        q = _maybe_dropout(q, cfg.content_dropout, mode, "att_content_q")
+        q = ad.matmul(h, p.w_q)
+        q = _heads(_maybe_dropout(q, cfg.content_dropout, mode, "att_content_q"), valid, cfg.n_heads)
+        k = _project(h, p.w_k, valid, cfg.n_heads)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
         weights = ad.softmax(ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE))
-    v = _project(h, p.w_v, cfg.n_heads)
-    out = ad.matmul(_merge_heads(ad.matmul(weights, v)), p.w_o)
+    v = _project(h, p.w_v, valid, cfg.n_heads)
+    out = ad.matmul(_merge_heads(ad.matmul(weights, v), valid), p.w_o)
     return out, weights

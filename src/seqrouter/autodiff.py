@@ -369,6 +369,37 @@ def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
     return _op(out_data, (a, vjp))
 
 
+def _scatter(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    # Indexing rows by flat position is faster than by the 2-D boolean mask.
+    out = np.zeros((valid.size,) + rows.shape[1:], dtype=rows.dtype)
+    out[np.flatnonzero(valid)] = rows
+    return out.reshape(valid.shape + rows.shape[1:])
+
+
+def _gather(layout: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    return np.take(layout.reshape((valid.size,) + layout.shape[2:]), np.flatnonzero(valid), axis=0)
+
+
+def scatter_rows(a: Tensor, valid: np.ndarray) -> Tensor:
+    """Packed rows (M, ...) into a zero-filled (B, N, ...) layout at the true
+    cells of the constant mask ``valid`` (B, N), in row-major order;
+    M must equal valid.sum(). Inverse of ``gather_rows``."""
+    valid = np.asarray(valid, dtype=bool)
+    if a.shape[0] != np.count_nonzero(valid):
+        raise DimensionError(f"scatter_rows: {a.shape[0]} rows for {np.count_nonzero(valid)} valid cells")
+    return _op(_scatter(a.data, valid), (a, lambda g: _gather(g, valid)))
+
+
+def gather_rows(a: Tensor, valid: np.ndarray) -> Tensor:
+    """The (M, ...) rows of a (B, N, ...) layout at the true cells of the
+    constant mask ``valid`` (B, N), in row-major order. Inverse of
+    ``scatter_rows``."""
+    valid = np.asarray(valid, dtype=bool)
+    if a.shape[:2] != valid.shape:
+        raise DimensionError(f"gather_rows: layout {a.shape} does not match mask {valid.shape}")
+    return _op(_gather(a.data, valid), (a, lambda g: _scatter(g, valid)))
+
+
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     """Row lookup: out[..., :] = table[ids[...], :]."""
     ids = np.asarray(ids)

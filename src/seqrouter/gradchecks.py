@@ -1,7 +1,10 @@
 """Named gradient checks: every layer variant, the geometric weight
-transform, and representative op composites, all checked against central
-finite differences in extended (80-bit) precision, which keeps the
-difference quotient meaningful on structurally tiny gradient coordinates."""
+transform, the packed/padded row ops and representative op composites,
+all checked against central finite differences in extended (80-bit)
+precision, which keeps the difference quotient meaningful on structurally
+tiny gradient coordinates. Attention and layer checks run a two-sequence
+batch of lengths (n, n - 2), so pad columns and the boundary between
+packed rows and the padded attention layout are covered."""
 
 from __future__ import annotations
 
@@ -61,6 +64,25 @@ def check_softmax_chain(seed: int = 1) -> float:
     return grad_check(fn, [x], step=1e-5)
 
 
+def _ragged(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lengths (n, n - 2) and their (2, n) validity mask."""
+    lengths = np.array([n, n - 2])
+    return lengths, np.arange(n)[None, :] < lengths[:, None]
+
+
+def check_row_ops(op: str, seed: int = 5, n: int = 4, d: int = 3) -> float:
+    """scatter_rows from packed (M, d) rows to the padded (2, n, d) layout
+    of a ragged batch, or gather_rows back."""
+    gen = np.random.default_rng(seed)
+    lengths, valid = _ragged(n)
+    packed, padded = (lengths.sum(), d), (2, n, d)
+    src, dst = (packed, padded) if op == "scatter_rows" else (padded, packed)
+    x = Tensor(gen.normal(size=src), dtype=np.longdouble)
+    r = Tensor(gen.normal(size=dst), dtype=np.longdouble)
+    row_op = getattr(ad, op)
+    return grad_check(lambda pts: ad.sum_(ad.mul(row_op(pts[0], valid), r)), [x], step=1e-5)
+
+
 def check_geometric_weights(seed: int = 2, n: int = 4) -> float:
     """Weights from logits for two rows of targets: every source valid in
     the first, the last source a pad in the second."""
@@ -81,9 +103,9 @@ def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> fl
     cfg = AttentionConfig(d, 2, kind)
     params = att.init_attention(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg)
     gen = np.random.default_rng(seed + 100)
-    h = Tensor(gen.normal(size=(1, n, d)), dtype=np.longdouble)
-    r = gen.normal(size=(1, n, d))
-    valid = np.ones((1, n), dtype=bool)
+    lengths, valid = _ragged(n)
+    h = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    r = gen.normal(size=h.shape)
 
     def fn(points):
         out, _ = att.attend(points[0], params, valid)
@@ -106,17 +128,17 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
         # threshold, so finite differences cannot flip the halt step.
         model.act_w.data *= 0.1
         model.act_b.data[:] = -2.0
-        tokens = gen.integers(0, cfg.vocab_size, size=(1, n))
-        lengths = np.array([n])
-        targets = np.array([1])
+        tokens = gen.integers(0, cfg.vocab_size, size=(2, n))
+        lengths, _ = _ragged(n)
+        targets = np.array([1, 0])
         return grad_check(lambda pts: loss(model.forward(tokens, lengths), targets),
                           model.parameters(), step=1e-5)
 
     cfg = AttentionConfig(d, 2, kind)
     lp = init_layer(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg, gated, 2 * d)
-    h = Tensor(gen.normal(size=(1, n, d)), dtype=np.longdouble)
-    r = gen.normal(size=(1, n, d))
-    valid = np.ones((1, n), dtype=bool)
+    lengths, valid = _ragged(n)
+    h = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    r = gen.normal(size=h.shape)
 
     def fn(pts):
         out, _, _ = encoder_step(pts[0], lp, valid)
@@ -132,6 +154,8 @@ def run_checks(module: str | None = None) -> dict[str, float]:
     if module in (None, "substrate"):
         checks["substrate/composite"] = check_composite_ops
         checks["substrate/softmax_chain"] = check_softmax_chain
+        for op in ("scatter_rows", "gather_rows"):
+            checks[f"substrate/{op}"] = lambda o=op: check_row_ops(o)
     if module in (None, "attention"):
         checks["attention/geometric_weights"] = check_geometric_weights
         for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):

@@ -75,13 +75,14 @@ def _ffn(x: Tensor, w1, b1, w2, b2, drop: float, mode: Mode, site: str) -> Tenso
 
 def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVAL,
                  drop: float = 0.0):
-    """One shared step; returns (next states, attention weights, gate).
+    """One shared step on packed states h (M, d), one row per true cell of
+    valid (B, N); returns (next states (M, d), attention weights
+    (B, H, N, N), gate (M, d) or None).
 
     Attention with a residual and layernorm feeds the FFN. With gate
     parameters the FFN update (tanh-squashed, or layernormed when lp has
     ln_ffn parameters) is blended with h by the sigmoid gate; without them
-    the step is a post-norm residual layer and the gate is None. Pad
-    columns keep h."""
+    the step is a post-norm residual layer and the gate is None."""
     att_out, weights = att.attend(h, lp.attn, valid, mode)
     a = ad.layernorm(ad.add(att_out, h), lp.ln_att_g, lp.ln_att_b)
     update = _ffn(a, lp.ffn_w1, lp.ffn_b1, lp.ffn_w2, lp.ffn_b2, drop, mode, "ffn")
@@ -95,7 +96,7 @@ def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVA
             update = ad.layernorm(update, lp.ln_ffn_g, lp.ln_ffn_b)
         gate = ad.sigmoid(_ffn(a, lp.gate_w1, lp.gate_b1, lp.gate_w2, lp.gate_b2, 0.0, mode, "gate"))
         out = ad.add(ad.mul(gate, update), ad.mul(ad.shift(ad.scale(gate, -1.0), 1.0), h))
-    return ad.where_mask(valid[:, :, None], out, h), weights, gate
+    return out, weights, gate
 
 
 # ---------------------------------------------------------------------------
@@ -120,16 +121,16 @@ class ACTConfig:
 
 @dataclass
 class ActResult:
-    readout: Tensor          # (B, N, d) per-column halting-weighted states
-    ponder: np.ndarray       # (B, N) readout step per column, 1-based
-    remainder: Tensor        # (B, N)
-    act_loss: Tensor         # scalar: reg_weight * mean over valid columns
+    readout: Tensor          # (M, d) per-token halting-weighted states
+    ponder: np.ndarray       # (M,) readout step per token, 1-based
+    remainder: Tensor        # (M,)
+    act_loss: Tensor         # scalar: reg_weight * per-sequence mean, averaged over the batch
 
 
 def act_halting(h: Tensor, w_h: Parameter, b_h: Parameter) -> Tensor:
-    """Halting unit: p_hat = sigmoid(W_H h + b_H), shape (B, N)."""
+    """Halting unit: p_hat = sigmoid(W_H h + b_H), one per row of h."""
     logits = ad.add(ad.matmul(h, w_h), b_h)
-    return ad.reshape(ad.sigmoid(logits), h.shape[:2])
+    return ad.reshape(ad.sigmoid(logits), h.shape[:-1])
 
 
 def _halt_steps(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -158,8 +159,9 @@ def act_schedule(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.nda
 
 
 def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
-                valid: np.ndarray) -> ActResult:
-    """Combine per-step states into per-column readouts.
+                lengths: np.ndarray) -> ActResult:
+    """Combine per-step packed states (M, d) into per-token readouts; the
+    sequences' lengths, which sum to M, weight the regularizer.
 
     Variant A weights state t by p_hat_t while running and by the remainder
     at the halt step (including a proper remainder at t_max). Variant U
@@ -170,7 +172,7 @@ def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
     if not states:
         raise ValueError("act_readout needs at least one step")
     t_max = len(states)
-    b, n, d = states[0].shape
+    m = states[0].shape[0]
     halt_step, any_cross = _halt_steps(np.stack([p.data for p in p_hats]), cfg.epsilon)
 
     dtype = states[0].dtype.type
@@ -187,22 +189,22 @@ def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
             running = running + (t == halt_step).astype(dtype) * (1.0 - any_cross.astype(dtype))
         p_t = p_hats[t - 1]
         if run_sum is None:
-            rem_t = Tensor(np.ones((b, n), dtype=dtype))
+            rem_t = Tensor(np.ones(m, dtype=dtype))
         else:
             rem_t = ad.shift(ad.scale(run_sum, -1.0), 1.0)
         w_t = ad.add(ad.mul(p_t, Tensor(running)), ad.mul(rem_t, Tensor(halting)))
-        contrib = ad.mul(ad.reshape(w_t, (b, n, 1)), states[t - 1])
+        contrib = ad.mul(ad.reshape(w_t, (m, 1)), states[t - 1])
         if cfg.variant == "A":
             readout = contrib if readout is None else ad.add(readout, contrib)
         else:
-            keep = ad.mul(ad.reshape(ad.shift(ad.scale(w_t, -1.0), 1.0), (b, n, 1)), readout) \
+            keep = ad.mul(ad.reshape(ad.shift(ad.scale(w_t, -1.0), 1.0), (m, 1)), readout) \
                 if readout is not None else None
             readout = contrib if keep is None else ad.add(contrib, keep)
         rem_contrib = ad.mul(rem_t, Tensor(halting))
         remainder = rem_contrib if remainder is None else ad.add(remainder, rem_contrib)
         run_sum = p_t if run_sum is None else ad.add(run_sum, p_t)
 
-    lengths = valid.sum(axis=1)
-    col_weight = (valid / lengths[:, None] / b).astype(dtype)
-    act_loss = ad.scale(ad.sum_(ad.mul(remainder, Tensor(col_weight))), cfg.reg_weight)
+    # Each sequence's mean remainder, averaged over the batch.
+    row_weight = np.repeat(1.0 / lengths / len(lengths), lengths).astype(dtype)
+    act_loss = ad.scale(ad.sum_(ad.mul(remainder, Tensor(row_weight))), cfg.reg_weight)
     return ActResult(readout=readout, ponder=halt_step, remainder=remainder, act_loss=act_loss)

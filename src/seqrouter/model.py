@@ -60,7 +60,7 @@ class ModelConfig:
 @dataclass
 class StepTrace:
     attention: list[np.ndarray] = field(default_factory=list)  # per step (H, N, N)
-    gates: list[np.ndarray] = field(default_factory=list)      # per step (N, d)
+    gates: list[np.ndarray] = field(default_factory=list)      # per step (length, d)
 
 
 @dataclass
@@ -112,19 +112,26 @@ class EncoderModel:
         tokens = np.asarray(tokens)
         lengths = np.asarray(lengths)
         b, n = tokens.shape
+        if lengths.shape != (b,):
+            raise ValueError(f"lengths shape {lengths.shape} does not match batch {b}")
         if lengths.min() < 1:
             raise ValueError("empty sequence in batch")
-        if tokens.min() < 0 or tokens.max() >= self.cfg.vocab_size:
-            raise ValueError(f"token id outside vocab of size {self.cfg.vocab_size}")
+        if lengths.max() > n:
+            raise ValueError(f"sequence length {lengths.max()} exceeds the {n} token columns")
         if trace and b != 1:
             raise ValueError("traces are per-example; pass a single sequence")
         steps = steps if steps is not None else self.steps_for(mode)
+        # The state is packed: one row per real token, batch-major. Pad
+        # columns are never read; only attention sees the (B, N) layout.
         valid = np.arange(n)[None, :] < lengths[:, None]
+        ids = tokens[valid]
+        if ids.min() < 0 or ids.max() >= self.cfg.vocab_size:
+            raise ValueError(f"token id outside vocab of size {self.cfg.vocab_size}")
         dtype = self.embed.dtype
 
-        h = ad.embedding(self.embed, tokens)
+        h = ad.embedding(self.embed, ids)
         if self.cfg.kind == "standard_abs":
-            pos = Tensor(sinusoid_table(np.arange(n), self.cfg.d_model, dtype))
+            pos = Tensor(sinusoid_table(np.nonzero(valid)[1], self.cfg.d_model, dtype))
             h = ad.add(ad.scale(h, math.sqrt(self.cfg.d_model)), pos)
 
         rec = StepTrace() if trace else None
@@ -147,16 +154,14 @@ class EncoderModel:
             if rec is not None:
                 rec.attention.append(weights.data[0].copy())
                 if gate is not None:
-                    rec.gates.append(gate.data[0].copy())
-        act_res = act_readout(states, p_hats, act_cfg, valid) if act_cfg is not None else None
+                    rec.gates.append(gate.data.copy())
+        act_res = act_readout(states, p_hats, act_cfg, lengths) if act_cfg is not None else None
         final = h if act_res is None else act_res.readout
 
-        if self.cfg.readout == "last":
-            col = lengths - 1
-        else:
-            col = np.zeros(b, dtype=np.int64)
-        picked = ad.take_along(final, col[:, None, None], axis=1)
-        logits = ad.add(ad.matmul(ad.reshape(picked, (b, self.cfg.d_model)), self.out_w), self.out_b)
+        # Each sequence's last or first row in the packed state.
+        row = np.cumsum(lengths) - (1 if self.cfg.readout == "last" else lengths)
+        picked = ad.take_along(final, row[:, None], axis=0)
+        logits = ad.add(ad.matmul(picked, self.out_w), self.out_b)
         return ForwardOut(logits=logits, act=act_res, trace=rec)
 
 

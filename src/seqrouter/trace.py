@@ -55,7 +55,7 @@ def capture(model, tokens: list[str], vocab: Vocab, steps: int | None = None) ->
     gates = GateTrace(rec.gates) if rec.gates else None
     ponder = None
     if out.act is not None:
-        ponder = PonderStats(out.act.ponder[0].copy())
+        ponder = PonderStats(out.act.ponder.copy())
     return Trace(tokens=list(tokens), attention=AttentionTrace(rec.attention, model.cfg.kind),
                  gates=gates, ponder=ponder, logits=out.logits.data[0].copy())
 
@@ -184,8 +184,9 @@ def ponder_report(model, samples, vocab: Vocab, batch_size: int = 64) -> list[di
         chunk = samples[lo:lo + batch_size]
         tokens, lengths, _ = encode_batch(chunk, vocab)
         out = model.forward(tokens, lengths)
-        for row, n in zip(out.act.ponder, lengths):
-            by_length.setdefault(int(n), []).append(float(np.mean(row[:n])))
+        # Ponder steps are packed, one per real token; split them per sequence.
+        for rows, n in zip(np.split(out.act.ponder, np.cumsum(lengths)[:-1]), lengths):
+            by_length.setdefault(int(n), []).append(float(np.mean(rows)))
     report = []
     for length in sorted(by_length):
         vals = np.array(by_length[length])

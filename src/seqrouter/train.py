@@ -60,6 +60,8 @@ def evaluate_model(model: EncoderModel, samples: list[Sample], vocab: Vocab,
     """Exact-match accuracy of the argmax class over a split."""
     if steps is not None and steps < model.cfg.n_layers:
         raise ValueError(f"test_steps {steps} below trained n_layers {model.cfg.n_layers}")
+    if not samples:
+        raise ValueError("cannot evaluate on an empty split: it has no samples")
     hits = 0
     for lo in range(0, len(samples), batch_size):
         chunk = samples[lo:lo + batch_size]

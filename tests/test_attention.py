@@ -18,9 +18,10 @@ def make_params(kind, d=8, heads=2, seed=0, dtype=np.float64):
     return att.init_attention(init, cfg)
 
 
-def rand_states(b, n, d, seed=0, dtype=np.float64):
+def rand_states(m, d, seed=0, dtype=np.float64):
+    """Packed states: m rows, one per valid cell."""
     gen = np.random.default_rng(seed)
-    return Tensor(gen.normal(size=(b, n, d)).astype(dtype))
+    return Tensor(gen.normal(size=(m, d)).astype(dtype))
 
 
 def test_config_rejects_indivisible_heads():
@@ -44,7 +45,7 @@ def test_sinusoid_odd_width_leaves_last_column_zero():
 
 def test_mha_single_column_is_value_projection():
     p = make_params("standard_abs", d=8, heads=2)
-    h = rand_states(1, 1, 8)
+    h = rand_states(1, 8)
     out, weights = att.attend(h, p, np.ones((1, 1), dtype=bool))
     expect = h.data @ p.w_v.data @ p.w_o.data
     np.testing.assert_allclose(out.data, expect, atol=1e-10)
@@ -53,7 +54,7 @@ def test_mha_single_column_is_value_projection():
 
 def test_mha_identical_keys_give_uniform_weights():
     p = make_params("standard_abs")
-    h = Tensor(np.tile(np.linspace(-1, 1, 8), (1, 5, 1)).astype(np.float64))
+    h = Tensor(np.tile(np.linspace(-1, 1, 8), (5, 1)).astype(np.float64))
     _, weights = att.attend(h, p, np.ones((1, 5), dtype=bool))
     np.testing.assert_allclose(weights.data, 0.2, atol=1e-12)
 
@@ -63,14 +64,14 @@ def test_mha_matches_naive_reference():
     gen = np.random.default_rng(2)
     h = gen.normal(size=(6, 12))
     valid = np.ones(6, dtype=bool)
-    got, _ = att.attend(Tensor(h[None]), p, valid[None])
+    got, _ = att.attend(Tensor(h), p, valid[None])
     want = naive_mha(h, p.w_q.data, p.w_k.data, p.w_v.data, p.w_o.data, 3, valid)
-    np.testing.assert_allclose(got.data[0], want, atol=1e-5)
+    np.testing.assert_allclose(got.data, want, atol=1e-5)
 
 
 def test_mha_masked_sources_get_zero_weight():
     p = make_params("standard_abs")
-    h = rand_states(1, 5, 8, seed=3)
+    h = rand_states(3, 8, seed=3)
     valid = np.array([[True, True, True, False, False]])
     _, weights = att.attend(h, p, valid)
     assert (weights.data[..., 3:] == 0).all()
@@ -79,28 +80,41 @@ def test_mha_masked_sources_get_zero_weight():
 
 def test_mha_all_masked_raises():
     p = make_params("standard_abs")
-    h = rand_states(1, 3, 8)
+    h = rand_states(0, 8)
     with pytest.raises(ValueError, match="masked"):
         att.attend(h, p, np.zeros((1, 3), dtype=bool))
 
 
+def test_attend_rejects_padded_states():
+    p = make_params("standard_abs")
+    valid = np.array([[True, True, False]])
+    with pytest.raises(ad.DimensionError, match="packed"):
+        att.attend(Tensor(np.zeros((1, 3, 8))), p, valid)
+    with pytest.raises(ad.DimensionError, match="packed"):
+        att.attend(rand_states(3, 8), p, valid)
+
+
 def test_masked_sources_contribute_zero_gradient():
+    # A pad column of the padded (B, N) layout feeds nothing back: every
+    # packed row's gradient equals that of the same sequence without it.
     p = make_params("standard_abs")
     gen = np.random.default_rng(4)
-    h = Tensor(gen.normal(size=(1, 5, 8)), requires_grad=True, dtype=np.float64)
-    valid = np.array([[True, True, True, True, False]])
-    with Tape() as tape:
-        out, _ = att.attend(h, p, valid)
-        keep_rows = ad.take_along(out, np.zeros((1, 4, 8), dtype=np.int64) + np.arange(4)[None, :, None], axis=1)
-        tape.backward(ad.sum_(keep_rows))
-    np.testing.assert_array_equal(h.grad[0, 4], 0.0)
+    h = gen.normal(size=(4, 8))
+    grads = []
+    for valid in (np.ones((1, 4), dtype=bool), np.array([[True, True, True, True, False]])):
+        x = Tensor(h, requires_grad=True, dtype=np.float64)
+        with Tape() as tape:
+            out, _ = att.attend(x, p, valid)
+            tape.backward(ad.sum_(out))
+        grads.append(x.grad)
+    np.testing.assert_allclose(grads[1], grads[0], rtol=1e-12, atol=1e-14)
 
 
 def test_rel_scores_match_naive_relative_only():
     p = make_params("relative", d=8, heads=2, seed=5)
     gen = np.random.default_rng(6)
     h = gen.normal(size=(4, 8))
-    scores = att.rel_scores(Tensor(h[None]), p, np.ones((1, 4), dtype=bool))
+    scores = att.rel_scores(Tensor(h), p, np.ones((1, 4), dtype=bool))
     want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2)
     np.testing.assert_allclose(scores.data[0], want, atol=1e-5)
 
@@ -109,7 +123,7 @@ def test_rel_scores_match_naive_gated():
     p = make_params("abs_rel_gated", d=8, heads=2, seed=7)
     gen = np.random.default_rng(8)
     h = gen.normal(size=(5, 8))
-    scores = att.rel_scores(Tensor(h[None]), p, np.ones((1, 5), dtype=bool), pos_base=3)
+    scores = att.rel_scores(Tensor(h), p, np.ones((1, 5), dtype=bool), pos_base=3)
     r = 1.0 / (1.0 + np.exp(-(h @ p.w_ar.data[:, 0] + p.b_ar.data[0])))
     want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2, r=r, pos_base=3)
     np.testing.assert_allclose(scores.data[0], want, atol=1e-5)
@@ -120,7 +134,7 @@ def test_gate_one_reduces_to_relative_only():
     # Saturate the gate open so the blended term collapses to offsets only.
     p.b_ar.data[:] = 50.0
     p.w_ar.data[:] = 0.0
-    h = rand_states(1, 5, 8, seed=10)
+    h = rand_states(5, 8, seed=10)
     valid = np.ones((1, 5), dtype=bool)
     gated = att.rel_scores(h, p, valid)
     rel = att.rel_scores(h, dataclasses.replace(p, w_ar=None, b_ar=None), valid)
@@ -131,7 +145,7 @@ def test_gate_zero_uses_absolute_positions_only():
     p = make_params("abs_rel_gated", seed=11)
     p.b_ar.data[:] = -50.0
     p.w_ar.data[:] = 0.0
-    h = rand_states(1, 5, 8, seed=12)
+    h = rand_states(5, 8, seed=12)
     valid = np.ones((1, 5), dtype=bool)
     base0 = att.rel_scores(h, p, valid, pos_base=0)
     base9 = att.rel_scores(h, p, valid, pos_base=9)
@@ -143,11 +157,11 @@ def test_gate_zero_uses_absolute_positions_only():
     q = h.data @ p.w_q.data + p.b_qp.data
     k_abs = att.sinusoid_table(np.arange(5), d, np.float64) @ p.w_kp.data
     per_head_pos = np.stack([
-        q[0, :, hd * 4:(hd + 1) * 4] @ k_abs[:, hd * 4:(hd + 1) * 4].T for hd in range(2)
+        q[:, hd * 4:(hd + 1) * 4] @ k_abs[:, hd * 4:(hd + 1) * 4].T for hd in range(2)
     ])
     content = np.stack([
-        (h.data[0] @ p.w_q.data[:, hd * 4:(hd + 1) * 4] + p.b_qe.data[hd * 4:(hd + 1) * 4])
-        @ (h.data[0] @ p.w_ke.data[:, hd * 4:(hd + 1) * 4]).T for hd in range(2)
+        (h.data @ p.w_q.data[:, hd * 4:(hd + 1) * 4] + p.b_qe.data[hd * 4:(hd + 1) * 4])
+        @ (h.data @ p.w_ke.data[:, hd * 4:(hd + 1) * 4]).T for hd in range(2)
     ])
     want = (content + per_head_pos) / np.sqrt(4.0)
     np.testing.assert_allclose(base0.data[0], want, atol=1e-6)
@@ -155,7 +169,7 @@ def test_gate_zero_uses_absolute_positions_only():
 
 def test_relative_scores_shift_invariant():
     p = make_params("relative", seed=13)
-    h = rand_states(1, 6, 8, seed=14)
+    h = rand_states(6, 8, seed=14)
     valid = np.ones((1, 6), dtype=bool)
     a = att.rel_scores(h, p, valid, pos_base=0)
     b = att.rel_scores(h, p, valid, pos_base=17)
@@ -164,7 +178,7 @@ def test_relative_scores_shift_invariant():
 
 def test_relative_attend_rows_sum_to_one():
     p = make_params("relative", seed=15)
-    h = rand_states(2, 5, 8, seed=16)
+    h = rand_states(8, 8, seed=16)
     valid = np.array([[True] * 5, [True, True, True, False, False]])
     _, weights = att.attend(h, p, valid)
     np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
@@ -174,7 +188,7 @@ def test_relative_attend_rows_sum_to_one():
 def test_attention_dropout_only_in_train_mode():
     p = make_params("relative", seed=17)
     p.cfg.content_dropout = 0.5
-    h = rand_states(1, 4, 8, seed=18)
+    h = rand_states(4, 8, seed=18)
     valid = np.ones((1, 4), dtype=bool)
     eval_a = att.attend(h, p, valid)[0]
     eval_b = att.attend(h, p, valid)[0]

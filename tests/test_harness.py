@@ -133,6 +133,15 @@ def test_evaluate_rejects_fewer_steps_than_layers(ctl_data):
         evaluate_model(model, tasks.load_split(ctl_data, "test"), vocab, steps=2)
 
 
+def test_evaluate_rejects_empty_split():
+    vocab = tasks.vocab_for_task("ctl_fwd")
+    model = EncoderModel.build(
+        ModelConfig(vocab_size=len(vocab), n_classes=8, d_model=16, d_ff=32,
+                    n_heads=2, n_layers=2), RngTree(0))
+    with pytest.raises(ValueError, match="empty split"):
+        evaluate_model(model, [], vocab)
+
+
 def test_zero_lr_leaves_parameters(ctl_data, tmp_path):
     cfg = tiny_run_config(ctl_data, tmp_path / "run", lr=0.0, n_iters=3, eval_every=10)
     result = train(cfg)

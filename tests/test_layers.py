@@ -15,9 +15,10 @@ def build_layer(kind="geometric", gated=True, d=8, heads=2, d_ff=16, seed=0, dty
     return init_layer(Init(RngTree(seed), dtype=dtype, prefix="layer"), cfg, gated, d_ff)
 
 
-def states(b, n, d, seed=0, dtype=np.float64):
+def states(m, d, seed=0, dtype=np.float64):
+    """Packed states: m rows, one per valid cell."""
     gen = np.random.default_rng(seed)
-    return Tensor(gen.normal(size=(b, n, d)).astype(dtype))
+    return Tensor(gen.normal(size=(m, d)).astype(dtype))
 
 
 def test_ffn_norm_choice_per_variant():
@@ -40,7 +41,7 @@ def test_gate_bias_initialized_to_minus_three():
 def test_gate_forced_closed_is_bitwise_passthrough():
     lp = build_layer(seed=1)
     lp.gate_b2.data[:] = -1e9
-    h = states(2, 5, 8, seed=2)
+    h = states(10, 8, seed=2)
     out, _, gate = encoder_step(h, lp, np.ones((2, 5), dtype=bool))
     assert (gate.data == 0.0).all()
     assert (out.data == h.data).all()
@@ -49,7 +50,7 @@ def test_gate_forced_closed_is_bitwise_passthrough():
 def test_gate_forced_open_gives_update_exactly():
     lp = build_layer(seed=3)
     lp.gate_b2.data[:] = 1e9
-    h = states(1, 4, 8, seed=4)
+    h = states(4, 8, seed=4)
     valid = np.ones((1, 4), dtype=bool)
     out, _, gate = encoder_step(h, lp, valid)
     assert (gate.data == 1.0).all()
@@ -64,7 +65,7 @@ def test_gate_forced_open_gives_update_exactly():
 
 def test_fresh_init_mean_gate_near_sigmoid_minus_three():
     lp = build_layer(seed=5, dtype=np.float32)
-    h = states(8, 6, 8, seed=6, dtype=np.float32)
+    h = states(48, 8, seed=6, dtype=np.float32)
     _, _, gate = encoder_step(h, lp, np.ones((8, 6), dtype=bool))
     assert abs(gate.data.mean() - 0.0474) < 0.02
 
@@ -72,7 +73,7 @@ def test_fresh_init_mean_gate_near_sigmoid_minus_three():
 def test_gated_tanh_update_without_ffn_layernorm():
     lp = build_layer(kind="relative", gated=True, seed=24)
     lp.gate_b2.data[:] = 1e9
-    h = states(1, 4, 8, seed=25)
+    h = states(4, 8, seed=25)
     valid = np.ones((1, 4), dtype=bool)
     out, _, gate = encoder_step(h, lp, valid)
     assert (gate.data == 1.0).all()
@@ -83,17 +84,20 @@ def test_gated_tanh_update_without_ffn_layernorm():
     np.testing.assert_allclose(out.data, np.tanh(f.data), atol=1e-12)
 
 
-def test_pad_columns_unchanged():
+def test_ragged_step_rows_match_each_sequence_alone():
     lp = build_layer(seed=7)
-    h = states(2, 6, 8, seed=8)
+    h = states(10, 8, seed=8)
     valid = np.array([[True] * 4 + [False] * 2, [True] * 6])
     out, _, _ = encoder_step(h, lp, valid)
-    np.testing.assert_array_equal(out.data[0, 4:], h.data[0, 4:])
+    assert out.shape == (10, 8)
+    for rows, n in ((slice(0, 4), 4), (slice(4, 10), 6)):
+        alone, _, _ = encoder_step(Tensor(h.data[rows]), lp, np.ones((1, n), dtype=bool))
+        np.testing.assert_allclose(out.data[rows], alone.data, rtol=1e-12, atol=1e-12)
 
 
 def test_ungated_matches_manual_reference():
     lp = build_layer(kind="relative", gated=False, seed=9)
-    h = states(1, 5, 8, seed=10)
+    h = states(5, 8, seed=10)
     valid = np.ones((1, 5), dtype=bool)
     out, _, _ = encoder_step(h, lp, valid)
     import seqrouter.attention as att
@@ -106,8 +110,8 @@ def test_ungated_matches_manual_reference():
 
 def test_ungated_single_column_sequence():
     lp = build_layer(kind="standard_abs", gated=False, seed=11)
-    out, _, gate = encoder_step(states(1, 1, 8, seed=12), lp, np.ones((1, 1), dtype=bool))
-    assert out.shape == (1, 1, 8)
+    out, _, gate = encoder_step(states(1, 8, seed=12), lp, np.ones((1, 1), dtype=bool))
+    assert out.shape == (1, 8)
     assert gate is None
 
 
@@ -115,16 +119,16 @@ def test_weight_sharing_has_no_per_step_params():
     lp = build_layer(seed=13)
     names = [p.name for p in ad.parameters(lp)]
     assert len(names) == len(set(names))
-    h = states(1, 4, 8, seed=14)
+    h = states(4, 8, seed=14)
     valid = np.ones((1, 4), dtype=bool)
     for _ in range(3):
         h, _, _ = encoder_step(h, lp, valid)
-    assert h.shape == (1, 4, 8)
+    assert h.shape == (4, 8)
 
 
 def test_gate_gradient_reaches_update_ffn():
     lp = build_layer(seed=15)
-    h = states(2, 4, 8, seed=16)
+    h = states(8, 8, seed=16)
     valid = np.ones((2, 4), dtype=bool)
     with Tape() as tape:
         out, _, _ = encoder_step(h, lp, valid)
@@ -136,9 +140,9 @@ def test_gate_gradient_reaches_update_ffn():
 def test_act_halting_zero_params_is_half():
     w_h = layers.Parameter(np.zeros((8, 1)), "w_h", decay=True, dtype=np.float64)
     b_h = layers.Parameter(np.zeros(1), "b_h", decay=False, dtype=np.float64)
-    p = layers.act_halting(states(2, 3, 8, seed=17), w_h, b_h)
+    p = layers.act_halting(states(6, 8, seed=17), w_h, b_h)
     np.testing.assert_allclose(p.data, 0.5)
-    assert p.shape == (2, 3)
+    assert p.shape == (6,)
 
 
 def test_act_schedule_termination_rule():
@@ -176,17 +180,17 @@ def test_act_config_validation():
         layers.ACTConfig(t_max=0)
 
 
-def _act_inputs(t_max, b, n, d, seed, phat_rows):
+def _act_inputs(t_max, m, d, seed, phat_rows):
     gen = np.random.default_rng(seed)
-    states_list = [Tensor(gen.normal(size=(b, n, d))) for _ in range(t_max)]
-    p_hats = [Tensor(np.full((b, n), row, dtype=np.float64)) for row in phat_rows]
+    states_list = [Tensor(gen.normal(size=(m, d))) for _ in range(t_max)]
+    p_hats = [Tensor(np.full(m, row, dtype=np.float64)) for row in phat_rows]
     return states_list, p_hats
 
 
 def test_act_readout_variant_a_weights_states():
-    states_list, p_hats = _act_inputs(3, 1, 2, 4, 18, [0.6, 0.6, 0.2])
+    states_list, p_hats = _act_inputs(3, 2, 4, 18, [0.6, 0.6, 0.2])
     cfg = layers.ACTConfig(variant="A")
-    res = layers.act_readout(states_list, p_hats, cfg, np.ones((1, 2), dtype=bool))
+    res = layers.act_readout(states_list, p_hats, cfg, np.array([2]))
     # Halts at step 2 (0.6 + 0.6 >= 0.99); weights are [0.6, 0.4, 0].
     np.testing.assert_array_equal(res.ponder, 2)
     want = 0.6 * states_list[0].data + 0.4 * states_list[1].data
@@ -196,9 +200,9 @@ def test_act_readout_variant_a_weights_states():
 
 
 def test_act_readout_variant_u_blends_states():
-    states_list, p_hats = _act_inputs(2, 1, 1, 3, 19, [0.3, 0.2])
+    states_list, p_hats = _act_inputs(2, 1, 3, 19, [0.3, 0.2])
     cfg = layers.ACTConfig(variant="U")
-    res = layers.act_readout(states_list, p_hats, cfg, np.ones((1, 1), dtype=bool))
+    res = layers.act_readout(states_list, p_hats, cfg, np.array([1]))
     # Never crosses: o = 0.2*h2 + 0.8*(0.3*h1); remainder left at zero.
     np.testing.assert_array_equal(res.ponder, 2)
     want = 0.2 * states_list[1].data + 0.8 * 0.3 * states_list[0].data
@@ -207,9 +211,9 @@ def test_act_readout_variant_u_blends_states():
 
 
 def test_act_readout_variant_u_halted_column_keeps_remainder():
-    states_list, p_hats = _act_inputs(3, 1, 1, 3, 20, [0.7, 0.5, 0.9])
+    states_list, p_hats = _act_inputs(3, 1, 3, 20, [0.7, 0.5, 0.9])
     cfg = layers.ACTConfig(variant="U")
-    res = layers.act_readout(states_list, p_hats, cfg, np.ones((1, 1), dtype=bool))
+    res = layers.act_readout(states_list, p_hats, cfg, np.array([1]))
     # Crosses at step 2: weights [0.7, 0.3, 0]; U blend keeps halted readout.
     np.testing.assert_array_equal(res.ponder, 2)
     want = 0.3 * states_list[1].data + 0.7 * 0.7 * states_list[0].data
@@ -223,19 +227,19 @@ def test_act_readout_uses_float64_schedule_for_never_crossing_columns():
     rows = np.array([0.2944336533546448, 0.37925174832344055, 0.31631457805633545], dtype=np.float32)
     halt, _, _ = layers.act_schedule(rows[:, None], epsilon=0.01)
     assert halt[0] == 3
-    states_list = [Tensor(np.full((1, 1, 1), t, dtype=np.float32)) for t in (1.0, 2.0, 3.0)]
-    p_hats = [Tensor(np.full((1, 1), r, dtype=np.float32)) for r in rows]
-    valid = np.ones((1, 1), dtype=bool)
-    res = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="U"), valid)
+    states_list = [Tensor(np.full((1, 1), t, dtype=np.float32)) for t in (1.0, 2.0, 3.0)]
+    p_hats = [Tensor(np.full(1, r, dtype=np.float32)) for r in rows]
+    lengths = np.array([1])
+    res = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="U"), lengths)
     # U gives a never-crossing column no remainder: step 3 is weighted by p_3.
-    assert res.remainder.data[0, 0] == 0.0
+    assert res.remainder.data[0] == 0.0
     p1, p2, p3 = rows
     want = p3 * 3.0 + (1 - p3) * (p2 * 2.0 + (1 - p2) * (p1 * 1.0))
-    np.testing.assert_allclose(res.readout.data[0, 0, 0], want, rtol=1e-6)
-    np.testing.assert_allclose(res.readout.data[0, 0, 0], 1.5925, atol=1e-4)
+    np.testing.assert_allclose(res.readout.data[0, 0], want, rtol=1e-6)
+    np.testing.assert_allclose(res.readout.data[0, 0], 1.5925, atol=1e-4)
     # Variant A always reads the remainder out at the halt step.
-    res_a = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="A"), valid)
-    np.testing.assert_allclose(res_a.remainder.data[0, 0], 1.0 - p1 - p2, rtol=1e-6)
+    res_a = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="A"), lengths)
+    np.testing.assert_allclose(res_a.remainder.data[0], 1.0 - p1 - p2, rtol=1e-6)
 
 
 def test_act_halting_mass_sums_to_one_when_halted():
@@ -250,7 +254,7 @@ def test_act_halting_mass_sums_to_one_when_halted():
 
 def test_gated_encoder_step_train_mode_dropout_changes_output():
     lp = build_layer(seed=22, dtype=np.float32)
-    h = states(1, 4, 8, seed=23, dtype=np.float32)
+    h = states(4, 8, seed=23, dtype=np.float32)
     valid = np.ones((1, 4), dtype=bool)
     eval_out, _, _ = encoder_step(h, lp, valid)
     train_out, _, _ = encoder_step(h, lp, valid, Mode(train=True, rng=RngTree(1, "d")), drop=0.5)

@@ -151,7 +151,7 @@ def test_act_loss_added_exactly():
     total = loss(out, targets).item()
     ce = ad.cross_entropy(out.logits, targets).item()
     valid_cols = lengths[0]
-    expected_reg = 0.05 * out.act.remainder.data[0, :valid_cols].mean()
+    expected_reg = 0.05 * out.act.remainder.data[:valid_cols].mean()
     assert total == pytest.approx(ce + expected_reg, rel=1e-6)
 
 
@@ -240,3 +240,77 @@ def test_parameter_order_is_pinned(kind, gated, act):
     assert [p.name for p in model.parameters()] == PINNED_PARAMETER_NAMES[kind, gated, act]
     assert [p.name for p in ad.parameters(model.layer)] == [
         n for n in PINNED_PARAMETER_NAMES[kind, gated, act] if n.startswith("layer.")]
+
+
+INVARIANCE_VARIANTS = [("geometric", True), ("relative", False), ("abs_rel_gated", True)]
+
+
+@pytest.mark.parametrize("act", ["A", "U"])
+@pytest.mark.parametrize("kind,gated", INVARIANCE_VARIANTS)
+def test_eval_logits_do_not_depend_on_the_batch(kind, gated, act):
+    # Pad columns never enter the packed state, so one sample's logits are
+    # the same however it is batched, padded or filled, up to float64 rounding.
+    model = EncoderModel.build(tiny_config(kind=kind, gated=gated, act=ACTConfig(variant=act)),
+                               RngTree(11), dtype=np.float64)
+    sample = ["101", "d", "a"]
+    alone_tokens, length = batch_for("ctl_fwd", [sample])
+    alone = model.forward(alone_tokens, length).logits.data[0]
+    batched, lengths = batch_for("ctl_fwd", [["000", "a", "b", "c", "d", "e"], sample,
+                                             ["111", "b", "c", "d"]])
+    padded = np.pad(alone_tokens, ((0, 0), (0, 9)))
+    filled = padded.copy()
+    filled[0, length[0]:] = np.random.default_rng(12).integers(1, model.cfg.vocab_size, 9)
+    cases = {"batched with longer samples": (batched, lengths, 1),
+             "padded with extra columns": (padded, length, 0),
+             "random token ids in pad columns": (filled, length, 0)}
+    for case, (tokens, lens, row) in cases.items():
+        got = model.forward(tokens, lens).logits.data[row]
+        np.testing.assert_allclose(got, alone, rtol=0, atol=1e-10, err_msg=case)
+
+
+def test_act_loss_averages_each_sequence_then_the_batch():
+    model = tiny_model(act=ACTConfig(variant="A", reg_weight=0.05), seed=14)
+    tokens, lengths = batch_for("ctl_fwd", [["000", "a"], ["101", "d", "a", "b", "c"]])
+    out = model.forward(tokens, lengths)
+    remainder = out.act.remainder.data
+    assert remainder.shape == (lengths.sum(),)
+    per_sequence = [remainder[:lengths[0]].mean(), remainder[lengths[0]:].mean()]
+    assert out.act.act_loss.item() == pytest.approx(0.05 * np.mean(per_sequence), rel=1e-6)
+
+
+@pytest.mark.parametrize("kind,gated,act", [("geometric", True, None), ("standard_abs", False, "A"),
+                                            ("relative", True, None), ("abs_rel_gated", True, "U")])
+def test_no_weight_product_sees_a_pad_row(monkeypatch, kind, gated, act):
+    # Every product of a state with a weight (a matmul with a 2-D right
+    # operand) folds exactly M = lengths.sum() rows, forward and backward;
+    # only the readout folds one row per sequence. The constant position
+    # tables of the relative kinds are not states and are not counted.
+    model = tiny_model(kind=kind, gated=gated, act=ACTConfig(variant=act) if act else None,
+                       dropout=0.1, att_dropout=0.1)
+    tokens, lengths = batch_for("ctl_fwd", [["101", "d", "a"], ["000", "a", "b", "c", "d", "e"],
+                                            ["111"]])
+    folded = ad._matmul_folded
+    products = []
+
+    def recording(a, b):
+        out = folded(a, b)
+        if a.requires_grad:
+            products.append(out)
+        return out
+
+    monkeypatch.setattr(ad, "_matmul_folded", recording)
+    with Tape() as tape:
+        out = model.forward(tokens, lengths, mode=Mode(train=True, rng=RngTree(13)))
+        tape.backward(loss(out, np.array([0, 1, 2])))
+    m, b = int(lengths.sum()), len(lengths)
+    rows = [p.data.reshape(-1, p.shape[-1]).shape[0] for p in products]
+    assert rows[-1] == b and set(rows[:-1]) == {m}, rows
+    assert all(p.grad.reshape(-1, p.shape[-1]).shape[0] == r for p, r in zip(products, rows))
+
+
+def test_lengths_must_fit_the_token_columns():
+    model = tiny_model()
+    with pytest.raises(ValueError, match="exceeds"):
+        model.forward(np.ones((2, 3), dtype=np.int64), np.array([3, 4]))
+    with pytest.raises(ValueError, match="lengths shape"):
+        model.forward(np.ones((2, 3), dtype=np.int64), np.array([3]))
