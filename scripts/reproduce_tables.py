@@ -17,6 +17,7 @@ Usage:
 """
 
 import argparse
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -36,7 +37,8 @@ def commands(seeds):
     cmds = []
     for task, _, _ in RECIPES:
         gen = [sys.executable, "-m", "seqrouter.cli", "gen-data", "--task", task,
-               "--seed", "0", "--out", f"data/{task}", "--workers", "8"]
+               "--seed", "0", "--out", f"data/{task}",
+               "--workers", str(os.cpu_count() or 1)]
         cmds.append(gen)
     for task, config, extra in RECIPES:
         for seed in seeds:

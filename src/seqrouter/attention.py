@@ -151,19 +151,30 @@ def sinusoid_table(positions: np.ndarray, d: int, dtype=np.float32) -> np.ndarra
     return table.astype(dtype)
 
 
+def _split_heads(x: np.ndarray, valid: np.ndarray, n_heads: int) -> np.ndarray:
+    """Packed (M, c) rows to the zero-padded per-head layout (B, H, N, c / H):
+    row r fills the r-th true cell of valid (B, N) in row-major order."""
+    b, n = valid.shape
+    # Indexing rows by flat position is faster than by the 2-D boolean mask.
+    out = np.zeros((valid.size, x.shape[-1]), dtype=x.dtype)
+    out[np.flatnonzero(valid)] = x
+    return out.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
+
+
+def _join_heads(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """(B, H, N, d_h) back to packed (M, H * d_h) rows; inverse of _split_heads."""
+    b, h, n, dh = x.shape
+    return np.take(x.transpose(0, 2, 1, 3).reshape(b * n, h * dh), np.flatnonzero(valid), axis=0)
+
+
 def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
     """Packed (M, d) rows to the padded per-head layout (B, H, N, d / H)."""
-    b, n = valid.shape
-    d = x.shape[-1]
-    return ad.transpose(ad.reshape(ad.scatter_rows(x, valid), (b, n, n_heads, d // n_heads)),
-                        (0, 2, 1, 3))
+    return ad._op(_split_heads(x.data, valid, n_heads), (x, lambda g: _join_heads(g, valid)))
 
 
 def _merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
     """(B, H, N, d_h) back to packed (M, H * d_h) rows."""
-    _, h, _, dh = x.shape
-    rows = ad.gather_rows(ad.transpose(x, (0, 2, 1, 3)), valid)
-    return ad.reshape(rows, (rows.shape[0], h * dh))
+    return ad._op(_join_heads(x.data, valid), (x, lambda g: _split_heads(g, valid, x.shape[1])))
 
 
 def _source_invalid(valid: np.ndarray) -> np.ndarray:
@@ -201,7 +212,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
     scalar gate (fixed at 1 when p.w_ar is None). Masked sources are
     already pushed to -inf."""
     cfg = p.cfg
-    b, n = valid.shape
+    n = valid.shape[1]
     d = h.shape[-1]
     dtype = h.dtype
 
@@ -218,9 +229,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
     rel_emb = Tensor(sinusoid_table(offsets, d, dtype))
     k_rel = ad.transpose(ad.reshape(ad.matmul(rel_emb, p.w_kp), (2 * n - 1, cfg.n_heads, cfg.d_head)), (1, 0, 2))
     score_rel_all = ad.matmul(q_p, ad.transpose(k_rel, (0, 2, 1)))  # (B, H, N, 2N-1)
-    i_idx = np.arange(n)[:, None]
-    j_idx = np.arange(n)[None, :]
-    offset_idx = (i_idx - j_idx) + (n - 1)
+    offset_idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
     score_rel = ad.take_along(score_rel_all, offset_idx[None, None, :, :], axis=-1)
 
     if p.w_ar is None:
@@ -229,8 +238,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
         abs_emb = Tensor(sinusoid_table(pos_base + np.arange(n), d, dtype))
         k_abs = ad.transpose(ad.reshape(ad.matmul(abs_emb, p.w_kp), (n, cfg.n_heads, cfg.d_head)), (1, 0, 2))
         score_abs = ad.matmul(q_p, ad.transpose(k_abs, (0, 2, 1)))
-        r = ad.sigmoid(ad.add(ad.matmul(h, p.w_ar), p.b_ar))  # (M, 1)
-        r = ad.reshape(ad.scatter_rows(r, valid), (b, 1, n, 1))
+        r = _heads(ad.sigmoid(ad.add(ad.matmul(h, p.w_ar), p.b_ar)), valid, 1)  # (B, 1, N, 1)
         positional = ad.add(ad.mul(r, score_rel), ad.mul(ad.shift(ad.scale(r, -1.0), 1.0), score_abs))
 
     scores = ad.scale(ad.add(content, positional), 1.0 / math.sqrt(cfg.d_head))
@@ -313,34 +321,46 @@ def geometric_weights(p: Tensor) -> Tensor:
     return Tensor(_shadowed_weights(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
 
 
-def _direction(h: Tensor, w: Parameter, bias: Parameter, valid: np.ndarray) -> Tensor:
-    """Per-head directional score of each target, (B, H, N, 1)."""
-    b, n = valid.shape
-    d = ad.scatter_rows(ad.add(ad.matmul(h, w), bias), valid)  # (B, N, H)
-    return ad.reshape(ad.transpose(d, (0, 2, 1)), (b, w.shape[1], n, 1))
+def _match_logits(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
+                  p: GeometricAttentionParams, valid: np.ndarray) -> Tensor:
+    """z[b, h, i, j] = alpha_h q_i.k_j + beta_h D[i, j] + gamma_h, (B, H, N, N),
+    from packed q, k (M, d) and per-head direction scores d_lr, d_rl (M, H):
+    D[i, j] is target i's d_lr for a source j at or right of i, else d_rl.
+    The backward keeps the per-head q and k and recomputes q.k^T and D."""
+    nh, n = p.cfg.n_heads, valid.shape[1]
+    qh, kh = _split_heads(q.data, valid, nh), _split_heads(k.data, valid, nh)
+    right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
+    # C-contiguous (B, H, N, 1) columns fix the memory order of D, and so
+    # the summation order of beta's gradient.
+    lr, rl = (np.ascontiguousarray(_split_heads(t.data, valid, nh)) for t in (d_lr, d_rl))
+    alpha, beta, gamma = (t.data.reshape(nh, 1, 1) for t in (p.alpha, p.beta, p.gamma))
+
+    def content() -> np.ndarray:
+        return np.matmul(qh, np.swapaxes(kh, -1, -2))
+
+    def direction() -> np.ndarray:
+        return np.where(right_or_self, lr, rl)
+
+    return ad._op(
+        alpha * content() + beta * direction() + gamma,
+        (q, lambda g: _join_heads(np.matmul(g * alpha, kh), valid)),
+        (k, lambda g: _join_heads(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g * alpha), -1, -2),
+                                  valid)),
+        (d_lr, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, g * beta, 0), lr.shape), valid)),
+        (d_rl, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, 0, g * beta), rl.shape), valid)),
+        (p.alpha, lambda g: ad._unbroadcast(g * content(), alpha.shape).reshape(nh)),
+        (p.beta, lambda g: ad._unbroadcast(g * direction(), beta.shape).reshape(nh)),
+        (p.gamma, lambda g: ad._unbroadcast(g, gamma.shape).reshape(nh)))
 
 
 def _geometric_logits(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
                       mode: Mode) -> Tensor:
     """Match logits (B, H, N, N) of packed states h (M, d)."""
-    cfg = p.cfg
-    n = valid.shape[1]
-    nh = cfg.n_heads
-
-    q = ad.add(ad.matmul(h, p.w_q), p.b_q)
-    q = _heads(_maybe_dropout(q, cfg.content_dropout, mode, "att_content_q"), valid, nh)
-    k_e = _project(h, p.w_ke, valid, nh)
-    content = ad.matmul(q, ad.transpose(k_e, (0, 1, 3, 2)))
-
-    d_lr = _direction(h, p.w_lr, p.b_lr, valid)
-    d_rl = _direction(h, p.w_rl, p.b_rl, valid)
-    right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
-    direction = ad.where_mask(right_or_self, d_lr, d_rl)
-
-    alpha = ad.reshape(p.alpha, (nh, 1, 1))
-    beta = ad.reshape(p.beta, (nh, 1, 1))
-    gamma = ad.reshape(p.gamma, (nh, 1, 1))
-    return ad.add(ad.add(ad.mul(alpha, content), ad.mul(beta, direction)), gamma)
+    q = _maybe_dropout(ad.add(ad.matmul(h, p.w_q), p.b_q), p.cfg.content_dropout, mode, "att_content_q")
+    k = ad.matmul(h, p.w_ke)
+    d_lr = ad.add(ad.matmul(h, p.w_lr), p.b_lr)
+    d_rl = ad.add(ad.matmul(h, p.w_rl), p.b_rl)
+    return _match_logits(q, k, d_lr, d_rl, p, valid)
 
 
 # ---------------------------------------------------------------------------

@@ -344,15 +344,6 @@ def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
     return _op(data, (a, lambda g: np.where(mask, 0.0, g)))
 
 
-def where_mask(mask: np.ndarray, a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise select: mask ? a : b, with a constant boolean mask."""
-    _check_same_dtype(a, b)
-    mask = np.asarray(mask, dtype=bool)
-    return _op(np.where(mask, a.data, b.data),
-               (a, lambda g: _unbroadcast(np.where(mask, g, 0.0), a.shape)),
-               (b, lambda g: _unbroadcast(np.where(mask, 0.0, g), b.shape)))
-
-
 def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
     """Gather along an axis with a constant integer index array."""
     idx = np.asarray(idx)
@@ -367,37 +358,6 @@ def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
         return ga
 
     return _op(out_data, (a, vjp))
-
-
-def _scatter(rows: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    # Indexing rows by flat position is faster than by the 2-D boolean mask.
-    out = np.zeros((valid.size,) + rows.shape[1:], dtype=rows.dtype)
-    out[np.flatnonzero(valid)] = rows
-    return out.reshape(valid.shape + rows.shape[1:])
-
-
-def _gather(layout: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    return np.take(layout.reshape((valid.size,) + layout.shape[2:]), np.flatnonzero(valid), axis=0)
-
-
-def scatter_rows(a: Tensor, valid: np.ndarray) -> Tensor:
-    """Packed rows (M, ...) into a zero-filled (B, N, ...) layout at the true
-    cells of the constant mask ``valid`` (B, N), in row-major order;
-    M must equal valid.sum(). Inverse of ``gather_rows``."""
-    valid = np.asarray(valid, dtype=bool)
-    if a.shape[0] != np.count_nonzero(valid):
-        raise DimensionError(f"scatter_rows: {a.shape[0]} rows for {np.count_nonzero(valid)} valid cells")
-    return _op(_scatter(a.data, valid), (a, lambda g: _gather(g, valid)))
-
-
-def gather_rows(a: Tensor, valid: np.ndarray) -> Tensor:
-    """The (M, ...) rows of a (B, N, ...) layout at the true cells of the
-    constant mask ``valid`` (B, N), in row-major order. Inverse of
-    ``scatter_rows``."""
-    valid = np.asarray(valid, dtype=bool)
-    if a.shape[:2] != valid.shape:
-        raise DimensionError(f"gather_rows: layout {a.shape} does not match mask {valid.shape}")
-    return _op(_gather(a.data, valid), (a, lambda g: _scatter(g, valid)))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

@@ -72,6 +72,8 @@ def build_parser() -> argparse.ArgumentParser:
 def cmd_gen_data(args) -> int:
     from . import tasks
 
+    if args.workers < 1:
+        raise ValueError(f"--workers must be at least 1, got {args.workers}")
     plan = tasks.default_plan(args.task)
     if args.train_size is not None or args.eval_size is not None:
         from .tasks.data import SplitPlan, SplitSpec

@@ -1,6 +1,6 @@
-"""Named gradient checks: every layer variant, the geometric weight
-transform, the packed/padded row ops and representative op composites,
-all checked against central finite differences in extended (80-bit)
+"""Named gradient checks: every layer variant, the attention layout ops,
+geometric match logits and weights, and representative op composites, all
+checked against central finite differences in extended (80-bit)
 precision, which keeps the difference quotient meaningful on structurally
 tiny gradient coordinates. Attention and layer checks run a two-sequence
 batch of lengths (n, n - 2), so pad columns and the boundary between
@@ -70,17 +70,45 @@ def _ragged(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.arange(n)[None, :] < lengths[:, None]
 
 
-def check_row_ops(op: str, seed: int = 5, n: int = 4, d: int = 3) -> float:
-    """scatter_rows from packed (M, d) rows to the padded (2, n, d) layout
-    of a ragged batch, or gather_rows back."""
+def check_heads(op: str = "heads", seed: int = 5, n: int = 4, d: int = 4) -> float:
+    """One layout op alone: "heads" takes packed (M, d) rows of a ragged
+    batch to the per-head (2, 2, n, d / 2) layout, "merge_heads" takes that
+    layout back to packed rows."""
     gen = np.random.default_rng(seed)
     lengths, valid = _ragged(n)
-    packed, padded = (lengths.sum(), d), (2, n, d)
-    src, dst = (packed, padded) if op == "scatter_rows" else (padded, packed)
-    x = Tensor(gen.normal(size=src), dtype=np.longdouble)
-    r = Tensor(gen.normal(size=dst), dtype=np.longdouble)
-    row_op = getattr(ad, op)
-    return grad_check(lambda pts: ad.sum_(ad.mul(row_op(pts[0], valid), r)), [x], step=1e-5)
+    rows, layout = (lengths.sum(), d), (2, 2, n, d // 2)
+    if op == "heads":
+        def apply(x):
+            return att._heads(x, valid, 2)
+        shape_in, shape_out = rows, layout
+    elif op == "merge_heads":
+        def apply(x):
+            return att._merge_heads(x, valid)
+        shape_in, shape_out = layout, rows
+    else:
+        raise ValueError(f"unknown layout op {op!r}; expected heads or merge_heads")
+    x = Tensor(gen.normal(size=shape_in), dtype=np.longdouble)
+    r = Tensor(gen.normal(size=shape_out), dtype=np.longdouble)
+    return grad_check(lambda points: ad.sum_(ad.mul(apply(points[0]), r)), [x], step=1e-5)
+
+
+def check_match_logits(seed: int = 6, n: int = 4, d: int = 4) -> float:
+    """Geometric match logits of packed q, k and direction scores over a
+    ragged batch, with random alpha, beta and gamma."""
+    p = att.init_attention(Init(RngTree(seed), np.longdouble, prefix="gc"), AttentionConfig(d, 2, "geometric"))
+    gen = np.random.default_rng(seed + 100)
+    gains = [p.alpha, p.beta, p.gamma]
+    for gain in gains:
+        gain.data[:] = gen.normal(size=gain.shape)
+    lengths, valid = _ragged(n)
+    # q and k (M, d), then the direction scores d_lr and d_rl (M, H).
+    rows = [Tensor(gen.normal(size=(lengths.sum(), c)), dtype=np.longdouble) for c in (d, d, 2, 2)]
+    r = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
+
+    def fn(points):
+        return ad.sum_(ad.mul(att._match_logits(*points[:4], p, valid), r))
+
+    return grad_check(fn, rows + gains, step=1e-5)
 
 
 def check_geometric_weights(seed: int = 2, n: int = 4) -> float:
@@ -154,9 +182,10 @@ def run_checks(module: str | None = None) -> dict[str, float]:
     if module in (None, "substrate"):
         checks["substrate/composite"] = check_composite_ops
         checks["substrate/softmax_chain"] = check_softmax_chain
-        for op in ("scatter_rows", "gather_rows"):
-            checks[f"substrate/{op}"] = lambda o=op: check_row_ops(o)
     if module in (None, "attention"):
+        for op in ("heads", "merge_heads"):
+            checks[f"attention/{op}"] = lambda o=op: check_heads(o)
+        checks["attention/match_logits"] = check_match_logits
         checks["attention/geometric_weights"] = check_geometric_weights
         for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):
             checks[f"attention/{kind}"] = lambda k=kind: check_attention_kind(k)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import multiprocessing
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from ..rng import RngTree
@@ -51,11 +51,7 @@ class SplitPlan:
         raise KeyError(name)
 
     def to_jsonable(self) -> list[dict]:
-        return [{"name": s.name, "depths": list(s.depths), "size": s.size} for s in self.splits]
-
-    @classmethod
-    def from_jsonable(cls, rows: list[dict]) -> "SplitPlan":
-        return cls(tuple(SplitSpec(r["name"], tuple(r["depths"]), r["size"]) for r in rows))
+        return [asdict(s) for s in self.splits]
 
 
 class Vocab:
@@ -93,14 +89,14 @@ class Vocab:
 
 
 def sample_to_json(s: Sample) -> str:
-    record = {"tokens": list(s.tokens), "target": s.target, "depth": s.depth,
-              "dep_depth": s.dep_depth}
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    # vars, not asdict: asdict deep-copies every token of every sample.
+    return json.dumps(vars(s), sort_keys=True, separators=(",", ":"))
 
 
 def sample_from_json(line: str) -> Sample:
     d = json.loads(line)
-    return Sample(tuple(d["tokens"]), d["target"], d["depth"], d.get("dep_depth"))
+    d["tokens"] = tuple(d["tokens"])
+    return Sample(**d)
 
 
 def write_jsonl(path, samples) -> None:
@@ -177,7 +173,7 @@ def fill_quota(attempt_fn, seed_rng: RngTree, count: int, workers: int = 1) -> l
     jobs = [(attempt_fn, seed_rng.child(f"chunk{i}"), n)
             for i, n in enumerate(chunk_sizes(count))]
     if workers > 1 and len(jobs) > 1:
-        with multiprocessing.Pool(workers) as pool:
+        with multiprocessing.Pool(min(workers, len(jobs))) as pool:
             parts = pool.map(_run_chunk, jobs)
     else:
         parts = [_run_chunk(j) for j in jobs]

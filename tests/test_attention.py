@@ -7,6 +7,7 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
+from seqrouter.gradchecks import check_heads
 from seqrouter.rng import RngTree
 
 from oracles import naive_mha, naive_rel_scores, sinusoid
@@ -195,3 +196,25 @@ def test_attention_dropout_only_in_train_mode():
     np.testing.assert_array_equal(eval_a.data, eval_b.data)
     train = att.attend(h, p, valid, Mode(train=True, rng=RngTree(0, "drop")))[0]
     assert np.abs(train.data - eval_a.data).max() > 1e-6
+
+
+@pytest.mark.parametrize("op", ["heads", "merge_heads"])
+def test_heads_grad_check(op):
+    assert check_heads(op) < 1e-9
+
+
+def test_split_and_join_heads_are_exact_inverses():
+    gen = np.random.default_rng(30)
+    lengths = np.array([5, 1, 3])
+    valid = np.arange(6)[None, :] < lengths[:, None]
+    rows = gen.normal(size=(9, 6))
+    heads = att._split_heads(rows, valid, 2)
+    assert heads.shape == (3, 2, 6, 3)
+    assert (heads.transpose(0, 2, 1, 3)[~valid] == 0).all()
+    # Rows fill valid in row-major order: sequence by sequence, column by column.
+    np.testing.assert_array_equal(heads[1, :, 0].reshape(-1), rows[5])
+    np.testing.assert_array_equal(heads[0, 1, 4], rows[4, 3:])
+    np.testing.assert_array_equal(att._join_heads(heads, valid), rows)
+    layout = gen.normal(size=(3, 2, 6, 3))
+    round_trip = att._split_heads(att._join_heads(layout, valid), valid, 2)
+    np.testing.assert_array_equal(round_trip, np.where(valid[:, None, :, None], layout, 0.0))

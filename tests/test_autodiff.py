@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from seqrouter import autodiff as ad
 from seqrouter.attention import Mode
 from seqrouter.autodiff import Tape, Tensor
-from seqrouter.gradchecks import check_row_ops
 from seqrouter.model import EncoderModel, ModelConfig, loss as model_loss
 from seqrouter.optim import clip_gradients
 from seqrouter.rng import RngTree
@@ -413,28 +412,3 @@ def test_branch_that_misses_the_loss_leaves_its_inputs_without_grad():
         tape.backward(loss)
     assert y.grad is None and w.grad is None
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
-
-
-@pytest.mark.parametrize("op", ["scatter_rows", "gather_rows"])
-def test_row_op_grad_check(op):
-    assert check_row_ops(op) < 1e-9
-
-
-def test_scatter_and_gather_rows_are_exact_inverses():
-    gen = np.random.default_rng(30)
-    lengths = np.array([5, 1, 3])
-    valid = np.arange(6)[None, :] < lengths[:, None]
-    rows = gen.normal(size=(9, 2, 3))
-    padded = ad.scatter_rows(Tensor(rows), valid)
-    assert padded.shape == (3, 6, 2, 3)
-    assert (padded.data[~valid] == 0).all()
-    # Rows fill valid in row-major order: sequence by sequence, column by column.
-    np.testing.assert_array_equal(padded.data[1, 0], rows[5])
-    np.testing.assert_array_equal(ad.gather_rows(padded, valid).data, rows)
-    layout = gen.normal(size=(3, 6, 2, 3))
-    round_trip = ad.scatter_rows(ad.gather_rows(Tensor(layout), valid), valid).data
-    np.testing.assert_array_equal(round_trip, np.where(valid[:, :, None, None], layout, 0.0))
-    with pytest.raises(ad.DimensionError):
-        ad.scatter_rows(Tensor(rows[:8]), valid)
-    with pytest.raises(ad.DimensionError):
-        ad.gather_rows(Tensor(layout[:, :5]), valid)

@@ -33,6 +33,15 @@ def test_gen_data_writes_all_splits(workspace):
     assert sum(1 for _ in open(data / "train.jsonl")) == 500
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_gen_data_rejects_workers_below_one(tmp_path, pool_sizes, capsys, workers):
+    rc = main(["gen-data", "--task", "arith", "--out", str(tmp_path / "d"), "--workers", workers])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: --workers must be at least 1")
+    assert pool_sizes == []
+    assert not (tmp_path / "d").exists()
+
+
 def test_gen_data_rejects_unknown_task(capsys):
     with pytest.raises(SystemExit):
         main(["gen-data", "--task", "nope", "--out", "/tmp/x"])

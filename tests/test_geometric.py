@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from seqrouter import attention as att
 from seqrouter import autodiff as ad
-from seqrouter.attention import EVAL, AttentionConfig, geometric_ordering, geometric_weights
+from seqrouter.attention import EVAL, AttentionConfig, Mode, geometric_ordering, geometric_weights
 from seqrouter.autodiff import Init, Tape, Tensor
+from seqrouter.gradchecks import check_match_logits
 from seqrouter.rng import RngTree
 
 from oracles import geometric_weights_direct, naive_match_probs, naive_geometric_weights
@@ -316,3 +317,52 @@ def test_weights_op_grad_matches_direct_product_fd(n):
     h = 1e-6
     numeric = (direct_loss(z + h * v) - direct_loss(z - h * v)) / (2 * h)
     assert abs(float((x.grad * v).sum()) - numeric) <= 1e-7 * (1.0 + abs(numeric))
+
+
+def test_match_logits_grad_check():
+    assert check_match_logits() < 1e-9
+
+
+def test_geometric_attend_records_few_nodes():
+    p = geo_params(d=16, heads=2, seed=23, dtype=np.float32)
+    p.cfg.content_dropout = 0.1
+    lengths = np.array([6, 3, 5])
+    valid = np.arange(6)[None, :] < lengths[:, None]
+    gen = np.random.default_rng(23)
+    h = Tensor(gen.normal(size=(lengths.sum(), 16)).astype(np.float32), requires_grad=True)
+    mode = Mode(train=True, rng=RngTree(23, "drop"))
+    with Tape() as tape:
+        att._geometric_logits(h, p, valid, mode)
+        logits_nodes = len(tape._nodes)
+    with Tape() as tape:
+        att.attend(h, p, valid, mode)
+        attend_nodes = len(tape._nodes)
+    # Projections and biases, q's dropout and one logits op; then the
+    # weights op, v's projection, layout ops and the two output products.
+    assert logits_nodes <= 9
+    assert attend_nodes <= 15
+
+
+def test_match_logits_holds_only_its_output():
+    b, nh, n, d = 4, 8, 64, 16
+    p = geo_params(d=d, heads=nh, seed=24, dtype=np.float32)
+    valid = np.ones((b, n), dtype=bool)
+    valid[1, 40:] = False
+    m = np.count_nonzero(valid)
+    gen = np.random.default_rng(24)
+    q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
+    d_lr, d_rl = (Tensor(gen.normal(size=(m, nh)).astype(np.float32), requires_grad=True)
+                  for _ in range(2))
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            z = att._match_logits(q, k, d_lr, d_rl, p, valid)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(ad.sum_(z))
+    finally:
+        tracemalloc.stop()
+    # z, the per-head q and k, and slack well below one more (B, H, N, N) array.
+    per_head = 2 * b * n * d * 4
+    assert z.shape == (b, nh, n, n)
+    assert held <= z.data.nbytes + per_head + 64 * 1024, held

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from seqrouter import tasks
 from seqrouter.rng import RngTree
 from seqrouter.tasks import arithmetic, ctl, listops
+from seqrouter.tasks import data
 from seqrouter.tasks.data import Sample, SplitPlan, SplitSpec, sample_from_json, sample_to_json
 
 from oracles import eval_arith, eval_ctl, eval_listops
@@ -258,6 +259,13 @@ def test_generation_independent_of_worker_count():
     par = tasks.generate("arith", seed=11, plan=plan, workers=3)
     for name in seq:
         assert [sample_to_json(s) for s in seq[name]] == [sample_to_json(s) for s in par[name]]
+
+
+def test_pool_is_no_larger_than_the_chunk_count(pool_sizes):
+    sample = Sample(("a",), "x", 1)
+    out = data.fill_quota(lambda draws: sample, RngTree(0), data.CHUNK_SIZE + 1, workers=8)
+    assert len(out) == data.CHUNK_SIZE + 1
+    assert pool_sizes == [2]
 
 
 # ---------------------------------------------------------------------------
