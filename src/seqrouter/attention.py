@@ -172,9 +172,15 @@ def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
     return ad._op(_split_heads(x.data, valid, n_heads), (x, lambda g: _join_heads(g, valid)))
 
 
-def _merge_heads(x: Tensor, valid: np.ndarray) -> Tensor:
-    """(B, H, N, d_h) back to packed (M, H * d_h) rows."""
-    return ad._op(_join_heads(x.data, valid), (x, lambda g: _split_heads(g, valid, x.shape[1])))
+def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
+    """Per-head weights (B, H, N, N) times packed values v (M, d), merged
+    back to packed (M, d) rows. The backward keeps the per-head v."""
+    nh = weights.shape[1]
+    vh = _split_heads(v.data, valid, nh)
+    return ad._op(_join_heads(np.matmul(weights.data, vh), valid),
+                  (weights, lambda g: np.matmul(_split_heads(g, valid, nh), np.swapaxes(vh, -1, -2))),
+                  (v, lambda g: _join_heads(np.matmul(np.swapaxes(weights.data, -1, -2),
+                                                      _split_heads(g, valid, nh)), valid)))
 
 
 def _source_invalid(valid: np.ndarray) -> np.ndarray:
@@ -196,16 +202,12 @@ def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
     return x
 
 
-def _project(h: Tensor, w: Parameter, valid: np.ndarray, n_heads: int) -> Tensor:
-    return _heads(ad.matmul(h, w), valid, n_heads)
-
-
 # ---------------------------------------------------------------------------
 # relative / gated absolute-relative attention
 
 
 def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
-               mode: Mode = EVAL, pos_base: int = 0) -> Tensor:
+               mode: Mode = EVAL) -> Tensor:
     """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d),
     decomposed into content, content bias and a positional term that
     interpolates relative offsets and absolute positions with a per-target
@@ -222,7 +224,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
     q_e = _heads(q_e, valid, cfg.n_heads)
     q_p = _heads(q_p, valid, cfg.n_heads)
 
-    k_e = _project(h, p.w_ke, valid, cfg.n_heads)
+    k_e = _heads(ad.matmul(h, p.w_ke), valid, cfg.n_heads)
     content = ad.matmul(q_e, ad.transpose(k_e, (0, 1, 3, 2)))
 
     offsets = np.arange(-(n - 1), n)
@@ -235,11 +237,11 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
     if p.w_ar is None:
         positional = score_rel
     else:
-        abs_emb = Tensor(sinusoid_table(pos_base + np.arange(n), d, dtype))
+        abs_emb = Tensor(sinusoid_table(np.arange(n), d, dtype))
         k_abs = ad.transpose(ad.reshape(ad.matmul(abs_emb, p.w_kp), (n, cfg.n_heads, cfg.d_head)), (1, 0, 2))
         score_abs = ad.matmul(q_p, ad.transpose(k_abs, (0, 2, 1)))
-        r = _heads(ad.sigmoid(ad.add(ad.matmul(h, p.w_ar), p.b_ar)), valid, 1)  # (B, 1, N, 1)
-        positional = ad.add(ad.mul(r, score_rel), ad.mul(ad.shift(ad.scale(r, -1.0), 1.0), score_abs))
+        r = _heads(ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)), valid, 1)  # (B, 1, N, 1)
+        positional = ad.blend(r, score_rel, score_abs)
 
     scores = ad.scale(ad.add(content, positional), 1.0 / math.sqrt(cfg.d_head))
     return ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE)
@@ -356,10 +358,10 @@ def _match_logits(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
 def _geometric_logits(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
                       mode: Mode) -> Tensor:
     """Match logits (B, H, N, N) of packed states h (M, d)."""
-    q = _maybe_dropout(ad.add(ad.matmul(h, p.w_q), p.b_q), p.cfg.content_dropout, mode, "att_content_q")
+    q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), p.cfg.content_dropout, mode, "att_content_q")
     k = ad.matmul(h, p.w_ke)
-    d_lr = ad.add(ad.matmul(h, p.w_lr), p.b_lr)
-    d_rl = ad.add(ad.matmul(h, p.w_rl), p.b_rl)
+    d_lr = ad.matmul(h, p.w_lr, p.b_lr)
+    d_rl = ad.matmul(h, p.w_rl, p.b_rl)
     return _match_logits(q, k, d_lr, d_rl, p, valid)
 
 
@@ -372,13 +374,13 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     (output (M, d), weights (B, H, N, N)).
 
     Every projection runs on the packed rows; the per-head results are
-    scattered to (B, H, N, d_h) for the pairwise products, and the merged
-    heads are gathered back before w_o. The parameter bundle's type picks
-    the scores: scaled q.k for MhaParams, rel_scores for
-    RelAttentionParams, and geometric match logits for
+    scattered to (B, H, N, d_h) for the pairwise products. The parameter
+    bundle's type picks the scores: scaled q.k for MhaParams, rel_scores
+    for RelAttentionParams, and geometric match logits for
     GeometricAttentionParams. Geometric logits become distance-ordered
-    weights, the other scores a masked softmax. Values are projected after
-    the weights for every kind."""
+    weights, the other scores a masked softmax. For every kind the values
+    are projected after the weights, and _attend_values returns weights.v
+    as packed rows for w_o."""
     _check_inputs(h, valid)
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
@@ -388,9 +390,8 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     else:
         q = ad.matmul(h, p.w_q)
         q = _heads(_maybe_dropout(q, cfg.content_dropout, mode, "att_content_q"), valid, cfg.n_heads)
-        k = _project(h, p.w_k, valid, cfg.n_heads)
+        k = _heads(ad.matmul(h, p.w_k), valid, cfg.n_heads)
         scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
         weights = ad.softmax(ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE))
-    v = _project(h, p.w_v, valid, cfg.n_heads)
-    out = ad.matmul(_merge_heads(ad.matmul(weights, v), valid), p.w_o)
+    out = ad.matmul(_attend_values(weights, ad.matmul(h, p.w_v), valid), p.w_o)
     return out, weights

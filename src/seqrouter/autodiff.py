@@ -200,9 +200,10 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g
 
 
-def _check_same_dtype(a: Tensor, b: Tensor) -> None:
-    if a.dtype != b.dtype:
-        raise ValueError(f"mixed dtypes: {a.dtype} vs {b.dtype}")
+def _check_same_dtype(a: Tensor, *others: Tensor | None) -> None:
+    for b in others:
+        if b is not None and a.dtype != b.dtype:
+            raise ValueError(f"mixed dtypes: {a.dtype} vs {b.dtype}")
 
 
 # ---------------------------------------------------------------------------
@@ -238,27 +239,45 @@ def shift(a: Tensor, c: float) -> Tensor:
     return _op(a.data + a.dtype.type(c), (a, lambda g: g))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
+def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """Convex mix w * a + (1 - w) * b, broadcasting. w's gradient is two
+    reductions and a difference; one reduction of g * (a - b) rounds otherwise."""
+    _check_same_dtype(w, a, b)
+    rest = w.dtype.type(1) - w.data
+    return _op(w.data * a.data + rest * b.data,
+               (w, lambda g: _unbroadcast(g * a.data, w.shape) - _unbroadcast(g * b.data, w.shape)),
+               (a, lambda g: _unbroadcast(g * w.data, a.shape)),
+               (b, lambda g: _unbroadcast(g * rest, b.shape)))
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """``a @ b``, plus a bias broadcast over the result when ``b`` is 2-D."""
+    _check_same_dtype(a, b, bias)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
     if b.data.ndim == 2:
-        return _matmul_folded(a, b)
+        return _matmul_folded(a, b, bias)
+    if bias is not None:
+        raise DimensionError(f"matmul takes a bias only with a 2-d right operand, got {b.shape}")
     return _op(np.matmul(a.data, b.data),
                (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
                (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
 
 
-def _matmul_folded(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` for a 2-D ``b`` (a weight): all leading axes of ``a`` fold
-    into one (M, k) matrix, so forward and both gradients are single GEMMs
-    and the weight gradient needs no per-sample temporary or reduction."""
+def _matmul_folded(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
+    """``a @ b (+ bias)`` for a 2-D ``b`` (a weight): all leading axes of
+    ``a`` fold into one (M, k) matrix, so forward and both product gradients
+    are single GEMMs and the weight gradient needs no per-sample reduction."""
     k, n = b.shape
-    return _op(np.matmul(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,)),
-               (a, lambda g: np.matmul(g.reshape(-1, n), b.data.T).reshape(a.shape)),
-               (b, lambda g: np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n))))
+    data = np.matmul(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,))
+    vjps = [(a, lambda g: np.matmul(g.reshape(-1, n), b.data.T).reshape(a.shape)),
+            (b, lambda g: np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n)))]
+    if bias is not None:
+        data += bias.data
+        vjps.append((bias, lambda g: _unbroadcast(g, bias.shape)))
+    return _op(data, *vjps)
 
 
 def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:

@@ -1,10 +1,11 @@
-"""Named gradient checks: every layer variant, the attention layout ops,
+"""Named gradient checks: every layer variant, the per-head layout op,
 geometric match logits and weights, and representative op composites, all
 checked against central finite differences in extended (80-bit)
 precision, which keeps the difference quotient meaningful on structurally
 tiny gradient coordinates. Attention and layer checks run a two-sequence
 batch of lengths (n, n - 2), so pad columns and the boundary between
-packed rows and the padded attention layout are covered."""
+packed rows and the padded attention layout, both ways (``_heads``, and
+the values op ``_attend_values``), are covered."""
 
 from __future__ import annotations
 
@@ -70,26 +71,14 @@ def _ragged(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.arange(n)[None, :] < lengths[:, None]
 
 
-def check_heads(op: str = "heads", seed: int = 5, n: int = 4, d: int = 4) -> float:
-    """One layout op alone: "heads" takes packed (M, d) rows of a ragged
-    batch to the per-head (2, 2, n, d / 2) layout, "merge_heads" takes that
-    layout back to packed rows."""
+def check_heads(seed: int = 5, n: int = 4, d: int = 4) -> float:
+    """The layout op alone: packed (M, d) rows of a ragged batch to the
+    per-head (2, 2, n, d / 2) layout."""
     gen = np.random.default_rng(seed)
     lengths, valid = _ragged(n)
-    rows, layout = (lengths.sum(), d), (2, 2, n, d // 2)
-    if op == "heads":
-        def apply(x):
-            return att._heads(x, valid, 2)
-        shape_in, shape_out = rows, layout
-    elif op == "merge_heads":
-        def apply(x):
-            return att._merge_heads(x, valid)
-        shape_in, shape_out = layout, rows
-    else:
-        raise ValueError(f"unknown layout op {op!r}; expected heads or merge_heads")
-    x = Tensor(gen.normal(size=shape_in), dtype=np.longdouble)
-    r = Tensor(gen.normal(size=shape_out), dtype=np.longdouble)
-    return grad_check(lambda points: ad.sum_(ad.mul(apply(points[0]), r)), [x], step=1e-5)
+    x = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    r = Tensor(gen.normal(size=(2, 2, n, d // 2)), dtype=np.longdouble)
+    return grad_check(lambda points: ad.sum_(ad.mul(att._heads(points[0], valid, 2), r)), [x], step=1e-5)
 
 
 def check_match_logits(seed: int = 6, n: int = 4, d: int = 4) -> float:
@@ -183,8 +172,7 @@ def run_checks(module: str | None = None) -> dict[str, float]:
         checks["substrate/composite"] = check_composite_ops
         checks["substrate/softmax_chain"] = check_softmax_chain
     if module in (None, "attention"):
-        for op in ("heads", "merge_heads"):
-            checks[f"attention/{op}"] = lambda o=op: check_heads(o)
+        checks["attention/heads"] = check_heads
         checks["attention/match_logits"] = check_match_logits
         checks["attention/geometric_weights"] = check_geometric_weights
         for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):

@@ -69,8 +69,8 @@ def init_layer(init: Init, att_cfg: AttentionConfig, gated: bool, d_ff: int) -> 
 
 
 def _ffn(x: Tensor, w1, b1, w2, b2, drop: float, mode: Mode, site: str) -> Tensor:
-    hidden = att._maybe_dropout(ad.relu(ad.add(ad.matmul(x, w1), b1)), drop, mode, site)
-    return ad.add(ad.matmul(hidden, w2), b2)
+    hidden = att._maybe_dropout(ad.relu(ad.matmul(x, w1, b1)), drop, mode, site)
+    return ad.matmul(hidden, w2, b2)
 
 
 def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVAL,
@@ -95,7 +95,7 @@ def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVA
         else:
             update = ad.layernorm(update, lp.ln_ffn_g, lp.ln_ffn_b)
         gate = ad.sigmoid(_ffn(a, lp.gate_w1, lp.gate_b1, lp.gate_w2, lp.gate_b2, 0.0, mode, "gate"))
-        out = ad.add(ad.mul(gate, update), ad.mul(ad.shift(ad.scale(gate, -1.0), 1.0), h))
+        out = ad.blend(gate, update, h)
     return out, weights, gate
 
 
@@ -129,8 +129,7 @@ class ActResult:
 
 def act_halting(h: Tensor, w_h: Parameter, b_h: Parameter) -> Tensor:
     """Halting unit: p_hat = sigmoid(W_H h + b_H), one per row of h."""
-    logits = ad.add(ad.matmul(h, w_h), b_h)
-    return ad.reshape(ad.sigmoid(logits), h.shape[:-1])
+    return ad.reshape(ad.sigmoid(ad.matmul(h, w_h, b_h)), h.shape[:-1])
 
 
 def _halt_steps(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
@@ -193,13 +192,13 @@ def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
         else:
             rem_t = ad.shift(ad.scale(run_sum, -1.0), 1.0)
         w_t = ad.add(ad.mul(p_t, Tensor(running)), ad.mul(rem_t, Tensor(halting)))
-        contrib = ad.mul(ad.reshape(w_t, (m, 1)), states[t - 1])
-        if cfg.variant == "A":
-            readout = contrib if readout is None else ad.add(readout, contrib)
+        w_col = ad.reshape(w_t, (m, 1))
+        if readout is None:
+            readout = ad.mul(w_col, states[t - 1])
+        elif cfg.variant == "A":
+            readout = ad.add(readout, ad.mul(w_col, states[t - 1]))
         else:
-            keep = ad.mul(ad.reshape(ad.shift(ad.scale(w_t, -1.0), 1.0), (m, 1)), readout) \
-                if readout is not None else None
-            readout = contrib if keep is None else ad.add(contrib, keep)
+            readout = ad.blend(w_col, states[t - 1], readout)
         rem_contrib = ad.mul(rem_t, Tensor(halting))
         remainder = rem_contrib if remainder is None else ad.add(remainder, rem_contrib)
         run_sum = p_t if run_sum is None else ad.add(run_sum, p_t)

@@ -161,7 +161,7 @@ class EncoderModel:
         # Each sequence's last or first row in the packed state.
         row = np.cumsum(lengths) - (1 if self.cfg.readout == "last" else lengths)
         picked = ad.take_along(final, row[:, None], axis=0)
-        logits = ad.add(ad.matmul(picked, self.out_w), self.out_b)
+        logits = ad.matmul(picked, self.out_w, self.out_b)
         return ForwardOut(logits=logits, act=act_res, trace=rec)
 
 

@@ -33,6 +33,11 @@ class SplitSpec:
     depths: tuple[int, ...]
     size: int
 
+    def __post_init__(self):
+        if self.size < 1 or not self.depths:
+            raise ValueError(f"split {self.name!r} needs a size of at least 1 and a depth; "
+                             f"got size {self.size}, depths {self.depths}")
+
     def quotas(self) -> list[tuple[int, int]]:
         """Per-depth counts, balanced to within one sample; the remainder
         goes to the shallowest depths."""

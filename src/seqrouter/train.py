@@ -234,6 +234,8 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
 
 def sweep(cfg: RunConfig, axis_key: str, values: list) -> list[dict]:
     """Train and evaluate once per axis value; rows are independent runs."""
+    if not values:
+        raise ValueError(f"sweep axis {axis_key!r} lists no values")
     rows = []
     for value in values:
         run_cfg = apply_overrides(copy.deepcopy(cfg), [f"{axis_key}={value}"])

@@ -65,7 +65,7 @@ def sinusoid(pos: float, d: int) -> np.ndarray:
     return emb
 
 
-def naive_rel_scores(h, w_q, w_ke, w_kp, b_qe, b_qp, n_heads, r=None, pos_base=0):
+def naive_rel_scores(h, w_q, w_ke, w_kp, b_qe, b_qp, n_heads, r=None):
     """Per-pair evaluation of the decomposed relative/absolute scores for one
     (N, d) sequence. r is the per-position abs/rel gate (None means 1)."""
     n, d = h.shape
@@ -83,7 +83,7 @@ def naive_rel_scores(h, w_q, w_ke, w_kp, b_qe, b_qp, n_heads, r=None, pos_base=0
             q = h[i] @ wq
             for j in range(n):
                 content = (q + bqe) @ (h[j] @ wke)
-                p_vec = ri * sinusoid(i - j, d) + (1.0 - ri) * sinusoid(pos_base + j, d)
+                p_vec = ri * sinusoid(i - j, d) + (1.0 - ri) * sinusoid(j, d)
                 positional = (q + bqp) @ (p_vec @ wkp)
                 scores[head, i, j] = (content + positional) / math.sqrt(dh)
     return scores

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -124,9 +125,9 @@ def test_rel_scores_match_naive_gated():
     p = make_params("abs_rel_gated", d=8, heads=2, seed=7)
     gen = np.random.default_rng(8)
     h = gen.normal(size=(5, 8))
-    scores = att.rel_scores(Tensor(h), p, np.ones((1, 5), dtype=bool), pos_base=3)
+    scores = att.rel_scores(Tensor(h), p, np.ones((1, 5), dtype=bool))
     r = 1.0 / (1.0 + np.exp(-(h @ p.w_ar.data[:, 0] + p.b_ar.data[0])))
-    want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2, r=r, pos_base=3)
+    want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2, r=r)
     np.testing.assert_allclose(scores.data[0], want, atol=1e-5)
 
 
@@ -142,16 +143,24 @@ def test_gate_one_reduces_to_relative_only():
     np.testing.assert_allclose(gated.data, rel.data, atol=1e-6)
 
 
+def shifted_scores(h, p, shift, seed):
+    """rel_scores of h (n, d) alone, and of h behind ``shift`` random rows,
+    cut to h's pairs."""
+    n = h.shape[0]
+    longer = Tensor(np.concatenate([rand_states(shift, h.shape[1], seed=seed).data, h.data]))
+    alone = att.rel_scores(h, p, np.ones((1, n), dtype=bool))
+    behind = att.rel_scores(longer, p, np.ones((1, n + shift), dtype=bool))
+    return alone.data, behind.data[:, :, shift:, shift:]
+
+
 def test_gate_zero_uses_absolute_positions_only():
     p = make_params("abs_rel_gated", seed=11)
     p.b_ar.data[:] = -50.0
     p.w_ar.data[:] = 0.0
     h = rand_states(5, 8, seed=12)
-    valid = np.ones((1, 5), dtype=bool)
-    base0 = att.rel_scores(h, p, valid, pos_base=0)
-    base9 = att.rel_scores(h, p, valid, pos_base=9)
+    base0, shifted = shifted_scores(h, p, 9, seed=19)
     # With r=0 the positional term depends on absolute p_j, so shifting moves it.
-    assert np.abs(base0.data - base9.data).max() > 1e-4
+    assert np.abs(base0 - shifted).max() > 1e-4
     # And it no longer depends on the target/source offset structure beyond p_j:
     # each column j contributes the same positional score to every target i.
     d = 8
@@ -165,16 +174,13 @@ def test_gate_zero_uses_absolute_positions_only():
         @ (h.data @ p.w_ke.data[:, hd * 4:(hd + 1) * 4]).T for hd in range(2)
     ])
     want = (content + per_head_pos) / np.sqrt(4.0)
-    np.testing.assert_allclose(base0.data[0], want, atol=1e-6)
+    np.testing.assert_allclose(base0[0], want, atol=1e-6)
 
 
 def test_relative_scores_shift_invariant():
     p = make_params("relative", seed=13)
-    h = rand_states(6, 8, seed=14)
-    valid = np.ones((1, 6), dtype=bool)
-    a = att.rel_scores(h, p, valid, pos_base=0)
-    b = att.rel_scores(h, p, valid, pos_base=17)
-    np.testing.assert_array_equal(a.data, b.data)
+    a, b = shifted_scores(rand_states(6, 8, seed=14), p, 17, seed=20)
+    np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
 def test_relative_attend_rows_sum_to_one():
@@ -198,9 +204,31 @@ def test_attention_dropout_only_in_train_mode():
     assert np.abs(train.data - eval_a.data).max() > 1e-6
 
 
-@pytest.mark.parametrize("op", ["heads", "merge_heads"])
-def test_heads_grad_check(op):
-    assert check_heads(op) < 1e-9
+def test_heads_grad_check():
+    assert check_heads() < 1e-9
+
+
+def test_attend_values_holds_only_its_output_and_per_head_values():
+    b, nh, n, d = 4, 8, 64, 64
+    valid = np.ones((b, n), dtype=bool)
+    valid[1, 40:] = False
+    m = np.count_nonzero(valid)
+    gen = np.random.default_rng(31)
+    weights = Tensor(gen.random((b, nh, n, n)).astype(np.float32), requires_grad=True)
+    v = Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True)
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = att._attend_values(weights, v, valid)
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(ad.sum_(out))
+    finally:
+        tracemalloc.stop()
+    # The output and the zero-padded per-head v, with slack well below the
+    # 64 KB (B, H, N, d_h) product, which is not kept.
+    assert out.shape == (m, d)
+    assert held <= out.data.nbytes + b * n * d * 4 + 16 * 1024, held
 
 
 def test_split_and_join_heads_are_exact_inverses():

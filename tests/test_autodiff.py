@@ -412,3 +412,56 @@ def test_branch_that_misses_the_loss_leaves_its_inputs_without_grad():
         tape.backward(loss)
     assert y.grad is None and w.grad is None
     np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+
+
+def test_blend_grad_check_with_broadcast_weight():
+    # A per-target gate (B, 1, N, 1) mixing two (B, H, N, N) score tensors.
+    gen = np.random.default_rng(40)
+    w = tld(1.0 / (1.0 + np.exp(-gen.normal(size=(2, 1, 3, 1)))))
+    a, b = tld(gen.normal(size=(2, 2, 3, 3))), tld(gen.normal(size=(2, 2, 3, 3)))
+    r = Tensor(gen.normal(size=(2, 2, 3, 3)), dtype=np.longdouble)
+
+    def f(points):
+        return ad.sum_(ad.mul(ad.blend(*points), r))
+
+    assert ad.grad_check(f, [w, a, b], step=1e-6) < 1e-9
+
+
+@pytest.mark.parametrize("w_shape", [(2, 1, 3, 1), (2, 2, 3, 3)])
+def test_blend_is_bitwise_the_spelled_out_mix(w_shape):
+    gen = np.random.default_rng(41)
+    w0 = (1.0 / (1.0 + np.exp(-gen.normal(size=w_shape)))).astype(np.float32)
+    a0, b0, r0 = (gen.normal(size=(2, 2, 3, 3)).astype(np.float32) for _ in range(3))
+    results = []
+    for mix in (ad.blend, lambda w, a, b: ad.add(ad.mul(w, a), ad.mul(ad.shift(ad.scale(w, -1.0), 1.0), b))):
+        w, a, b = (Tensor(x.copy(), requires_grad=True) for x in (w0, a0, b0))
+        with Tape() as tape:
+            out = mix(w, a, b)
+            tape.backward(ad.sum_(ad.mul(out, Tensor(r0))))
+        results.append([out.data, w.grad, a.grad, b.grad])
+    for got, want in zip(*results):
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("a_shape", [(7, 5), (2, 3, 5)])
+def test_matmul_bias_is_bitwise_a_separate_add(a_shape):
+    gen = np.random.default_rng(42)
+    a0 = gen.normal(size=a_shape).astype(np.float32)
+    w0, bias0 = gen.normal(size=(5, 4)).astype(np.float32), gen.normal(size=4).astype(np.float32)
+    r0 = gen.normal(size=a_shape[:-1] + (4,)).astype(np.float32)
+    results = []
+    for product in (ad.matmul, lambda a, w, bias: ad.add(ad.matmul(a, w), bias)):
+        a, w, bias = (Tensor(x.copy(), requires_grad=True) for x in (a0, w0, bias0))
+        with Tape() as tape:
+            out = product(a, w, bias)
+            tape.backward(ad.sum_(ad.mul(out, Tensor(r0))))
+        results.append([out.data, a.grad, w.grad, bias.grad])
+    for got, want in zip(*results):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_matmul_bias_needs_a_weight_operand():
+    a, b = t64(np.ones((2, 3, 4))), t64(np.ones((2, 4, 5)))
+    with pytest.raises(ad.DimensionError, match="bias"):
+        ad.matmul(a, b, t64(np.zeros(5)))

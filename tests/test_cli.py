@@ -42,6 +42,16 @@ def test_gen_data_rejects_workers_below_one(tmp_path, pool_sizes, capsys, worker
     assert not (tmp_path / "d").exists()
 
 
+def test_gen_data_rejects_sizes_below_one(tmp_path, capsys):
+    rc = main(["gen-data", "--task", "arith", "--out", str(tmp_path / "d"),
+               "--train-size", "-3", "--eval-size", "-1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: split 'train' needs a size of at least 1") and err.count("\n") == 1
+    assert "got size -3" in err
+    assert not (tmp_path / "d").exists()
+
+
 def test_gen_data_rejects_unknown_task(capsys):
     with pytest.raises(SystemExit):
         main(["gen-data", "--task", "nope", "--out", "/tmp/x"])
@@ -100,6 +110,15 @@ def test_sweep_command(workspace, capsys):
     rows = json.loads((workspace / "sweep" / "sweep.json").read_text())
     assert {r["value"] for r in rows} == {"last", "first"}
     assert "valid_ood" in capsys.readouterr().out
+
+
+def test_sweep_rejects_an_axis_without_values(workspace, capsys):
+    out = workspace / "sweep_empty"
+    rc = main(["sweep", "--config", str(workspace / "tiny.cfg"), "--axis", "d_model=",
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: sweep axis 'd_model' lists no values\n"
+    assert not out.exists()
 
 
 def test_grad_check_command(capsys):

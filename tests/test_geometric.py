@@ -10,6 +10,7 @@ from seqrouter import autodiff as ad
 from seqrouter.attention import EVAL, AttentionConfig, Mode, geometric_ordering, geometric_weights
 from seqrouter.autodiff import Init, Tape, Tensor
 from seqrouter.gradchecks import check_match_logits
+from seqrouter.layers import encoder_step, init_layer
 from seqrouter.rng import RngTree
 
 from oracles import geometric_weights_direct, naive_match_probs, naive_geometric_weights
@@ -337,10 +338,18 @@ def test_geometric_attend_records_few_nodes():
     with Tape() as tape:
         att.attend(h, p, valid, mode)
         attend_nodes = len(tape._nodes)
-    # Projections and biases, q's dropout and one logits op; then the
-    # weights op, v's projection, layout ops and the two output products.
-    assert logits_nodes <= 9
-    assert attend_nodes <= 15
+    lp = init_layer(Init(RngTree(23), np.float32, prefix="geo"), p.cfg, gated=True, d_ff=32)
+    with Tape() as tape:
+        encoder_step(h, lp, valid, mode, drop=0.1)
+        step_nodes = len(tape._nodes)
+    # Four biased projections, q's dropout and one logits op; then the
+    # weights op, v's projection, the values op and the output product.
+    assert logits_nodes <= 6
+    assert attend_nodes <= 10
+    # attend, the residual and its layernorm, the FFN (two products, ReLU,
+    # dropout) and its layernorm, the gate (two products, ReLU, sigmoid)
+    # and the blend.
+    assert step_nodes <= 22
 
 
 def test_match_logits_holds_only_its_output():

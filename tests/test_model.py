@@ -292,8 +292,8 @@ def test_no_weight_product_sees_a_pad_row(monkeypatch, kind, gated, act):
     folded = ad._matmul_folded
     products = []
 
-    def recording(a, b):
-        out = folded(a, b)
+    def recording(a, b, bias):
+        out = folded(a, b, bias)
         if a.requires_grad:
             products.append(out)
         return out

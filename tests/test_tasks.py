@@ -167,6 +167,12 @@ def test_arith_depth_counts_balanced():
     assert sum(counts.values()) == 122
 
 
+@pytest.mark.parametrize("depths, size", [((1, 2), 0), ((1, 2), -1), ((), 10)])
+def test_split_spec_rejects_empty_splits(depths, size):
+    with pytest.raises(ValueError, match=f"split 'valid_ood' needs .* got size {size}, depths"):
+        SplitSpec("valid_ood", depths, size)
+
+
 # ---------------------------------------------------------------------------
 # list operations
 
