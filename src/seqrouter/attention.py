@@ -12,6 +12,7 @@ their products with the values use the padded (B, H, N, ...) layout.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -174,12 +175,14 @@ def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
 
 def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
     """Per-head weights (B, H, N, N) times packed values v (M, d), merged
-    back to packed (M, d) rows. The backward keeps the per-head v."""
+    back to packed (M, d) rows. The backward keeps the packed v and
+    rebuilds its per-head layout."""
     nh = weights.shape[1]
-    vh = _split_heads(v.data, valid, nh)
-    return ad._op(_join_heads(np.matmul(weights.data, vh), valid),
-                  (weights, lambda g: np.matmul(_split_heads(g, valid, nh), np.swapaxes(vh, -1, -2))),
-                  (v, lambda g: _join_heads(np.matmul(np.swapaxes(weights.data, -1, -2),
+    a, vd = weights.data, v.data
+    return ad._op(_join_heads(np.matmul(a, _split_heads(vd, valid, nh)), valid),
+                  (weights, lambda g: np.matmul(_split_heads(g, valid, nh),
+                                                np.swapaxes(_split_heads(vd, valid, nh), -1, -2))),
+                  (v, lambda g: _join_heads(np.matmul(np.swapaxes(a, -1, -2),
                                                       _split_heads(g, valid, nh)), valid)))
 
 
@@ -229,8 +232,9 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
 
     offsets = np.arange(-(n - 1), n)
     rel_emb = Tensor(sinusoid_table(offsets, d, dtype))
-    k_rel = ad.transpose(ad.reshape(ad.matmul(rel_emb, p.w_kp), (2 * n - 1, cfg.n_heads, cfg.d_head)), (1, 0, 2))
-    score_rel_all = ad.matmul(q_p, ad.transpose(k_rel, (0, 2, 1)))  # (B, H, N, 2N-1)
+    # Sinusoid keys per head, (H, d_h, 2N-1), in one transpose.
+    k_rel = ad.transpose(ad.reshape(ad.matmul(rel_emb, p.w_kp), (2 * n - 1, cfg.n_heads, cfg.d_head)), (1, 2, 0))
+    score_rel_all = ad.matmul(q_p, k_rel)  # (B, H, N, 2N-1)
     offset_idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
     score_rel = ad.take_along(score_rel_all, offset_idx[None, None, :, :], axis=-1)
 
@@ -238,8 +242,8 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
         positional = score_rel
     else:
         abs_emb = Tensor(sinusoid_table(np.arange(n), d, dtype))
-        k_abs = ad.transpose(ad.reshape(ad.matmul(abs_emb, p.w_kp), (n, cfg.n_heads, cfg.d_head)), (1, 0, 2))
-        score_abs = ad.matmul(q_p, ad.transpose(k_abs, (0, 2, 1)))
+        k_abs = ad.transpose(ad.reshape(ad.matmul(abs_emb, p.w_kp), (n, cfg.n_heads, cfg.d_head)), (1, 2, 0))
+        score_abs = ad.matmul(q_p, k_abs)
         r = _heads(ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)), valid, 1)  # (B, 1, N, 1)
         positional = ad.blend(r, score_rel, score_abs)
 
@@ -260,15 +264,19 @@ def geometric_ordering(i: int, n: int) -> list[int]:
     return sorted((k for k in range(1, n + 1) if k != i), key=lambda k: (abs(i - k), k < i))
 
 
+@functools.lru_cache(maxsize=1)
 def _closeness_mask(n: int, dtype) -> np.ndarray:
     """C[i, k, j] = 1 when source k comes before source j in target i's
     closeness ordering. The sort key 2|i - k| + [k < i] puts the right
     neighbour before the left one at equal distance and reproduces
-    geometric_ordering; the diagonal sorts last, so it shadows nothing."""
+    geometric_ordering; the diagonal sorts last, so it shadows nothing.
+    Every layer step of a batch shares one read-only (N, N, N) array."""
     i, k = np.ogrid[:n, :n]
     key = 2 * np.abs(i - k) + (k < i)
     np.fill_diagonal(key, 2 * n)
-    return (key[:, :, None] < key[:, None, :]).astype(dtype)
+    c = (key[:, :, None] < key[:, None, :]).astype(dtype)
+    c.flags.writeable = False
+    return c
 
 
 def _per_target_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -328,29 +336,37 @@ def _match_logits(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     """z[b, h, i, j] = alpha_h q_i.k_j + beta_h D[i, j] + gamma_h, (B, H, N, N),
     from packed q, k (M, d) and per-head direction scores d_lr, d_rl (M, H):
     D[i, j] is target i's d_lr for a source j at or right of i, else d_rl.
-    The backward keeps the per-head q and k and recomputes q.k^T and D."""
+    The backward keeps the packed q and k, rebuilds their per-head layout
+    once for all its VJPs, and recomputes q.k^T and D."""
     nh, n = p.cfg.n_heads, valid.shape[1]
-    qh, kh = _split_heads(q.data, valid, nh), _split_heads(k.data, valid, nh)
+    qd, kd = q.data, k.data
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
     # C-contiguous (B, H, N, 1) columns fix the memory order of D, and so
     # the summation order of beta's gradient.
     lr, rl = (np.ascontiguousarray(_split_heads(t.data, valid, nh)) for t in (d_lr, d_rl))
     alpha, beta, gamma = (t.data.reshape(nh, 1, 1) for t in (p.alpha, p.beta, p.gamma))
 
-    def content() -> np.ndarray:
+    def split() -> tuple[np.ndarray, np.ndarray]:
+        return _split_heads(qd, valid, nh), _split_heads(kd, valid, nh)
+
+    # The VJPs' copy of the per-head q and k: built by the first VJP that
+    # reads it, and freed with the tape node.
+    heads = functools.cache(split)
+
+    def content(qh: np.ndarray, kh: np.ndarray) -> np.ndarray:
         return np.matmul(qh, np.swapaxes(kh, -1, -2))
 
     def direction() -> np.ndarray:
         return np.where(right_or_self, lr, rl)
 
     return ad._op(
-        alpha * content() + beta * direction() + gamma,
-        (q, lambda g: _join_heads(np.matmul(g * alpha, kh), valid)),
-        (k, lambda g: _join_heads(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), g * alpha), -1, -2),
-                                  valid)),
+        alpha * content(*split()) + beta * direction() + gamma,
+        (q, lambda g: _join_heads(np.matmul(g * alpha, heads()[1]), valid)),
+        (k, lambda g: _join_heads(np.swapaxes(np.matmul(np.swapaxes(heads()[0], -1, -2), g * alpha),
+                                              -1, -2), valid)),
         (d_lr, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, g * beta, 0), lr.shape), valid)),
         (d_rl, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, 0, g * beta), rl.shape), valid)),
-        (p.alpha, lambda g: ad._unbroadcast(g * content(), alpha.shape).reshape(nh)),
+        (p.alpha, lambda g: ad._unbroadcast(g * content(*heads()), alpha.shape).reshape(nh)),
         (p.beta, lambda g: ad._unbroadcast(g * direction(), beta.shape).reshape(nh)),
         (p.gamma, lambda g: ad._unbroadcast(g, gamma.shape).reshape(nh)))
 

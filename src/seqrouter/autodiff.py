@@ -10,6 +10,7 @@ checks run the same code in float64.
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import math
 from typing import Callable, Iterable, Sequence
@@ -17,6 +18,32 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .rng import RngTree
+
+
+# glibc's mallopt parameters, from malloc.h.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_memory() -> bool:
+    """Keep freed memory in the process where glibc's ``mallopt`` exists;
+    elsewhere do nothing. Returns whether it applied.
+
+    Arrays below 32 MiB then come from the heap, not from mmaps of their
+    own, and the heap returns memory to the system only past 1 GiB free.
+    Otherwise glibc unmaps what one train step or eval pass frees, and the
+    next pass faults the same temporaries in again, page by page."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):  # no C library handle, or not glibc
+        return False
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mmap_set = mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    trim_set = mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+    return mmap_set == trim_set == 1
+
+
+_keep_freed_memory()
 
 
 class DimensionError(ValueError):
@@ -70,19 +97,68 @@ def _tape() -> Tape | None:
     return _ACTIVE_TAPES[-1] if _ACTIVE_TAPES else None
 
 
-class Tensor:
-    """Dense n-dimensional array of reals, optionally tracked for gradients."""
+class _GradSlot:
+    """A tensor's gradient state, which the tape holds in place of the
+    tensor: the gradient, whether one is wanted, and whether the gradient
+    array is this slot's own to update in place."""
 
-    __slots__ = ("data", "requires_grad", "grad", "_owns_grad")
+    __slots__ = ("grad", "requires_grad", "owns_grad")
+
+    def __init__(self, requires_grad: bool):
+        self.grad: np.ndarray | None = None
+        self.requires_grad = requires_grad
+        self.owns_grad = False
+
+    def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` to the gradient.
+
+        A C-contiguous first gradient is adopted without a copy. It may be
+        shared, e.g. ``add`` hands one array to both operands, so the first
+        accumulation into it allocates a new array, and only arrays
+        allocated here are updated in place. Any other first gradient is
+        copied to C order: numpy's reductions follow memory layout, so a
+        strided view would round differently downstream.
+        """
+        if self.grad is None:
+            self.owns_grad = not g.flags.c_contiguous
+            self.grad = g.copy() if self.owns_grad else g
+        elif self.owns_grad:
+            self.grad += g
+        else:
+            self.grad = self.grad + g
+            self.owns_grad = True
+
+
+class Tensor:
+    """Dense n-dimensional array of reals, optionally tracked for gradients.
+
+    The gradient lives in a small slot that tape nodes refer to, so a node
+    never keeps a tensor, and with it its data, alive."""
+
+    __slots__ = ("data", "_slot")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype)
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float32)
         self.data = arr
-        self.requires_grad = requires_grad
-        self.grad: np.ndarray | None = None
-        self._owns_grad = False
+        self._slot = _GradSlot(requires_grad)
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self._slot.grad
+
+    @grad.setter
+    def grad(self, g: np.ndarray | None) -> None:
+        self._slot.grad = g
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._slot.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, flag: bool) -> None:
+        self._slot.requires_grad = flag
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -96,23 +172,8 @@ class Tensor:
         return float(self.data)
 
     def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` to this tensor's gradient.
-
-        A C-contiguous first gradient is adopted without a copy. It may be
-        shared, e.g. ``add`` hands one array to both operands, so the first
-        accumulation into it allocates a new array, and only arrays
-        allocated here are updated in place. Any other first gradient is
-        copied to C order: numpy's reductions follow memory layout, so a
-        strided view would round differently downstream.
-        """
-        if self.grad is None:
-            self._owns_grad = not g.flags.c_contiguous
-            self.grad = g.copy() if self._owns_grad else g
-        elif self._owns_grad:
-            self.grad += g
-        else:
-            self.grad = self.grad + g
-            self._owns_grad = True
+        """Add ``g`` to this tensor's gradient; see ``_GradSlot.accumulate``."""
+        self._slot.accumulate(g)
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
@@ -169,19 +230,25 @@ def _op(data: np.ndarray, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray
 
     Each ``(operand, vjp)`` pair maps the output's gradient to that
     operand's gradient. The output requires grad when any operand does.
-    The recorded node does nothing when the output got no gradient;
-    otherwise it runs the VJPs in the given order, skips every operand
-    that does not require grad by then, and accumulates the results.
+    The recorded node holds gradient slots, never tensors, so a VJP must
+    capture exactly the arrays and shapes it reads: every other array the
+    forward pass drops is freed at once. The node does nothing when the
+    output got no gradient; otherwise it runs the VJPs in the given order,
+    skips every operand that does not require grad by then, and
+    accumulates the results.
     """
     out = Tensor(data, any(t.requires_grad for t, _ in vjps))
     tape = _tape()
     if tape is not None and out.requires_grad:
+        slot = out._slot
+        operands = [(t._slot, vjp) for t, vjp in vjps]
+
         def bwd():
-            if out.grad is None:
+            if slot.grad is None:
                 return
-            for t, vjp in vjps:
-                if t.requires_grad:
-                    t.accumulate_grad(vjp(out.grad))
+            for operand, vjp in operands:
+                if operand.requires_grad:
+                    operand.accumulate(vjp(slot.grad))
 
         tape.record(bwd)
     return out
@@ -216,18 +283,19 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         data = a.data + b.data
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
-    return _op(data, (a, lambda g: _unbroadcast(g, a.shape)),
-               (b, lambda g: _unbroadcast(g, b.shape)))
+    sa, sb = a.shape, b.shape
+    return _op(data, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_same_dtype(a, b)
+    x, y = a.data, b.data
     try:
-        data = a.data * b.data
+        data = x * y
     except ValueError:
         raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    return _op(data, (a, lambda g: _unbroadcast(g * b.data, a.shape)),
-               (b, lambda g: _unbroadcast(g * a.data, b.shape)))
+    return _op(data, (a, lambda g: _unbroadcast(g * y, x.shape)),
+               (b, lambda g: _unbroadcast(g * x, y.shape)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -243,11 +311,12 @@ def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """Convex mix w * a + (1 - w) * b, broadcasting. w's gradient is two
     reductions and a difference; one reduction of g * (a - b) rounds otherwise."""
     _check_same_dtype(w, a, b)
-    rest = w.dtype.type(1) - w.data
-    return _op(w.data * a.data + rest * b.data,
-               (w, lambda g: _unbroadcast(g * a.data, w.shape) - _unbroadcast(g * b.data, w.shape)),
-               (a, lambda g: _unbroadcast(g * w.data, a.shape)),
-               (b, lambda g: _unbroadcast(g * rest, b.shape)))
+    u, x, y = w.data, a.data, b.data
+    rest = w.dtype.type(1) - u
+    return _op(u * x + rest * y,
+               (w, lambda g: _unbroadcast(g * x, u.shape) - _unbroadcast(g * y, u.shape)),
+               (a, lambda g: _unbroadcast(g * u, x.shape)),
+               (b, lambda g: _unbroadcast(g * rest, y.shape)))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -261,22 +330,25 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return _matmul_folded(a, b, bias)
     if bias is not None:
         raise DimensionError(f"matmul takes a bias only with a 2-d right operand, got {b.shape}")
-    return _op(np.matmul(a.data, b.data),
-               (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(b.data, -1, -2)), a.shape)),
-               (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(a.data, -1, -2), g), b.shape)))
+    x, y = a.data, b.data
+    return _op(np.matmul(x, y),
+               (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape)),
+               (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape)))
 
 
 def _matmul_folded(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
     """``a @ b (+ bias)`` for a 2-D ``b`` (a weight): all leading axes of
     ``a`` fold into one (M, k) matrix, so forward and both product gradients
     are single GEMMs and the weight gradient needs no per-sample reduction."""
-    k, n = b.shape
-    data = np.matmul(a.data.reshape(-1, k), b.data).reshape(a.shape[:-1] + (n,))
-    vjps = [(a, lambda g: np.matmul(g.reshape(-1, n), b.data.T).reshape(a.shape)),
-            (b, lambda g: np.matmul(a.data.reshape(-1, k).T, g.reshape(-1, n)))]
+    x, w = a.data, b.data
+    k, n = w.shape
+    data = np.matmul(x.reshape(-1, k), w).reshape(x.shape[:-1] + (n,))
+    vjps = [(a, lambda g: np.matmul(g.reshape(-1, n), w.T).reshape(x.shape)),
+            (b, lambda g: np.matmul(x.reshape(-1, k).T, g.reshape(-1, n)))]
     if bias is not None:
         data += bias.data
-        vjps.append((bias, lambda g: _unbroadcast(g, bias.shape)))
+        bias_shape = bias.shape
+        vjps.append((bias, lambda g: _unbroadcast(g, bias_shape)))
     return _op(data, *vjps)
 
 
@@ -287,7 +359,8 @@ def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
 
 
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    return _op(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(a.shape)))
+    old = a.shape
+    return _op(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(old)))
 
 
 def relu(a: Tensor) -> Tensor:
@@ -343,15 +416,17 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     var = (xc * xc).mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + a.dtype.type(eps))
     xhat = xc * inv
+    gd = gain.data
 
     def vjp_a(g):
-        dxhat = g * gain.data
+        dxhat = g * gd
         term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
         return term * inv
 
-    return _op(xhat * gain.data + bias.data,
-               (gain, lambda g: _unbroadcast(g * xhat, gain.shape)),
-               (bias, lambda g: _unbroadcast(g, bias.shape)),
+    bias_shape = bias.shape
+    return _op(xhat * gd + bias.data,
+               (gain, lambda g: _unbroadcast(g * xhat, gd.shape)),
+               (bias, lambda g: _unbroadcast(g, bias_shape)),
                (a, vjp_a))
 
 
@@ -368,9 +443,10 @@ def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
     idx = np.asarray(idx)
     out_data = np.take_along_axis(a.data, idx, axis=axis)
     idx_b = np.broadcast_to(idx, out_data.shape)
+    shape, dtype = a.shape, a.dtype
 
     def vjp(g):
-        ga = np.zeros_like(a.data)
+        ga = np.zeros(shape, dtype)
         grids = list(np.indices(g.shape, sparse=True))
         grids[axis] = idx_b
         np.add.at(ga, tuple(grids), g)
@@ -384,9 +460,10 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     ids = np.asarray(ids)
     if ids.min(initial=0) < 0 or ids.max(initial=0) >= table.shape[0]:
         raise ValueError(f"embedding ids out of range [0, {table.shape[0]})")
+    shape, dtype = table.shape, table.dtype
 
     def vjp(g):
-        gt = np.zeros_like(table.data)
+        gt = np.zeros(shape, dtype)
         np.add.at(gt, ids, g)
         return gt
 
@@ -405,10 +482,12 @@ def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
+    shape = a.shape
+
     def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis=axis)
-        return np.broadcast_to(g, a.shape).copy()
+        return np.broadcast_to(g, shape).copy()
 
     return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 

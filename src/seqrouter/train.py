@@ -140,6 +140,10 @@ def _truncate_log(path: Path, iteration: int) -> None:
 
 
 def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> TrainResult:
+    for key in ("batch_size", "n_iters", "eval_every"):
+        value = getattr(cfg, key)
+        if value < 1:
+            raise ValueError(f"{key} must be at least 1, got {value}")
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     task = tasks.dataset_task(cfg.data_dir)
@@ -170,6 +174,8 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
         _check_vocab(header, vocab)
         _check_resume_config(header, cfg)
         start_iter = header["iteration"]
+        if cfg.n_iters < start_iter:
+            raise ValueError(f"n_iters {cfg.n_iters} is below the checkpoint's iteration {start_iter}")
         best_acc = header.get("best_accuracy", -1.0)
         best_iter = header.get("best_iteration", -1)
         batch_gen = restore_generator(header["batch_gen_state"])

@@ -1,14 +1,23 @@
+import ctypes
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+import types
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import seqrouter
 from seqrouter import autodiff as ad
 from seqrouter.attention import Mode
 from seqrouter.autodiff import Tape, Tensor
+from seqrouter.layers import ACTConfig
 from seqrouter.model import EncoderModel, ModelConfig, loss as model_loss
 from seqrouter.optim import clip_gradients
 from seqrouter.rng import RngTree
@@ -95,6 +104,79 @@ def test_backward_frees_each_node_after_it_runs():
     np.testing.assert_array_equal(x.grad, 8.0 * x.data)
 
 
+def test_an_array_no_vjp_reads_dies_when_forward_drops_it():
+    x = t64(np.arange(6.0).reshape(2, 3))
+    arrays = []
+
+    def forward():
+        s = ad.add(x, x)  # read by no VJP: add and relu keep shapes and a mask
+        arrays.append(weakref.ref(s.data))
+        return ad.sum_(ad.relu(s))
+
+    with Tape() as tape:
+        loss = forward()
+        assert arrays[0]() is None
+        tape.backward(loss)
+    np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
+
+
+def _tensors_reachable(node) -> list:
+    """Every Tensor reachable from a tape node through closure cells,
+    functions (cached ones included), tuples and lists."""
+    found, seen, todo = [], set(), [node]
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, Tensor):
+            found.append(obj)
+        elif isinstance(obj, (tuple, list)):
+            todo.extend(obj)
+        elif hasattr(obj, "__wrapped__"):
+            todo.append(obj.__wrapped__)
+        elif isinstance(obj, types.FunctionType):
+            todo.extend(cell.cell_contents for cell in obj.__closure__ or ())
+    return found
+
+
+def test_no_tape_node_reaches_a_tensor_through_any_public_op():
+    gen = np.random.default_rng(5)
+    x = t64(gen.normal(size=(2, 3, 4)))
+    w, bias, gain = t64(gen.normal(size=(4, 4))), t64(gen.normal(size=4)), t64(gen.normal(size=4))
+    table = t64(gen.normal(size=(5, 3)))
+    with Tape() as tape:
+        h = ad.layernorm(ad.matmul(x, w, bias), gain, bias)
+        h = ad.blend(ad.sigmoid(h), ad.tanh(h), ad.relu(h))
+        h = ad.add(ad.mul(h, h), ad.shift(ad.scale(h, 2.0), 1.0))
+        h = ad.masked_fill(h, np.eye(3, 4, dtype=bool), 0.0)
+        s = ad.softmax(ad.matmul(h, ad.transpose(h, (0, 2, 1))))
+        rows = ad.take_along(ad.reshape(s, (6, 3)), np.array([[1], [4]]), axis=0)
+        logits = ad.dropout(ad.add(rows, ad.embedding(table, np.array([0, 3]))), 0.5, gen)
+        loss = ad.add(ad.cross_entropy(logits, np.array([2, 0])), ad.sum_(logits))
+        assert [t for node in tape._nodes for t in _tensors_reachable(node)] == []
+        tape.backward(loss)
+    assert x.grad is not None and table.grad is not None
+
+
+@pytest.mark.parametrize("kind, act", [("standard_abs", "U"), ("relative", None),
+                                       ("abs_rel_gated", "A"), ("geometric", "U"),
+                                       ("geometric", None)])
+def test_no_tape_node_of_a_train_step_reaches_a_tensor(kind, act):
+    cfg = ModelConfig(vocab_size=12, n_classes=5, d_model=16, d_ff=32, n_heads=2, n_layers=2,
+                      kind=kind, gated=True, act=ACTConfig(act) if act else None,
+                      dropout=0.1, att_dropout=0.1)
+    model = EncoderModel.build(cfg, RngTree(0))
+    gen = np.random.default_rng(1)
+    with Tape() as tape:
+        out = model.forward(gen.integers(0, 12, size=(3, 6)), np.array([6, 2, 4]),
+                            mode=Mode(train=True, rng=RngTree(2)))
+        loss = model_loss(out, np.array([0, 4, 2]))
+        assert [t for node in tape._nodes for t in _tensors_reachable(node)] == []
+        tape.backward(loss)
+    assert all(p.grad is not None for p in model.parameters())
+
+
 def test_shared_first_gradient_survives_accumulation_and_clip():
     a, b, c = t64(np.ones(3)), t64(np.ones(3)), t64(np.ones(3))
     w = np.array([1.0, -2.0, 3.0])
@@ -145,6 +227,43 @@ def test_backward_peak_stays_near_forward_activations():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * held, f"backward peak {peak / held:.2f}x the forward-held bytes"
+
+
+def _has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not _has_mallopt(), reason="the C library has no mallopt")
+def test_a_repeated_eval_pass_reuses_freed_memory():
+    # A fresh process, so no earlier test has already grown the heap.
+    code = textwrap.dedent("""
+        import resource
+        import numpy as np
+        from seqrouter.model import EncoderModel, ModelConfig
+        from seqrouter.rng import RngTree
+
+        cfg = ModelConfig(vocab_size=12, n_classes=5, d_model=64, d_ff=128, n_heads=2, n_layers=6)
+        model = EncoderModel.build(cfg, RngTree(0))
+        gen = np.random.default_rng(1)
+        tokens, lengths = gen.integers(0, 12, size=(256, 6)), gen.integers(3, 7, size=256)
+        model.forward(tokens, lengths)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        model.forward(tokens, lengths)
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    """)
+    src = str(Path(seqrouter.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, timeout=120, env={**os.environ, "PYTHONPATH": src})
+    # glibc's default unmaps what the first pass freed: about 2.7k faults here.
+    assert int(proc.stdout) < 1000, proc.stdout
+
+
+def test_keep_freed_memory_does_nothing_without_mallopt(monkeypatch):
+    monkeypatch.setattr(ad.ctypes, "CDLL", lambda name: types.SimpleNamespace())
+    assert ad._keep_freed_memory() is False
 
 
 def test_backward_needs_scalar():

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import pytest
 
@@ -71,6 +72,28 @@ def test_train_override(workspace, capsys):
     assert rc == 0
     lines = [json.loads(l) for l in open(out / "metrics.ndjson")]
     assert sum(1 for l in lines if "loss" in l) == 2
+
+
+@pytest.mark.parametrize("key, value", [("eval_every", "0"), ("eval_every", "-1"),
+                                        ("n_iters", "-5"), ("batch_size", "0")])
+def test_train_rejects_run_values_below_one(workspace, tmp_path, capsys, key, value):
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(workspace / "tiny.cfg"), "--out", str(out),
+               "--override", f"{key}={value}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
+    assert not out.exists()
+
+
+def test_resume_rejects_n_iters_below_the_checkpoint_and_writes_nothing(workspace, tmp_path, capsys):
+    run = tmp_path / "run"
+    shutil.copytree(workspace / "run", run)
+    before = {f.name: f.read_bytes() for f in run.iterdir()}
+    rc = main(["train", "--config", str(workspace / "tiny.cfg"), "--out", str(run),
+               "--resume", str(run / "last.ckpt"), "--override", "n_iters=1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: n_iters 1 is below the checkpoint's iteration 4\n"
+    assert {f.name: f.read_bytes() for f in run.iterdir()} == before
 
 
 def test_eval_command(workspace, capsys):

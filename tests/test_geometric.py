@@ -352,8 +352,20 @@ def test_geometric_attend_records_few_nodes():
     assert step_nodes <= 22
 
 
+@pytest.mark.parametrize("kind, most", [("relative", 21), ("abs_rel_gated", 29)])
+def test_relative_attend_records_few_nodes(kind, most):
+    cfg = AttentionConfig(d_model=16, n_heads=2, kind=kind)
+    p = att.init_attention(Init(RngTree(25), np.float32, prefix="rel"), cfg)
+    valid = np.arange(5)[None, :] < np.array([5, 3])[:, None]
+    h = Tensor(np.random.default_rng(25).normal(size=(8, 16)).astype(np.float32), requires_grad=True)
+    with Tape() as tape:
+        att.attend(h, p, valid)
+        # One transpose puts each sinusoid key table in (H, d_h, 2N-1) order.
+        assert len(tape._nodes) <= most
+
+
 def test_match_logits_holds_only_its_output():
-    b, nh, n, d = 4, 8, 64, 16
+    b, nh, n, d = 4, 8, 64, 64
     p = geo_params(d=d, heads=nh, seed=24, dtype=np.float32)
     valid = np.ones((b, n), dtype=bool)
     valid[1, 40:] = False
@@ -371,7 +383,12 @@ def test_match_logits_holds_only_its_output():
             tape.backward(ad.sum_(z))
     finally:
         tracemalloc.stop()
-    # z, the per-head q and k, and slack well below one more (B, H, N, N) array.
-    per_head = 2 * b * n * d * 4
+    # z and slack below the 128 KB of per-head q and k, which are not kept.
     assert z.shape == (b, nh, n, n)
-    assert held <= z.data.nbytes + per_head + 64 * 1024, held
+    assert held <= z.data.nbytes + 64 * 1024, held
+
+
+def test_closeness_mask_is_one_read_only_array():
+    c = att._closeness_mask(7, np.dtype(np.float32))
+    assert att._closeness_mask(7, np.dtype(np.float32)) is c
+    assert not c.flags.writeable
