@@ -22,7 +22,7 @@ from . import autodiff as ad
 from .autodiff import Init, Parameter, Tensor
 from .rng import RngTree
 
-NEG_SCORE = -1e9  # additive mask value; exp() underflows to exactly 0
+NEG_SCORE = -1e9  # score at pad sources; exp() underflows to exactly 0
 
 
 @dataclass
@@ -47,6 +47,8 @@ class AttentionConfig:
     content_dropout: float = 0.0
 
     def __post_init__(self):
+        if self.n_heads < 1:
+            raise ValueError(f"n_heads must be at least 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
             raise ValueError(f"d_model {self.d_model} not divisible by n_heads {self.n_heads}")
 
@@ -186,8 +188,22 @@ def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
                                                       _split_heads(g, valid, nh)), valid)))
 
 
-def _source_invalid(valid: np.ndarray) -> np.ndarray:
-    return ~valid[:, None, None, :]
+def _content(q: Tensor, k: Tensor, valid: np.ndarray, n_heads: int, scaled):
+    """q_i.k_j per head, (B, H, N, N), of packed q and k (M, d); the q and k
+    VJPs of an op whose output gradient g reaches that product as scaled(g);
+    and the VJPs' per-head q and k, built by the first VJP that reads them
+    and freed with the tape node. The VJPs keep only the packed rows."""
+    qd, kd = q.data, k.data
+
+    def split() -> tuple[np.ndarray, np.ndarray]:
+        return _split_heads(qd, valid, n_heads), _split_heads(kd, valid, n_heads)
+
+    heads = functools.cache(split)
+    qh, kh = split()
+    return np.matmul(qh, np.swapaxes(kh, -1, -2)), heads, (
+        (q, lambda g: _join_heads(np.matmul(scaled(g), heads()[1]), valid)),
+        (k, lambda g: _join_heads(
+            np.swapaxes(np.matmul(np.swapaxes(heads()[0], -1, -2), scaled(g)), -1, -2), valid)))
 
 
 def _check_inputs(h: Tensor, valid: np.ndarray) -> None:
@@ -206,7 +222,56 @@ def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# relative / gated absolute-relative attention
+# softmax attention: standard, relative and gated absolute/relative
+
+
+def _scores(q: Tensor, k: Tensor, valid: np.ndarray, n_heads: int, c: float,
+            pos: Tensor | None = None) -> Tensor:
+    """c (q_i.k_j + pos[i, j]) per head, (B, H, N, N), of packed q, k (M, d)
+    and an optional positional term pos (B, H, N, N), with NEG_SCORE at pad
+    sources. The VJPs zero the pad sources; they keep only packed q and k."""
+    c, src_invalid = q.dtype.type(c), ~valid[:, None, None, :]
+
+    def masked(g: np.ndarray) -> np.ndarray:
+        return np.where(src_invalid, 0, g) * c
+
+    s, _, vjps = _content(q, k, valid, n_heads, masked)
+    if pos is not None:
+        s, vjps = s + pos.data, vjps + ((pos, masked),)
+    return ad._op(np.where(src_invalid, NEG_SCORE, s * c), *vjps)
+
+
+def _offsets(x: np.ndarray) -> np.ndarray:
+    """(..., N, N) view of x (..., N, 2N - 1) whose [..., i, j] is x[..., i, i - j + N - 1],
+    the column of offset i - j: a strided view, not a gather (the "skewing" of
+    Huang et al. 2018, arXiv:1809.04281). Every cell of the view is distinct."""
+    n = x.shape[-2]
+    si, sl = x.strides[-2:]
+    return np.lib.stride_tricks.as_strided(x[..., n - 1:], x.shape[:-1] + (n,),
+                                           x.strides[:-2] + (si + sl, -sl))
+
+
+def _table_scores(q: Tensor, table: Tensor, valid: np.ndarray, n_heads: int, view=None) -> Tensor:
+    """Per-head scores q_i.t_l, (B, H, N, L), of packed q (M, d) against a
+    key table t (L, d) that every sequence shares; with a view (_offsets),
+    a C-contiguous copy of view(scores). The VJPs keep the packed q and the
+    table, and add the gradient back through the view into zeros."""
+    qd, td = q.data, table.data
+    kt = td.reshape(td.shape[0], n_heads, -1).transpose(1, 2, 0)  # (H, d_h, L)
+    full = np.matmul(_split_heads(qd, valid, n_heads), kt)
+
+    def unview(g: np.ndarray) -> np.ndarray:
+        if view is None:
+            return g
+        out = np.zeros(g.shape[:-1] + kt.shape[-1:], g.dtype)
+        cells = view(out)
+        cells += g
+        return out
+
+    return ad._op(full if view is None else np.ascontiguousarray(view(full)),
+                  (q, lambda g: _join_heads(np.matmul(unview(g), np.swapaxes(kt, -1, -2)), valid)),
+                  (table, lambda g: np.matmul(np.swapaxes(_split_heads(qd, valid, n_heads), -1, -2),
+                                              unview(g)).sum(axis=0).transpose(2, 0, 1).reshape(td.shape)))
 
 
 def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
@@ -217,38 +282,19 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
     scalar gate (fixed at 1 when p.w_ar is None). Masked sources are
     already pushed to -inf."""
     cfg = p.cfg
-    n = valid.shape[1]
-    d = h.shape[-1]
-    dtype = h.dtype
-
+    nh, n, d, dtype = cfg.n_heads, valid.shape[1], h.shape[-1], h.dtype
     q = ad.matmul(h, p.w_q)
     q_e = _maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q")
     q_p = _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q")
-    q_e = _heads(q_e, valid, cfg.n_heads)
-    q_p = _heads(q_p, valid, cfg.n_heads)
-
-    k_e = _heads(ad.matmul(h, p.w_ke), valid, cfg.n_heads)
-    content = ad.matmul(q_e, ad.transpose(k_e, (0, 1, 3, 2)))
-
-    offsets = np.arange(-(n - 1), n)
-    rel_emb = Tensor(sinusoid_table(offsets, d, dtype))
-    # Sinusoid keys per head, (H, d_h, 2N-1), in one transpose.
-    k_rel = ad.transpose(ad.reshape(ad.matmul(rel_emb, p.w_kp), (2 * n - 1, cfg.n_heads, cfg.d_head)), (1, 2, 0))
-    score_rel_all = ad.matmul(q_p, k_rel)  # (B, H, N, 2N-1)
-    offset_idx = (np.arange(n)[:, None] - np.arange(n)[None, :]) + (n - 1)
-    score_rel = ad.take_along(score_rel_all, offset_idx[None, None, :, :], axis=-1)
-
-    if p.w_ar is None:
-        positional = score_rel
-    else:
+    k_e = ad.matmul(h, p.w_ke)
+    rel_emb = Tensor(sinusoid_table(np.arange(-(n - 1), n), d, dtype))
+    positional = _table_scores(q_p, ad.matmul(rel_emb, p.w_kp), valid, nh, view=_offsets)
+    if p.w_ar is not None:
         abs_emb = Tensor(sinusoid_table(np.arange(n), d, dtype))
-        k_abs = ad.transpose(ad.reshape(ad.matmul(abs_emb, p.w_kp), (n, cfg.n_heads, cfg.d_head)), (1, 2, 0))
-        score_abs = ad.matmul(q_p, k_abs)
+        score_abs = _table_scores(q_p, ad.matmul(abs_emb, p.w_kp), valid, nh)
         r = _heads(ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)), valid, 1)  # (B, 1, N, 1)
-        positional = ad.blend(r, score_rel, score_abs)
-
-    scores = ad.scale(ad.add(content, positional), 1.0 / math.sqrt(cfg.d_head))
-    return ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE)
+        positional = ad.blend(r, positional, score_abs)
+    return _scores(q_e, k_e, valid, nh, 1.0 / math.sqrt(cfg.d_head), pos=positional)
 
 
 # ---------------------------------------------------------------------------
@@ -339,34 +385,22 @@ def _match_logits(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     The backward keeps the packed q and k, rebuilds their per-head layout
     once for all its VJPs, and recomputes q.k^T and D."""
     nh, n = p.cfg.n_heads, valid.shape[1]
-    qd, kd = q.data, k.data
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
     # C-contiguous (B, H, N, 1) columns fix the memory order of D, and so
     # the summation order of beta's gradient.
     lr, rl = (np.ascontiguousarray(_split_heads(t.data, valid, nh)) for t in (d_lr, d_rl))
     alpha, beta, gamma = (t.data.reshape(nh, 1, 1) for t in (p.alpha, p.beta, p.gamma))
-
-    def split() -> tuple[np.ndarray, np.ndarray]:
-        return _split_heads(qd, valid, nh), _split_heads(kd, valid, nh)
-
-    # The VJPs' copy of the per-head q and k: built by the first VJP that
-    # reads it, and freed with the tape node.
-    heads = functools.cache(split)
-
-    def content(qh: np.ndarray, kh: np.ndarray) -> np.ndarray:
-        return np.matmul(qh, np.swapaxes(kh, -1, -2))
+    content, heads, qk_vjps = _content(q, k, valid, nh, lambda g: g * alpha)
 
     def direction() -> np.ndarray:
         return np.where(right_or_self, lr, rl)
 
     return ad._op(
-        alpha * content(*split()) + beta * direction() + gamma,
-        (q, lambda g: _join_heads(np.matmul(g * alpha, heads()[1]), valid)),
-        (k, lambda g: _join_heads(np.swapaxes(np.matmul(np.swapaxes(heads()[0], -1, -2), g * alpha),
-                                              -1, -2), valid)),
+        alpha * content + beta * direction() + gamma, *qk_vjps,
         (d_lr, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, g * beta, 0), lr.shape), valid)),
         (d_rl, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, 0, g * beta), rl.shape), valid)),
-        (p.alpha, lambda g: ad._unbroadcast(g * content(*heads()), alpha.shape).reshape(nh)),
+        (p.alpha, lambda g: ad._unbroadcast(g * np.matmul(heads()[0], np.swapaxes(heads()[1], -1, -2)),
+                                            alpha.shape).reshape(nh)),
         (p.beta, lambda g: ad._unbroadcast(g * direction(), beta.shape).reshape(nh)),
         (p.gamma, lambda g: ad._unbroadcast(g, gamma.shape).reshape(nh)))
 
@@ -389,25 +423,20 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     """Self-attention of packed states h (M, d) over valid sources; returns
     (output (M, d), weights (B, H, N, N)).
 
-    Every projection runs on the packed rows; the per-head results are
-    scattered to (B, H, N, d_h) for the pairwise products. The parameter
-    bundle's type picks the scores: scaled q.k for MhaParams, rel_scores
-    for RelAttentionParams, and geometric match logits for
-    GeometricAttentionParams. Geometric logits become distance-ordered
-    weights, the other scores a masked softmax. For every kind the values
-    are projected after the weights, and _attend_values returns weights.v
-    as packed rows for w_o."""
+    Every kind is a scores op on packed rows, a weights op, and
+    _attend_values (weights.v as packed rows for w_o). The parameter
+    bundle's type picks the scores: _scores for MhaParams, rel_scores for
+    RelAttentionParams, and match logits for GeometricAttentionParams,
+    which become distance-ordered weights; the others take a softmax."""
     _check_inputs(h, valid)
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
-        weights = _weights_from_logs(_geometric_logits(h, p, valid, mode), _source_invalid(valid))
+        weights = _weights_from_logs(_geometric_logits(h, p, valid, mode), ~valid[:, None, None, :])
     elif isinstance(p, RelAttentionParams):
         weights = ad.softmax(rel_scores(h, p, valid, mode))
     else:
-        q = ad.matmul(h, p.w_q)
-        q = _heads(_maybe_dropout(q, cfg.content_dropout, mode, "att_content_q"), valid, cfg.n_heads)
-        k = _heads(ad.matmul(h, p.w_k), valid, cfg.n_heads)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(cfg.d_head))
-        weights = ad.softmax(ad.masked_fill(scores, _source_invalid(valid), NEG_SCORE))
+        q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
+        weights = ad.softmax(_scores(q, ad.matmul(h, p.w_k), valid, cfg.n_heads,
+                                     1.0 / math.sqrt(cfg.d_head)))
     out = ad.matmul(_attend_values(weights, ad.matmul(h, p.w_v), valid), p.w_o)
     return out, weights

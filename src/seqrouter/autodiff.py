@@ -352,12 +352,6 @@ def _matmul_folded(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
     return _op(data, *vjps)
 
 
-def transpose(a: Tensor, axes: Sequence[int]) -> Tensor:
-    axes = tuple(axes)
-    inv = tuple(np.argsort(axes))
-    return _op(np.transpose(a.data, axes), (a, lambda g: np.transpose(g, inv)))
-
-
 def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
     old = a.shape
     return _op(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(old)))
@@ -428,31 +422,6 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
                (gain, lambda g: _unbroadcast(g * xhat, gd.shape)),
                (bias, lambda g: _unbroadcast(g, bias_shape)),
                (a, vjp_a))
-
-
-def masked_fill(a: Tensor, mask: np.ndarray, value: float) -> Tensor:
-    """Set entries where ``mask`` is true to ``value``; mask is a constant."""
-    mask = np.broadcast_to(np.asarray(mask, dtype=bool), a.shape)
-    data = a.data.copy()
-    data[mask] = a.dtype.type(value)
-    return _op(data, (a, lambda g: np.where(mask, 0.0, g)))
-
-
-def take_along(a: Tensor, idx: np.ndarray, axis: int) -> Tensor:
-    """Gather along an axis with a constant integer index array."""
-    idx = np.asarray(idx)
-    out_data = np.take_along_axis(a.data, idx, axis=axis)
-    idx_b = np.broadcast_to(idx, out_data.shape)
-    shape, dtype = a.shape, a.dtype
-
-    def vjp(g):
-        ga = np.zeros(shape, dtype)
-        grids = list(np.indices(g.shape, sparse=True))
-        grids[axis] = idx_b
-        np.add.at(ga, tuple(grids), g)
-        return ga
-
-    return _op(out_data, (a, vjp))
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:

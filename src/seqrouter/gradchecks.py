@@ -1,11 +1,12 @@
 """Named gradient checks: every layer variant, the per-head layout op,
-geometric match logits and weights, and representative op composites, all
-checked against central finite differences in extended (80-bit)
-precision, which keeps the difference quotient meaningful on structurally
-tiny gradient coordinates. Attention and layer checks run a two-sequence
-batch of lengths (n, n - 2), so pad columns and the boundary between
-packed rows and the padded attention layout, both ways (``_heads``, and
-the values op ``_attend_values``), are covered."""
+geometric match logits and weights, the key-table scores of relative
+attention, and representative op composites, all checked against central
+finite differences in extended (80-bit) precision, which keeps the
+difference quotient meaningful on structurally tiny gradient coordinates.
+Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
+so pad columns and the boundary between packed rows and the padded
+attention layout, both ways (``_heads``, and the values op
+``_attend_values``), are covered."""
 
 from __future__ import annotations
 
@@ -100,6 +101,24 @@ def check_match_logits(seed: int = 6, n: int = 4, d: int = 4) -> float:
     return grad_check(fn, rows + gains, step=1e-5)
 
 
+def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
+    """Scores of packed q over a ragged batch against two shared key tables:
+    a (2n - 1, d) one read through the relative-offset view, and an (n, d)
+    one read whole."""
+    gen = np.random.default_rng(seed)
+    lengths, valid = _ragged(n)
+    q = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    tables = [Tensor(gen.normal(size=(rows, d)), dtype=np.longdouble) for rows in (2 * n - 1, n)]
+    r = [Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble) for _ in range(2)]
+
+    def fn(points):
+        rel = att._table_scores(points[0], points[1], valid, 2, view=att._offsets)
+        absolute = att._table_scores(points[0], points[2], valid, 2)
+        return ad.add(ad.sum_(ad.mul(rel, r[0])), ad.sum_(ad.mul(absolute, r[1])))
+
+    return grad_check(fn, [q] + tables, step=1e-5)
+
+
 def check_geometric_weights(seed: int = 2, n: int = 4) -> float:
     """Weights from logits for two rows of targets: every source valid in
     the first, the last source a pad in the second."""
@@ -174,6 +193,7 @@ def run_checks(module: str | None = None) -> dict[str, float]:
     if module in (None, "attention"):
         checks["attention/heads"] = check_heads
         checks["attention/match_logits"] = check_match_logits
+        checks["attention/table_scores"] = check_table_scores
         checks["attention/geometric_weights"] = check_geometric_weights
         for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):
             checks[f"attention/{kind}"] = lambda k=kind: check_attention_kind(k)

@@ -38,10 +38,16 @@ class ModelConfig:
     att_dropout: float = 0.0
 
     def __post_init__(self):
+        if self.n_layers < 1:
+            raise ValueError(f"n_layers must be at least 1, got {self.n_layers}")
+        for key in ("dropout", "att_dropout"):
+            if not 0.0 <= getattr(self, key) < 1.0:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
         if self.readout not in ("last", "first"):
             raise ValueError(f"readout must be 'last' or 'first', got {self.readout!r}")
         if self.test_steps is not None and self.test_steps < self.n_layers:
             raise ValueError(f"test_steps {self.test_steps} < n_layers {self.n_layers}")
+        self.attention_config()  # rejects n_heads below 1 or not dividing d_model
 
     def attention_config(self) -> AttentionConfig:
         return AttentionConfig(self.d_model, self.n_heads, self.kind, content_dropout=self.att_dropout)
@@ -160,7 +166,7 @@ class EncoderModel:
 
         # Each sequence's last or first row in the packed state.
         row = np.cumsum(lengths) - (1 if self.cfg.readout == "last" else lengths)
-        picked = ad.take_along(final, row[:, None], axis=0)
+        picked = ad.embedding(final, row)
         logits = ad.matmul(picked, self.out_w, self.out_b)
         return ForwardOut(logits=logits, act=act_res, trace=rec)
 

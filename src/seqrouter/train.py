@@ -140,16 +140,21 @@ def _truncate_log(path: Path, iteration: int) -> None:
 
 
 def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> TrainResult:
-    for key in ("batch_size", "n_iters", "eval_every"):
+    for key, least in (("batch_size", 1), ("n_iters", 1), ("eval_every", 1),
+                       ("lr", 0), ("weight_decay", 0)):
         value = getattr(cfg, key)
-        if value < 1:
-            raise ValueError(f"{key} must be at least 1, got {value}")
+        if not value >= least:
+            raise ValueError(f"{key} must be at least {least}, got {value}")
+    if not cfg.grad_clip > 0:
+        raise ValueError(f"grad_clip must be positive, got {cfg.grad_clip}")
+    # Building the model config checks the model keys before anything is written.
+    vocab = tasks.vocab_for_task(cfg.task)
+    mcfg = cfg.model_config(len(vocab), vocab.n_classes)
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     task = tasks.dataset_task(cfg.data_dir)
     if task != cfg.task:
         raise ValueError(f"dataset at {cfg.data_dir} is for task {task!r}, config says {cfg.task!r}")
-    vocab = tasks.vocab_for_task(cfg.task)
     train_set = tasks.load_split(cfg.data_dir, "train")
     eval_sets = {}
     for name in ("valid_ood", "valid_iid"):
@@ -161,7 +166,6 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
         raise FileNotFoundError(f"{cfg.data_dir} has no valid_ood split")
 
     root = RngTree(cfg.seed)
-    mcfg = cfg.model_config(len(vocab), vocab.n_classes)
     model = EncoderModel.build(mcfg, root.child("model"))
     opt = OptimizerState(lr=cfg.lr, weight_decay=cfg.weight_decay)
     batch_gen = root.child("batches").generator()

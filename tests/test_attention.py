@@ -8,7 +8,7 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import check_heads
+from seqrouter.gradchecks import TOLERANCE, check_heads, check_table_scores, run_checks
 from seqrouter.rng import RngTree
 
 from oracles import naive_mha, naive_rel_scores, sinusoid
@@ -96,10 +96,13 @@ def test_attend_rejects_padded_states():
         att.attend(rand_states(3, 8), p, valid)
 
 
-def test_masked_sources_contribute_zero_gradient():
+@pytest.mark.parametrize("kind", ["standard_abs", "relative", "abs_rel_gated"])
+def test_masked_sources_contribute_zero_gradient(kind):
     # A pad column of the padded (B, N) layout feeds nothing back: every
     # packed row's gradient equals that of the same sequence without it.
-    p = make_params("standard_abs")
+    # The absolute sinusoid table's rows 0..N-1 do not depend on N, and
+    # the relative table's extra offsets meet only the pad column.
+    p = make_params(kind)
     gen = np.random.default_rng(4)
     h = gen.normal(size=(4, 8))
     grads = []
@@ -110,6 +113,20 @@ def test_masked_sources_contribute_zero_gradient():
             tape.backward(ad.sum_(out))
         grads.append(x.grad)
     np.testing.assert_allclose(grads[1], grads[0], rtol=1e-12, atol=1e-14)
+
+
+def test_scores_zero_the_gradient_at_pad_sources():
+    gen = np.random.default_rng(5)
+    valid = np.array([[True, True, True], [True, False, False]])
+    q, k = (Tensor(gen.normal(size=(4, 4))) for _ in range(2))
+    pos = Tensor(gen.normal(size=(2, 2, 3, 3)), requires_grad=True)
+    r = gen.normal(size=(2, 2, 3, 3))
+    with Tape() as tape:
+        s = att._scores(q, k, valid, 2, 0.5, pos=pos)
+        tape.backward(ad.sum_(ad.mul(s, Tensor(r))))
+    pad = ~valid[:, None, None, :]
+    assert (s.data[np.broadcast_to(pad, s.shape)] == att.NEG_SCORE).all()
+    np.testing.assert_array_equal(pos.grad, np.where(pad, 0.0, 0.5 * r))
 
 
 def test_rel_scores_match_naive_relative_only():
@@ -208,6 +225,25 @@ def test_heads_grad_check():
     assert check_heads() < 1e-9
 
 
+def test_table_scores_grad_check():
+    # The key tables' gradient flows through no other op, so a wrong
+    # factor shows only here: relative error 5e-4 at a factor of 1.001.
+    assert check_table_scores() < 1e-9
+
+
+def _held_bytes(op):
+    tracemalloc.start()
+    try:
+        with Tape() as tape:
+            before = tracemalloc.get_traced_memory()[0]
+            out = op()
+            held = tracemalloc.get_traced_memory()[0] - before
+            tape.backward(ad.sum_(out))
+    finally:
+        tracemalloc.stop()
+    return out, held
+
+
 def test_attend_values_holds_only_its_output():
     b, nh, n, d = 4, 8, 64, 64
     valid = np.ones((b, n), dtype=bool)
@@ -216,19 +252,60 @@ def test_attend_values_holds_only_its_output():
     gen = np.random.default_rng(31)
     weights = Tensor(gen.random((b, nh, n, n)).astype(np.float32), requires_grad=True)
     v = Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True)
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            before = tracemalloc.get_traced_memory()[0]
-            out = att._attend_values(weights, v, valid)
-            held = tracemalloc.get_traced_memory()[0] - before
-            tape.backward(ad.sum_(out))
-    finally:
-        tracemalloc.stop()
+    out, held = _held_bytes(lambda: att._attend_values(weights, v, valid))
     # The output, with slack below the 64 KB of zero-padded per-head v or
     # (B, H, N, d_h) product, neither of which is kept.
     assert out.shape == (m, d)
     assert held <= out.data.nbytes + 16 * 1024, held
+
+
+def test_scores_hold_only_their_output():
+    b, nh, n, d = 4, 8, 64, 64
+    valid = np.ones((b, n), dtype=bool)
+    valid[1, 40:] = False
+    m = np.count_nonzero(valid)
+    gen = np.random.default_rng(32)
+    q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
+    pos = Tensor(gen.normal(size=(b, nh, n, n)).astype(np.float32), requires_grad=True)
+    out, held = _held_bytes(lambda: att._scores(q, k, valid, nh, 0.125, pos=pos))
+    # The scores, with slack below the 128 KB of per-head q and k or the
+    # 512 KB q.k product, none of which is kept.
+    assert out.shape == (b, nh, n, n)
+    assert held <= out.data.nbytes + 64 * 1024, held
+
+
+def test_table_scores_hold_only_their_output():
+    b, nh, n, d = 4, 8, 64, 64
+    valid = np.ones((b, n), dtype=bool)
+    valid[1, 40:] = False
+    gen = np.random.default_rng(33)
+    q = Tensor(gen.normal(size=(np.count_nonzero(valid), d)).astype(np.float32), requires_grad=True)
+    table = Tensor(gen.normal(size=(2 * n - 1, d)).astype(np.float32), requires_grad=True)
+    out, held = _held_bytes(lambda: att._table_scores(q, table, valid, nh, view=att._offsets))
+    # The (B, H, N, N) scores, with slack below the 64 KB of per-head q;
+    # the 1 MB (B, H, N, 2N - 1) product is not kept either.
+    assert out.shape == (b, nh, n, n) and out.data.flags.c_contiguous
+    assert held <= out.data.nbytes + 32 * 1024, held
+
+
+@pytest.mark.parametrize("n", [1, 2, 7])
+def test_offsets_view_matches_gather(n):
+    x = np.random.default_rng(n).normal(size=(2, 3, n, 2 * n - 1))
+    idx = np.arange(n)[:, None] - np.arange(n)[None, :] + n - 1
+    np.testing.assert_array_equal(att._offsets(x), np.take_along_axis(x, idx[None, None], axis=-1))
+    # Every cell of the view is a distinct cell of x.
+    hits = np.zeros_like(x)
+    cells = att._offsets(hits)
+    cells += 1.0
+    assert hits.sum() == x.size // (2 * n - 1) * n and hits.max() == 1.0
+
+
+def test_every_attention_gradient_check_passes():
+    results = run_checks("attention")
+    kinds = ("standard_abs", "relative", "abs_rel_gated", "geometric")
+    assert {f"attention/{kind}" for kind in kinds} <= set(results)
+    for name, err in results.items():
+        assert err < TOLERANCE, f"{name}: {err:.3e}"
 
 
 def test_split_and_join_heads_are_exact_inverses():

@@ -85,6 +85,27 @@ def test_train_rejects_run_values_below_one(workspace, tmp_path, capsys, key, va
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("n_heads", "0", "n_heads must be at least 1, got 0"),
+    ("n_layers", "0", "n_layers must be at least 1, got 0"),
+    ("dropout", "-0.2", "dropout must be in [0, 1), got -0.2"),
+    ("dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
+    ("att_dropout", "-0.5", "att_dropout must be in [0, 1), got -0.5"),
+    ("lr", "-0.001", "lr must be at least 0, got -0.001"),
+    ("lr", "nan", "lr must be at least 0, got nan"),
+    ("weight_decay", "-0.01", "weight_decay must be at least 0, got -0.01"),
+    ("grad_clip", "0", "grad_clip must be positive, got 0.0"),
+    ("grad_clip", "-1", "grad_clip must be positive, got -1.0"),
+])
+def test_train_rejects_values_that_train_another_model(workspace, tmp_path, capsys, key, value, message):
+    out = tmp_path / "run"
+    rc = main(["train", "--config", str(workspace / "tiny.cfg"), "--out", str(out),
+               "--override", f"{key}={value}"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_resume_rejects_n_iters_below_the_checkpoint_and_writes_nothing(workspace, tmp_path, capsys):
     run = tmp_path / "run"
     shutil.copytree(workspace / "run", run)
