@@ -171,10 +171,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def accumulate_grad(self, g: np.ndarray) -> None:
-        """Add ``g`` to this tensor's gradient; see ``_GradSlot.accumulate``."""
-        self._slot.accumulate(g)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, dtype={self.dtype}, requires_grad={self.requires_grad})"
 
@@ -303,10 +299,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _op(a.data * c, (a, lambda g: g * c))
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    return _op(a.data + a.dtype.type(c), (a, lambda g: g))
-
-
 def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
     """Convex mix w * a + (1 - w) * b, broadcasting. w's gradient is two
     reductions and a difference; one reduction of g * (a - b) rounds otherwise."""
@@ -350,11 +342,6 @@ def _matmul_folded(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
         bias_shape = bias.shape
         vjps.append((bias, lambda g: _unbroadcast(g, bias_shape)))
     return _op(data, *vjps)
-
-
-def reshape(a: Tensor, shape: Sequence[int]) -> Tensor:
-    old = a.shape
-    return _op(a.data.reshape(tuple(shape)), (a, lambda g: g.reshape(old)))
 
 
 def relu(a: Tensor) -> Tensor:

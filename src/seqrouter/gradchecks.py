@@ -1,8 +1,9 @@
 """Named gradient checks: every layer variant, the per-head layout op,
 geometric match logits and weights, the key-table scores of relative
-attention, and representative op composites, all checked against central
-finite differences in extended (80-bit) precision, which keeps the
-difference quotient meaningful on structurally tiny gradient coordinates.
+attention, the ACT readout, and representative op composites, all
+checked against central finite differences in extended (80-bit)
+precision, which keeps the difference quotient meaningful on
+structurally tiny gradient coordinates.
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
 so pad columns and the boundary between packed rows and the padded
 attention layout, both ways (``_heads``, and the values op
@@ -16,11 +17,11 @@ from . import attention as att
 from . import autodiff as ad
 from .attention import AttentionConfig
 from .autodiff import Init, Tensor, grad_check
-from .layers import ACTConfig, encoder_step, init_layer
+from .layers import ACTConfig, act_readout, encoder_step, init_layer
 from .model import EncoderModel, ModelConfig, loss
 from .rng import RngTree
 
-TOLERANCE = 1e-3
+TOLERANCE = 1e-4
 
 LAYER_VARIANTS = {
     "baseline": ("standard_abs", False, None),
@@ -150,6 +151,24 @@ def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> fl
     return grad_check(fn, [h] + ad.parameters(params), step=1e-5)
 
 
+def check_act_readout(variant: str, seed: int = 8, d: int = 3) -> float:
+    """The readout and regularizer of ACT variant A or U over T = 4 states
+    and halting columns of two sequences of lengths (1, 3). The columns halt
+    at step 1, 3, T and never, each p_hat at least 5e-3 from a crossing."""
+    gen = np.random.default_rng(seed)
+    rows = [[0.995, 0.4, 0.2, 0.1], [0.3, 0.3, 0.3, 0.2], [0.2, 0.5, 0.1, 0.15], [0.4, 0.2, 0.5, 0.1]]
+    p_hats = [Tensor(np.array(row)[:, None], dtype=np.longdouble) for row in rows]
+    states = [Tensor(gen.normal(size=(4, d)), dtype=np.longdouble) for _ in rows]
+    r = Tensor(gen.normal(size=(4, d)), dtype=np.longdouble)
+    cfg = ACTConfig(variant=variant, reg_weight=0.5)
+
+    def fn(points):
+        res = act_readout(points[:4], points[4:], cfg, np.array([1, 3]))
+        return ad.add(ad.sum_(ad.mul(res.readout, r)), res.act_loss)
+
+    return grad_check(fn, states + p_hats, step=1e-5)
+
+
 def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> float:
     """One encoder step, or for the ACT variants a two-step model run
     through EncoderModel.forward and model.loss."""
@@ -200,6 +219,8 @@ def run_checks(module: str | None = None) -> dict[str, float]:
     if module in (None, "layer"):
         for name in LAYER_VARIANTS:
             checks[f"layer/{name}"] = lambda v=name: check_layer_variant(v)
+        for variant in ("A", "U"):
+            checks[f"layer/act_readout-{variant.lower()}"] = lambda v=variant: check_act_readout(v)
     if not checks:
         raise ValueError(f"unknown module {module!r}; expected substrate, attention, or layer")
     return {name: fn() for name, fn in checks.items()}

@@ -123,87 +123,78 @@ class ACTConfig:
 class ActResult:
     readout: Tensor          # (M, d) per-token halting-weighted states
     ponder: np.ndarray       # (M,) readout step per token, 1-based
-    remainder: Tensor        # (M,)
+    remainder: np.ndarray    # (M,)
     act_loss: Tensor         # scalar: reg_weight * per-sequence mean, averaged over the batch
 
 
 def act_halting(h: Tensor, w_h: Parameter, b_h: Parameter) -> Tensor:
-    """Halting unit: p_hat = sigmoid(W_H h + b_H), one per row of h."""
-    return ad.reshape(ad.sigmoid(ad.matmul(h, w_h, b_h)), h.shape[:-1])
+    """Halting unit: p_hat = sigmoid(W_H h + b_H), an (M, 1) column for states h (M, d)."""
+    return ad.sigmoid(ad.matmul(h, w_h, b_h))
 
 
-def _halt_steps(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column halt step (1-based, T if never crossed) and whether the
-    float64 cumulative sum crosses 1 - epsilon; shared so all callers agree."""
-    crossed = np.cumsum(np.asarray(p_hats, dtype=np.float64), axis=0) >= 1.0 - epsilon
-    any_cross = crossed.any(axis=0)
-    return np.where(any_cross, np.argmax(crossed, axis=0) + 1, crossed.shape[0]), any_cross
+def act_schedule(p_hats: np.ndarray, epsilon: float, variant: str = "A"
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The halting schedule of a (T, ...) stack of halting units. Returns
+    (halt step, per-step readout weights, remainder), the last two in the
+    dtype of p_hats.
 
-
-def act_schedule(p_hats: np.ndarray, epsilon: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pure remainder-correct schedule over a (T, ...) stack of halting
-    units. Returns (halt step 1-based, per-step readout weights, remainder).
-    Columns that never cross the threshold read out at T with the remainder
-    as their final weight, so weights always sum to 1."""
-    p_hats = np.asarray(p_hats, dtype=np.float64)
+    A column halts at the first step whose float64 cumulative sum reaches
+    1 - epsilon, or at T. Before it a step's weight is p_hat_t; at it the
+    weight is the remainder 1 - sum_{s<t} p_hat_s, so the weights sum to 1.
+    Variant U gives a column that never crosses p_hat_T at T and no
+    remainder; its halt step reads T + 1, one past the steps it runs."""
+    p_hats = np.asarray(p_hats)
     t_max = p_hats.shape[0]
-    halt_step, _ = _halt_steps(p_hats, epsilon)
+    crossed = np.cumsum(p_hats, axis=0, dtype=np.float64) >= 1.0 - epsilon
+    halt_step = np.where(crossed.any(axis=0), np.argmax(crossed, axis=0) + 1, t_max + (variant == "U"))
     steps = np.arange(1, t_max + 1).reshape((t_max,) + (1,) * (p_hats.ndim - 1))
-    running = steps < halt_step
-    halting = steps == halt_step
-    cum_before = np.cumsum(p_hats, axis=0) - p_hats
-    remainder = np.take_along_axis(1.0 - cum_before, halt_step[None, ...] - 1, axis=0)[0]
-    weights = p_hats * running + remainder * halting
-    return halt_step, weights, remainder
+    before = np.concatenate([np.zeros_like(p_hats[:1]), np.cumsum(p_hats[:-1], axis=0)])
+    remainders = np.where(steps == halt_step, 1 - before, 0)
+    return halt_step, np.where(steps < halt_step, p_hats, 0) + remainders, remainders.sum(axis=0)
 
 
 def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
                 lengths: np.ndarray) -> ActResult:
-    """Combine per-step packed states (M, d) into per-token readouts; the
-    sequences' lengths, which sum to M, weight the regularizer.
-
-    Variant A weights state t by p_hat_t while running and by the remainder
-    at the halt step (including a proper remainder at t_max). Variant U
-    follows the universal-transformer listing: the same weights, but states
-    fold in as o <- w*h + (1-w)*o, and columns that never cross the
-    threshold get no remainder correction.
-    """
+    """Combine per-step packed states (M, d) into per-token readouts by the
+    schedule of the (M, 1) halting columns, in two tape nodes: the fold, and
+    reg_weight times each sequence's mean remainder averaged over the batch
+    (the sequences' lengths sum to M). Variant A reads out sum_t w_t h_t;
+    variant U, the universal-transformer listing, folds o <- w h + (1 - w) o.
+    The VJPs to the halting units hold each halt step fixed."""
     if not states:
         raise ValueError("act_readout needs at least one step")
-    t_max = len(states)
-    m = states[0].shape[0]
-    halt_step, any_cross = _halt_steps(np.stack([p.data for p in p_hats]), cfg.epsilon)
+    t_max, hs = len(states), [t.data for t in states]
+    halt_step, weights, remainder = act_schedule(np.stack([p.data for p in p_hats]), cfg.epsilon, cfg.variant)
+    steps = np.arange(1, t_max + 1)[:, None, None]
+    running, halting = steps < halt_step, steps == halt_step
 
-    dtype = states[0].dtype.type
-    readout: Tensor | None = None
-    remainder: Tensor | None = None
-    run_sum: Tensor | None = None
-    for t in range(1, t_max + 1):
-        running = (t < halt_step).astype(dtype)
-        halting = (t == halt_step).astype(dtype)
-        if cfg.variant == "U":
-            # Never-crossing columns stay "running" through t_max and keep
-            # plain p_hat weights; their remainder is left unhandled.
-            halting = halting * any_cross.astype(dtype)
-            running = running + (t == halt_step).astype(dtype) * (1.0 - any_cross.astype(dtype))
-        p_t = p_hats[t - 1]
-        if run_sum is None:
-            rem_t = Tensor(np.ones(m, dtype=dtype))
+    readout, folds = weights[0] * hs[0], []  # U's weight gradients read each partial fold
+    for w, h in zip(weights[1:], hs[1:]):
+        if cfg.variant == "A":
+            readout = readout + w * h
         else:
-            rem_t = ad.shift(ad.scale(run_sum, -1.0), 1.0)
-        w_t = ad.add(ad.mul(p_t, Tensor(running)), ad.mul(rem_t, Tensor(halting)))
-        w_col = ad.reshape(w_t, (m, 1))
-        if readout is None:
-            readout = ad.mul(w_col, states[t - 1])
-        elif cfg.variant == "A":
-            readout = ad.add(readout, ad.mul(w_col, states[t - 1]))
-        else:
-            readout = ad.blend(w_col, states[t - 1], readout)
-        rem_contrib = ad.mul(rem_t, Tensor(halting))
-        remainder = rem_contrib if remainder is None else ad.add(remainder, rem_contrib)
-        run_sum = p_t if run_sum is None else ad.add(run_sum, p_t)
+            folds.append(readout)
+            readout = w * h + (1 - w) * readout
+    grads = []
 
-    # Each sequence's mean remainder, averaged over the batch.
-    row_weight = np.repeat(1.0 / lengths / len(lengths), lengths).astype(dtype)
-    act_loss = ad.scale(ad.sum_(ad.mul(remainder, Tensor(row_weight))), cfg.reg_weight)
-    return ActResult(readout=readout, ponder=halt_step, remainder=remainder, act_loss=act_loss)
+    def backward(g):  # every VJP of the fold, computed by the first that runs
+        if not grads:
+            g_states, g_w = [None] * t_max, np.empty_like(weights)
+            for t in reversed(range(t_max)):
+                g_states[t] = g * weights[t]
+                g_w[t] = (g * hs[t]).sum(axis=-1, keepdims=True)
+                if folds and t > 0:
+                    g_w[t] -= (g * folds[t - 1]).sum(axis=-1, keepdims=True)
+                    g = g * (1 - weights[t])
+            g_p = np.where(running, g_w - np.where(halting, g_w, 0).sum(axis=0), 0)
+            grads.extend(g_states + list(g_p))
+        return grads
+
+    readout = ad._op(readout, *[(x, lambda g, i=i: backward(g)[i]) for i, x in enumerate(states + p_hats)])
+    row_weight = np.repeat(1.0 / lengths / len(lengths), lengths).astype(weights.dtype)
+    reg, took_remainder = weights.dtype.type(cfg.reg_weight), halting.any(axis=0)
+    act_loss = ad._op((remainder[:, 0] * row_weight).sum() * reg, *[
+        (p, lambda g, run=run: np.where(run & took_remainder, -(g * reg * row_weight[:, None]), 0))
+        for p, run in zip(p_hats, running)])
+    return ActResult(readout=readout, ponder=np.minimum(halt_step[:, 0], t_max),
+                     remainder=remainder[:, 0], act_loss=act_loss)

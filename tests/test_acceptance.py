@@ -229,7 +229,9 @@ def test_08_smoke_training(tmp_path):
               f"(first >=0.95 at iteration {crossed[0]} of <=5000)")
 
 
-def test_09_determinism_and_checkpoint_roundtrip(tmp_path):
+def assert_reruns_and_checkpoint_match(tmp_path, act: str = "none") -> None:
+    """Two 8-iteration smoke runs give byte-identical metric logs, and the
+    last checkpoint loads back bitwise."""
     data_dir = tmp_path / "data"
     plan = SplitPlan((SplitSpec("train", (1, 2), 200),
                       SplitSpec("valid_ood", (3,), 30)))
@@ -237,6 +239,7 @@ def test_09_determinism_and_checkpoint_roundtrip(tmp_path):
     cfg_a = smoke_config(data_dir, tmp_path / "a", n_iters=8)
     cfg_b = smoke_config(data_dir, tmp_path / "b", n_iters=8)
     cfg_a.eval_every = cfg_b.eval_every = 4
+    cfg_a.act = cfg_b.act = act
     ra, rb = train(cfg_a), train(cfg_b)
     assert Path(ra.metrics_path).read_bytes() == Path(rb.metrics_path).read_bytes()
 
@@ -248,8 +251,16 @@ def test_09_determinism_and_checkpoint_roundtrip(tmp_path):
     vocab = tasks.vocab_for_task("ctl_fwd")
     split = tasks.load_split(data_dir, "valid_ood")
     assert evaluate_model(model, split, vocab) == evaluate_model(ra.model, split, vocab)
+
+
+def test_09_determinism_and_checkpoint_roundtrip(tmp_path):
+    assert_reruns_and_checkpoint_match(tmp_path)
     report(9, "identical seeds give byte-identical metric logs; checkpoint "
               "round-trip is bitwise")
+
+
+def test_determinism_and_checkpoint_roundtrip_with_act(tmp_path):
+    assert_reruns_and_checkpoint_match(tmp_path, act="A")
 
 
 def test_10_trace_fidelity(tmp_path):

@@ -143,18 +143,18 @@ def _tensors_reachable(node) -> list:
 
 def test_no_tape_node_reaches_a_tensor_through_any_public_op():
     gen = np.random.default_rng(5)
-    x = t64(gen.normal(size=(2, 3, 4)))
+    x = t64(gen.normal(size=(6, 4)))
     w, bias, gain = t64(gen.normal(size=(4, 4))), t64(gen.normal(size=4)), t64(gen.normal(size=4))
-    table, keys = t64(gen.normal(size=(5, 18))), t64(gen.normal(size=(5, 4)))
+    table, keys = t64(gen.normal(size=(5, 3))), t64(gen.normal(size=(5, 4)))
     valid = np.array([[True, True, True], [True, True, False]])
     with Tape() as tape:
         h = ad.layernorm(ad.matmul(x, w, bias), gain, bias)
         h = ad.blend(ad.sigmoid(h), ad.tanh(h), ad.relu(h))
-        h = ad.add(ad.mul(h, h), ad.shift(ad.scale(h, 2.0), 1.0))
-        rows = ad.embedding(ad.reshape(h, (6, 4)), np.arange(5))
+        h = ad.add(ad.mul(h, h), ad.scale(h, 2.0))
+        rows = ad.embedding(h, np.arange(5))
         pos = att._table_scores(rows, keys, valid, 2, view=att._offsets)
         s = ad.softmax(att._scores(rows, rows, valid, 2, 0.5, pos=pos))
-        logits = ad.dropout(ad.add(ad.reshape(s, (2, 18)), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
+        logits = ad.dropout(ad.add(ad.sum_(s, axis=(1, 2)), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
         loss = ad.add(ad.cross_entropy(logits, np.array([2, 0])), ad.sum_(logits))
         assert [t for node in tape._nodes for t in _tensors_reachable(node)] == []
         tape.backward(loss)
@@ -509,13 +509,13 @@ def test_constant_operands_of_public_ops_get_no_grad():
 
 
 def test_branch_that_misses_the_loss_leaves_its_inputs_without_grad():
-    x, y, w = t64([1.0, 2.0]), t64([3.0, 4.0]), t64([[1.0], [2.0]])
+    x, y, w = t64([[1.0, 2.0]]), t64([[3.0, 4.0]]), t64([[1.0], [2.0]])
     with Tape() as tape:
         loss = ad.sum_(ad.mul(x, x))
-        ad.matmul(ad.reshape(ad.add(x, y), (1, 2)), w)  # taped, never reaches the loss
+        ad.matmul(ad.add(x, y), w)  # taped, never reaches the loss
         tape.backward(loss)
     assert y.grad is None and w.grad is None
-    np.testing.assert_array_equal(x.grad, [2.0, 4.0])
+    np.testing.assert_array_equal(x.grad, [[2.0, 4.0]])
 
 
 def test_blend_grad_check_with_broadcast_weight():
@@ -537,7 +537,8 @@ def test_blend_is_bitwise_the_spelled_out_mix(w_shape):
     w0 = (1.0 / (1.0 + np.exp(-gen.normal(size=w_shape)))).astype(np.float32)
     a0, b0, r0 = (gen.normal(size=(2, 2, 3, 3)).astype(np.float32) for _ in range(3))
     results = []
-    for mix in (ad.blend, lambda w, a, b: ad.add(ad.mul(w, a), ad.mul(ad.shift(ad.scale(w, -1.0), 1.0), b))):
+    one = Tensor(np.ones((), np.float32))
+    for mix in (ad.blend, lambda w, a, b: ad.add(ad.mul(w, a), ad.mul(ad.add(ad.scale(w, -1.0), one), b))):
         w, a, b = (Tensor(x.copy(), requires_grad=True) for x in (w0, a0, b0))
         with Tape() as tape:
             out = mix(w, a, b)

@@ -5,6 +5,7 @@ from seqrouter import autodiff as ad
 from seqrouter import layers
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
+from seqrouter.gradchecks import TOLERANCE, check_act_readout, run_checks
 from seqrouter.layers import encoder_step, init_layer
 from seqrouter.optim import grad_norm
 from seqrouter.rng import RngTree
@@ -142,7 +143,7 @@ def test_act_halting_zero_params_is_half():
     b_h = layers.Parameter(np.zeros(1), "b_h", decay=False, dtype=np.float64)
     p = layers.act_halting(states(6, 8, seed=17), w_h, b_h)
     np.testing.assert_allclose(p.data, 0.5)
-    assert p.shape == (6,)
+    assert p.shape == (6, 1)
 
 
 def test_act_schedule_termination_rule():
@@ -183,7 +184,7 @@ def test_act_config_validation():
 def _act_inputs(t_max, m, d, seed, phat_rows):
     gen = np.random.default_rng(seed)
     states_list = [Tensor(gen.normal(size=(m, d))) for _ in range(t_max)]
-    p_hats = [Tensor(np.full(m, row, dtype=np.float64)) for row in phat_rows]
+    p_hats = [Tensor(np.full((m, 1), row, dtype=np.float64)) for row in phat_rows]
     return states_list, p_hats
 
 
@@ -195,7 +196,7 @@ def test_act_readout_variant_a_weights_states():
     np.testing.assert_array_equal(res.ponder, 2)
     want = 0.6 * states_list[0].data + 0.4 * states_list[1].data
     np.testing.assert_allclose(res.readout.data, want, atol=1e-12)
-    np.testing.assert_allclose(res.remainder.data, 0.4, atol=1e-12)
+    np.testing.assert_allclose(res.remainder, 0.4, atol=1e-12)
     np.testing.assert_allclose(res.act_loss.item(), 0.03 * 0.4, atol=1e-9)
 
 
@@ -207,7 +208,7 @@ def test_act_readout_variant_u_blends_states():
     np.testing.assert_array_equal(res.ponder, 2)
     want = 0.2 * states_list[1].data + 0.8 * 0.3 * states_list[0].data
     np.testing.assert_allclose(res.readout.data, want, atol=1e-12)
-    np.testing.assert_allclose(res.remainder.data, 0.0)
+    np.testing.assert_allclose(res.remainder, 0.0)
 
 
 def test_act_readout_variant_u_halted_column_keeps_remainder():
@@ -218,7 +219,7 @@ def test_act_readout_variant_u_halted_column_keeps_remainder():
     np.testing.assert_array_equal(res.ponder, 2)
     want = 0.3 * states_list[1].data + 0.7 * 0.7 * states_list[0].data
     np.testing.assert_allclose(res.readout.data, want, atol=1e-12)
-    np.testing.assert_allclose(res.remainder.data, 0.3, atol=1e-12)
+    np.testing.assert_allclose(res.remainder, 0.3, atol=1e-12)
 
 
 def test_act_readout_uses_float64_schedule_for_never_crossing_columns():
@@ -228,18 +229,18 @@ def test_act_readout_uses_float64_schedule_for_never_crossing_columns():
     halt, _, _ = layers.act_schedule(rows[:, None], epsilon=0.01)
     assert halt[0] == 3
     states_list = [Tensor(np.full((1, 1), t, dtype=np.float32)) for t in (1.0, 2.0, 3.0)]
-    p_hats = [Tensor(np.full(1, r, dtype=np.float32)) for r in rows]
+    p_hats = [Tensor(np.full((1, 1), r, dtype=np.float32)) for r in rows]
     lengths = np.array([1])
     res = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="U"), lengths)
     # U gives a never-crossing column no remainder: step 3 is weighted by p_3.
-    assert res.remainder.data[0] == 0.0
+    assert res.remainder[0] == 0.0
     p1, p2, p3 = rows
     want = p3 * 3.0 + (1 - p3) * (p2 * 2.0 + (1 - p2) * (p1 * 1.0))
     np.testing.assert_allclose(res.readout.data[0, 0], want, rtol=1e-6)
     np.testing.assert_allclose(res.readout.data[0, 0], 1.5925, atol=1e-4)
     # Variant A always reads the remainder out at the halt step.
     res_a = layers.act_readout(states_list, p_hats, layers.ACTConfig(variant="A"), lengths)
-    np.testing.assert_allclose(res_a.remainder.data[0], 1.0 - p1 - p2, rtol=1e-6)
+    np.testing.assert_allclose(res_a.remainder[0], 1.0 - p1 - p2, rtol=1e-6)
 
 
 def test_act_halting_mass_sums_to_one_when_halted():
@@ -250,6 +251,30 @@ def test_act_halting_mass_sums_to_one_when_halted():
     halted = halt < 6
     np.testing.assert_allclose(sums[halted], 1.0, atol=1e-6)
     assert (halt <= 6).all() and (halt >= 1).all()
+
+
+@pytest.mark.parametrize("variant", ["A", "U"])
+def test_act_readout_grad_check(variant):
+    assert check_act_readout(variant) < 1e-9
+
+
+def test_layer_checks_catch_a_weight_gradient_off_by_a_thousandth(monkeypatch):
+    # Every product with a weight gets its weight gradient scaled by 1.001.
+    folded, op = ad._matmul_folded, ad._op
+
+    def skewed_op(data, a_vjp, w_vjp, *bias_vjp):
+        w, vjp = w_vjp
+        return op(data, a_vjp, (w, lambda g: vjp(g) * 1.001), *bias_vjp)
+
+    def skewed(a, b, bias):
+        ad._op = skewed_op
+        try:
+            return folded(a, b, bias)
+        finally:
+            ad._op = op
+
+    monkeypatch.setattr(ad, "_matmul_folded", skewed)
+    assert max(run_checks("layer").values()) >= TOLERANCE
 
 
 def test_gated_encoder_step_train_mode_dropout_changes_output():

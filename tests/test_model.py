@@ -151,7 +151,7 @@ def test_act_loss_added_exactly():
     total = loss(out, targets).item()
     ce = ad.cross_entropy(out.logits, targets).item()
     valid_cols = lengths[0]
-    expected_reg = 0.05 * out.act.remainder.data[:valid_cols].mean()
+    expected_reg = 0.05 * out.act.remainder[:valid_cols].mean()
     assert total == pytest.approx(ce + expected_reg, rel=1e-6)
 
 
@@ -163,6 +163,26 @@ def test_act_model_gradients_flow():
         tape.backward(loss(out, np.array([0])))
     assert model.act_w.grad is not None
     assert np.abs(model.act_w.grad).sum() > 0
+
+
+@pytest.mark.parametrize("act", ["A", "U"])
+def test_act_adds_two_nodes_per_step_and_three_to_a_train_step(act):
+    # A ctl_small-shape train step. Per step: the halting unit's product
+    # and sigmoid; then the readout fold, the regularizer and its add to
+    # the loss.
+    shape = dict(d_model=64, d_ff=128, n_layers=6, dropout=0.1)
+    cfg = tiny_config(**shape)
+    gen = np.random.default_rng(26)
+    lengths = gen.integers(1, 9, size=64)
+    tokens = gen.integers(0, cfg.vocab_size, size=(64, 8))
+    targets = gen.integers(0, cfg.n_classes, size=64)
+    nodes = {}
+    for variant in (None, act):
+        model = tiny_model(act=ACTConfig(variant=variant) if variant else None, **shape)
+        with Tape() as tape:
+            loss(model.forward(tokens, lengths, mode=Mode(train=True, rng=RngTree(26, "m"))), targets)
+            nodes[variant] = len(tape._nodes)
+    assert nodes[act] == nodes[None] + 2 * 6 + 3
 
 
 def test_weight_sharing_same_objects_each_step():
@@ -272,7 +292,7 @@ def test_act_loss_averages_each_sequence_then_the_batch():
     model = tiny_model(act=ACTConfig(variant="A", reg_weight=0.05), seed=14)
     tokens, lengths = batch_for("ctl_fwd", [["000", "a"], ["101", "d", "a", "b", "c"]])
     out = model.forward(tokens, lengths)
-    remainder = out.act.remainder.data
+    remainder = out.act.remainder
     assert remainder.shape == (lengths.sum(),)
     per_sequence = [remainder[:lengths[0]].mean(), remainder[lengths[0]:].mean()]
     assert out.act.act_loss.item() == pytest.approx(0.05 * np.mean(per_sequence), rel=1e-6)
