@@ -312,20 +312,14 @@ def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``a @ b``, plus a bias broadcast over the result when ``b`` is 2-D."""
+    """``a @ b (+ bias)`` for a >=2-D ``a`` and a 2-D weight ``b``."""
     _check_same_dtype(a, b, bias)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[-1] != b.shape[-2]:
+    if a.data.ndim < 2 or b.data.ndim != 2:
+        raise DimensionError(f"matmul needs a >=2-d left operand and a 2-d weight, "
+                             f"got {a.shape} and {b.shape}")
+    if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    if b.data.ndim == 2:
-        return _matmul_folded(a, b, bias)
-    if bias is not None:
-        raise DimensionError(f"matmul takes a bias only with a 2-d right operand, got {b.shape}")
-    x, y = a.data, b.data
-    return _op(np.matmul(x, y),
-               (a, lambda g: _unbroadcast(np.matmul(g, np.swapaxes(y, -1, -2)), x.shape)),
-               (b, lambda g: _unbroadcast(np.matmul(np.swapaxes(x, -1, -2), g), y.shape)))
+    return _matmul_folded(a, b, bias)
 
 
 def _matmul_folded(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:

@@ -24,7 +24,6 @@ class RunConfig:
     gated: bool = True
     readout: str = "last"
     act: str = "none"  # none | A | U
-    act_t_max: int | None = None
     act_epsilon: float = 0.01
     act_reg_weight: float = 0.03
     dropout: float = 0.5
@@ -44,8 +43,8 @@ class RunConfig:
     def model_config(self, vocab_size: int, n_classes: int) -> ModelConfig:
         act = None
         if self.act != "none":
-            act = ACTConfig(variant=self.act, t_max=self.act_t_max,
-                            epsilon=self.act_epsilon, reg_weight=self.act_reg_weight)
+            act = ACTConfig(variant=self.act, epsilon=self.act_epsilon,
+                            reg_weight=self.act_reg_weight)
         # Shared fields are copied by name; act is a string here, an ACTConfig there.
         names = {f.name for f in dataclasses.fields(ModelConfig)} - {"act"}
         shared = {k: v for k, v in self.to_dict().items() if k in names}

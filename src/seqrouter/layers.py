@@ -106,7 +106,6 @@ def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVA
 @dataclass
 class ACTConfig:
     variant: str = "A"  # A: remainder-correct readout; U: universal-transformer listing
-    t_max: int | None = None  # None: use the model's step count
     epsilon: float = 0.01
     reg_weight: float = 0.03
 
@@ -115,8 +114,6 @@ class ACTConfig:
             raise ValueError(f"unknown ACT variant: {self.variant}")
         if not 0.0 < self.epsilon < 1.0:
             raise ValueError(f"epsilon must lie in (0, 1), got {self.epsilon}")
-        if self.t_max is not None and self.t_max < 1:
-            raise ValueError(f"t_max must be >= 1, got {self.t_max}")
 
 
 @dataclass

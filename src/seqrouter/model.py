@@ -59,7 +59,13 @@ class ModelConfig:
     def from_dict(cls, d: dict) -> "ModelConfig":
         d = dict(d)
         if d.get("act") is not None:
-            d["act"] = ACTConfig(**d["act"])
+            act = dict(d["act"])
+            # Older checkpoints store an ACT step cap, null unless it was set.
+            t_max = act.pop("t_max", None)
+            if t_max is not None:
+                raise ValueError(f"ACT t_max={t_max} is no longer supported; "
+                                 "ACT runs the model's step count")
+            d["act"] = ACTConfig(**act)
         return cls(**d)
 
 
@@ -143,8 +149,6 @@ class EncoderModel:
         rec = StepTrace() if trace else None
         act_cfg = self.cfg.act
         halting = act_cfg.variant if act_cfg is not None else None
-        if act_cfg is not None:
-            steps = act_cfg.t_max or steps
         # Only the ACT readout keeps every step's states; a no-tape eval holds one.
         states: list[Tensor] = []
         p_hats: list[Tensor] = []

@@ -7,11 +7,9 @@ from __future__ import annotations
 from functools import partial
 
 from ..rng import RngTree
-from .data import Sample, SplitPlan, SplitSpec, Vocab, generate_splits
+from .data import DIGITS, Sample, SplitPlan, SplitSpec, Vocab, draw_tree, generate_splits
 
 OP_PROB = 0.2
-MAX_TOKENS = 50
-DIGITS = tuple(str(d) for d in range(10))
 OPS = ("+", "*")
 
 
@@ -32,26 +30,22 @@ def default_plan() -> SplitPlan:
     ))
 
 
-# Trees are either an int digit or ("+"|"*", left, right).
-
-
-def tree_depth(tree) -> int:
-    if isinstance(tree, int):
-        return 0
-    return 1 + max(tree_depth(tree[1]), tree_depth(tree[2]))
+# Trees are either an int digit or ("+"|"*", [left, right]).
 
 
 def tree_tokens(tree) -> list[str]:
     if isinstance(tree, int):
         return [str(tree)]
-    return ["("] + tree_tokens(tree[1]) + [tree[0]] + tree_tokens(tree[2]) + [")"]
+    op, (left, right) = tree
+    return ["("] + tree_tokens(left) + [op] + tree_tokens(right) + [")"]
 
 
 def eval_tree(tree) -> int:
     if isinstance(tree, int):
         return tree
-    a, b = eval_tree(tree[1]), eval_tree(tree[2])
-    return (a + b) % 10 if tree[0] == "+" else (a * b) % 10
+    op, (left, right) = tree
+    a, b = eval_tree(left), eval_tree(right)
+    return (a + b) % 10 if op == "+" else (a * b) % 10
 
 
 def arith_eval(tokens) -> int:
@@ -88,50 +82,15 @@ def arith_eval(tokens) -> int:
     return value
 
 
-class _Abort(Exception):
-    """Candidate tree is already certain to be rejected."""
-
-
-def _gen_tree(draws, budget: int, size: list):
-    """One unconstrained subtree draw; raises _Abort as soon as the depth
-    budget or token cap is exceeded, which is equivalent to rejecting the
-    finished tree."""
-    if draws.u01() < OP_PROB:
-        return _gen_op(draws, budget, size)
-    size[0] += 1
-    if size[0] > MAX_TOKENS:
-        raise _Abort
-    return draws.randint(10)
-
-
-def _gen_op(draws, budget: int, size: list):
-    if budget == 0:
-        raise _Abort
-    size[0] += 3
-    if size[0] > MAX_TOKENS:
-        raise _Abort
-    op = OPS[draws.randint(2)]
-    left = _gen_tree(draws, budget - 1, size)
-    right = _gen_tree(draws, budget - 1, size)
-    return (op, left, right)
+def _two_args(draws) -> int:
+    return 2
 
 
 def _attempt(draws, target_depth: int) -> Sample | None:
-    size = [0]
-    try:
-        if target_depth == 0:
-            tree = draws.randint(10)
-            size[0] = 1
-        else:
-            tree = _gen_op(draws, target_depth, size)
-    except _Abort:
+    tree = draw_tree(draws, target_depth, OP_PROB, OPS, _two_args)
+    if tree is None:
         return None
-    if tree_depth(tree) != target_depth:
-        return None
-    tokens = tree_tokens(tree)
-    if len(tokens) > MAX_TOKENS:
-        return None
-    return Sample(tuple(tokens), str(eval_tree(tree)), target_depth)
+    return Sample(tuple(tree_tokens(tree)), str(eval_tree(tree)), target_depth)
 
 
 def generate(plan: SplitPlan, seed: int, workers: int = 1) -> dict[str, list[Sample]]:

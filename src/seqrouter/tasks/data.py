@@ -90,6 +90,64 @@ class Vocab:
 
 
 # ---------------------------------------------------------------------------
+# depth-bounded random trees (arithmetic and ListOps)
+#
+# Trees are either an int digit or (op_name, [children]).
+
+MAX_TOKENS = 50
+DIGITS = tuple(str(d) for d in range(10))
+
+
+class _Abort(Exception):
+    """The tree being drawn is already certain to be rejected."""
+
+
+def tree_depth(tree) -> int:
+    if isinstance(tree, int):
+        return 0
+    return 1 + max(tree_depth(c) for c in tree[1])
+
+
+def draw_tree(draws, depth: int, op_prob: float, ops, n_args):
+    """One rejection-sampling draw of a tree of parse depth exactly
+    ``depth`` and at most MAX_TOKENS tokens (an operation brings three:
+    its brackets and its name), or None if the draw is rejected. The root
+    is an operation unless ``depth`` is 0; every argument is an operation
+    with probability ``op_prob`` and a digit otherwise. An operation draws
+    its name from ``ops``, then its argument count ``n_args(draws)``, then
+    its arguments from left to right."""
+    if depth == 0:
+        return draws.randint(10)
+    try:
+        tree = _draw_op(draws, depth, [0], op_prob, ops, n_args)
+    except _Abort:
+        return None
+    return tree if tree_depth(tree) == depth else None
+
+
+def _draw_arg(draws, budget: int, size: list, op_prob, ops, n_args):
+    if draws.u01() < op_prob:
+        return _draw_op(draws, budget, size, op_prob, ops, n_args)
+    size[0] += 1
+    if size[0] > MAX_TOKENS:
+        raise _Abort
+    return draws.randint(10)
+
+
+def _draw_op(draws, budget: int, size: list, op_prob, ops, n_args):
+    # Aborting as soon as the depth budget or token cap is exceeded is
+    # equivalent to rejecting the finished tree.
+    if budget == 0:
+        raise _Abort
+    size[0] += 3
+    if size[0] > MAX_TOKENS:
+        raise _Abort
+    op = ops[draws.randint(len(ops))]
+    return (op, [_draw_arg(draws, budget - 1, size, op_prob, ops, n_args)
+                 for _ in range(n_args(draws))])
+
+
+# ---------------------------------------------------------------------------
 # JSONL + manifest io
 
 

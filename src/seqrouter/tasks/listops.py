@@ -10,13 +10,13 @@ import math
 from functools import partial
 
 from ..rng import RngTree
-from .data import Sample, SplitPlan, SplitSpec, Vocab, generate_splits
+# MAX_TOKENS is re-exported: the benchmark pads ListOps batches to it.
+from .data import (DIGITS, MAX_TOKENS, Sample, SplitPlan, SplitSpec, Vocab, draw_tree,
+                   generate_splits)
 
 OP_PROB = 0.3
 MAX_ARGS = 5
-MAX_TOKENS = 50
 OPS = ("SM", "MIN", "MAX", "MED")
-DIGITS = tuple(str(d) for d in range(10))
 
 
 def vocab() -> Vocab:
@@ -33,12 +33,6 @@ def default_plan() -> SplitPlan:
 
 
 # Trees are either an int digit or (op_name, [children]).
-
-
-def tree_depth(tree) -> int:
-    if isinstance(tree, int):
-        return 0
-    return 1 + max(tree_depth(c) for c in tree[1])
 
 
 def tree_tokens(tree) -> list[str]:
@@ -100,44 +94,13 @@ def dependency_depth(tree) -> int:
     return 1 + max(dependency_depth(children[i]) for i in kept)
 
 
-class _Abort(Exception):
-    pass
-
-
-def _gen_node(draws, budget: int, size: list):
-    if draws.u01() < OP_PROB:
-        return _gen_op(draws, budget, size)
-    size[0] += 1
-    if size[0] > MAX_TOKENS:
-        raise _Abort
-    return draws.randint(10)
-
-
-def _gen_op(draws, budget: int, size: list):
-    if budget == 0:
-        raise _Abort
-    size[0] += 3
-    if size[0] > MAX_TOKENS:
-        raise _Abort
-    op = OPS[draws.randint(len(OPS))]
-    n_args = 1 + draws.randint(MAX_ARGS)
-    children = [_gen_node(draws, budget - 1, size) for _ in range(n_args)]
-    return (op, children)
+def _n_args(draws) -> int:
+    return 1 + draws.randint(MAX_ARGS)
 
 
 def _attempt(draws, target_depth: int) -> Sample | None:
-    size = [0]
-    try:
-        if target_depth == 0:
-            tree = draws.randint(10)
-            size[0] = 1
-        else:
-            tree = _gen_op(draws, target_depth, size)
-    except _Abort:
-        return None
-    if size[0] > MAX_TOKENS or tree_depth(tree) != target_depth:
-        return None
-    if dependency_depth(tree) != target_depth:
+    tree = draw_tree(draws, target_depth, OP_PROB, OPS, _n_args)
+    if tree is None or dependency_depth(tree) != target_depth:
         return None
     return Sample(tuple(tree_tokens(tree)), str(listops_eval(tree)),
                   target_depth, dep_depth=target_depth)

@@ -187,8 +187,7 @@ def test_checkpoint_roundtrip_bitwise(ctl_data, tmp_path):
 
 def test_checkpoint_roundtrip_restores_act_config_and_optimizer_fields(tmp_path):
     cfg = ModelConfig(vocab_size=9, n_classes=4, d_model=8, d_ff=16, n_heads=2, n_layers=3,
-                      kind="abs_rel_gated", act=ACTConfig(variant="U", t_max=5, epsilon=0.05,
-                                                          reg_weight=0.1))
+                      kind="abs_rel_gated", act=ACTConfig(variant="U", epsilon=0.05, reg_weight=0.1))
     model = EncoderModel.build(cfg, RngTree(3))
     opt = OptimizerState(lr=3e-4, weight_decay=0.05, beta1=0.8, beta2=0.99, eps=1e-7,
                          step_count=7)
@@ -212,12 +211,12 @@ def test_checkpoint_roundtrip_restores_act_config_and_optimizer_fields(tmp_path)
 
 def test_run_config_model_config_copies_shared_fields():
     cfg = RunConfig(d_model=32, d_ff=48, n_heads=4, n_layers=5, test_steps=7, kind="relative",
-                    gated=False, readout="first", act="A", act_t_max=6, act_epsilon=0.02,
+                    gated=False, readout="first", act="A", act_epsilon=0.02,
                     act_reg_weight=0.3, dropout=0.2, att_dropout=0.05)
     assert cfg.model_config(11, 3) == ModelConfig(
         vocab_size=11, n_classes=3, d_model=32, d_ff=48, n_heads=4, n_layers=5, test_steps=7,
         kind="relative", gated=False, readout="first",
-        act=ACTConfig(variant="A", t_max=6, epsilon=0.02, reg_weight=0.3),
+        act=ACTConfig(variant="A", epsilon=0.02, reg_weight=0.3),
         dropout=0.2, att_dropout=0.05)
     assert RunConfig(act="none").model_config(11, 3).act is None
 

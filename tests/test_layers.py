@@ -177,8 +177,6 @@ def test_act_config_validation():
         layers.ACTConfig(variant="X")
     with pytest.raises(ValueError):
         layers.ACTConfig(epsilon=0.0)
-    with pytest.raises(ValueError):
-        layers.ACTConfig(t_max=0)
 
 
 def _act_inputs(t_max, m, d, seed, phat_rows):

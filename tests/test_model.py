@@ -2,12 +2,15 @@ import numpy as np
 import pytest
 
 from seqrouter import autodiff as ad
+from seqrouter import model as model_mod
 from seqrouter import tasks
 from seqrouter.attention import Mode
 from seqrouter.autodiff import Tape, Tensor
 from seqrouter.layers import ACTConfig
 from seqrouter.model import EncoderModel, ModelConfig, depth_heuristic, loss
 from seqrouter.rng import RngTree
+from seqrouter.tasks.data import Sample
+from seqrouter.train import evaluate_model
 
 
 def tiny_config(task="ctl_fwd", **kw):
@@ -62,6 +65,26 @@ def test_eval_mode_uses_test_steps():
     model = tiny_model(test_steps=6)
     assert model.steps_for(Mode(train=True)) == 3
     assert model.steps_for(Mode(train=False)) == 6
+
+
+@pytest.mark.parametrize("variant", ["A", "U"])
+def test_act_eval_runs_the_model_step_count(monkeypatch, variant):
+    # ACT has no step count of its own: eval runs test_steps, or the steps asked for.
+    steps_run = []
+    step = model_mod.encoder_step
+    monkeypatch.setattr(model_mod, "encoder_step",
+                        lambda *args, **kw: steps_run.append(1) or step(*args, **kw))
+    model = tiny_model(test_steps=6, act=ACTConfig(variant=variant))
+    tokens, lengths = batch_for("ctl_fwd", [["000", "a", "b"]])
+    vocab = tasks.vocab_for_task("ctl_fwd")
+    samples = [Sample(("000", "a", "b"), vocab.classes[0], 2)]
+    for run, want in [(lambda: model.forward(tokens, lengths), 6),
+                      (lambda: model.forward(tokens, lengths, steps=9), 9),
+                      (lambda: evaluate_model(model, samples, vocab), 6),
+                      (lambda: evaluate_model(model, samples, vocab, steps=9), 9)]:
+        steps_run.clear()
+        run()
+        assert len(steps_run) == want
 
 
 def test_empty_sequence_rejected():
@@ -212,7 +235,7 @@ def test_model_config_validation():
 
 
 def test_model_config_dict_roundtrip():
-    cfg = tiny_config(act=ACTConfig(variant="U", t_max=9))
+    cfg = tiny_config(act=ACTConfig(variant="U", epsilon=0.05))
     back = ModelConfig.from_dict(cfg.to_dict())
     assert back == cfg
 
@@ -225,10 +248,13 @@ def test_model_config_from_dict_without_act_key():
            "n_heads": 2, "n_layers": 3, "test_steps": 5, "kind": "relative", "gated": False,
            "readout": "first", "dropout": 0.1, "att_dropout": 0.0}
     assert ModelConfig.from_dict(old) == cfg
-    act = {"variant": "A", "t_max": 4, "epsilon": 0.02, "reg_weight": 0.1}
+    # Their ACT config also holds a step cap, null unless it was set.
+    act = {"variant": "A", "t_max": None, "epsilon": 0.02, "reg_weight": 0.1}
     assert ModelConfig.from_dict({**old, "act": act}) == tiny_config(
         test_steps=5, kind="relative", gated=False, readout="first", dropout=0.1,
-        act=ACTConfig(variant="A", t_max=4, epsilon=0.02, reg_weight=0.1))
+        act=ACTConfig(variant="A", epsilon=0.02, reg_weight=0.1))
+    with pytest.raises(ValueError, match="ACT t_max=4 is no longer supported"):
+        ModelConfig.from_dict({**old, "act": {**act, "t_max": 4}})
 
 
 # Parameter order is the field declaration order. It is load-bearing:

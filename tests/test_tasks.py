@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -124,8 +125,8 @@ def test_arith_zero_product():
 
 
 def test_arith_depth_of_paper_example():
-    tree = ("+", ("*", 4, 7), 2)
-    assert arithmetic.tree_depth(tree) == 2
+    tree = ("+", [("*", [4, 7]), 2])
+    assert data.tree_depth(tree) == 2
     assert arithmetic.tree_tokens(tree) == list("((4*7)+2)")
 
 
@@ -209,14 +210,13 @@ def test_dependency_depth_pruning():
 
 
 @settings(max_examples=60, deadline=None)
-@given(st.integers(0, 2 ** 31 - 1))
-def test_dependency_depth_never_exceeds_parse_depth(seed):
+@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 6))
+def test_dependency_depth_never_exceeds_parse_depth(seed, depth):
     draws = RngTree(seed, "prop").draws()
-    try:
-        tree = listops._gen_op(draws, budget=6, size=[0])
-    except listops._Abort:
-        return
-    assert listops.dependency_depth(tree) <= listops.tree_depth(tree)
+    tree = None
+    while tree is None:
+        tree = data.draw_tree(draws, depth, listops.OP_PROB, listops.OPS, listops._n_args)
+    assert listops.dependency_depth(tree) <= data.tree_depth(tree) == depth
 
 
 def test_listops_generation_depth_contract():
@@ -257,6 +257,21 @@ def test_listops_regeneration_is_bit_identical():
     b = tasks.generate("listops", seed=10, plan=plan)
     for name in a:
         assert [sample_to_json(s) for s in a[name]] == [sample_to_json(s) for s in b[name]]
+
+
+@pytest.mark.parametrize("task, depths, digest", [
+    ("ctl_fwd", range(1, 9), "149cf8b4022604b8b0295feeca16d1c03ecdca93a59429054cd0bd203421638e"),
+    ("ctl_bwd", range(1, 9), "41bab4d686021552044e84332a97c5849924e341d2ebc27e759e7249de735f53"),
+    ("arith", range(0, 7), "c1a54e1f03653f5b99b3273bb7d9e19eb87ef01bb69e2695025cb5317db3fedd"),
+    ("listops", range(0, 7), "85935da4f9576dcc3341859f9026888d2c0fec877896d08a0fa4a44a85ddbebe"),
+])
+def test_generated_bytes_are_pinned(task, depths, digest):
+    # Pins every task's RNG stream and sampler draw order: a refactor of
+    # the generators must leave these samples byte-identical.
+    plan = SplitPlan((SplitSpec("probe", tuple(depths), 300),))
+    samples = tasks.generate(task, seed=3, plan=plan)["probe"]
+    text = "".join(sample_to_json(s) + "\n" for s in samples)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generation_independent_of_worker_count():
