@@ -1,6 +1,7 @@
 """Checkpoint archive: one zip holding named parameter tensors as raw
 little-endian floats, the model config as a key-value header, optimizer
-moments, the step counter, and PRNG states. Round-trips are bitwise."""
+moments and the step counter. Round-trips are bitwise. No random state is
+stored: training draws every stream from its seed and iteration."""
 
 from __future__ import annotations
 
@@ -19,35 +20,6 @@ from .rng import RngTree
 
 # Optimizer scalars stored in optimizer.json; the moments m and v are arrays.
 _OPT_FIELDS = [f.name for f in dataclasses.fields(OptimizerState) if f.name not in ("m", "v")]
-
-
-def _to_jsonable(obj):
-    if isinstance(obj, np.ndarray):
-        return {"__ndarray__": obj.tolist(), "dtype": str(obj.dtype)}
-    if isinstance(obj, dict):
-        return {k: _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    return obj
-
-
-def _from_jsonable(obj):
-    if isinstance(obj, dict):
-        if "__ndarray__" in obj:
-            return np.array(obj["__ndarray__"], dtype=obj["dtype"])
-        return {k: _from_jsonable(v) for k, v in obj.items()}
-    return obj
-
-
-def generator_state(gen: np.random.Generator) -> dict:
-    return _to_jsonable(gen.bit_generator.state)
-
-
-def restore_generator(state: dict) -> np.random.Generator:
-    state = _from_jsonable(state)
-    bit_gen = getattr(np.random, state["bit_generator"])()
-    bit_gen.state = state
-    return np.random.Generator(bit_gen)
 
 
 def _write_array(zf: zipfile.ZipFile, name: str, arr: np.ndarray) -> dict:

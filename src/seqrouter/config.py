@@ -80,18 +80,21 @@ def _coerce(key: str, raw: str):
         raise ValueError(f"unknown config key {key!r}")
     hint = _HINTS[key]
     raw = raw.strip()
-    if hint in (int, float, str, bool):
-        if hint is bool:
-            if raw.lower() in ("true", "1", "yes"):
-                return True
-            if raw.lower() in ("false", "0", "no"):
-                return False
-            raise ValueError(f"config key {key!r} expects a boolean, got {raw!r}")
+    if hint is bool:
+        if raw.lower() in ("true", "1", "yes"):
+            return True
+        if raw.lower() in ("false", "0", "no"):
+            return False
+        raise ValueError(f"config key {key!r} expects a boolean, got {raw!r}")
+    if hint not in (int, float, str):
+        # Optional[int] is the only other hint in use.
+        if raw.lower() in ("none", ""):
+            return None
+        hint = int
+    try:
         return hint(raw)
-    # Optional[int] is the only other hint in use.
-    if raw.lower() in ("none", ""):
-        return None
-    return int(raw)
+    except ValueError:
+        raise ValueError(f"config key {key!r} expects {hint.__name__}, got {raw!r}") from None
 
 
 def load_config(path) -> RunConfig:

@@ -118,32 +118,35 @@ def draw_tree(draws, depth: int, op_prob: float, ops, n_args):
     its arguments from left to right."""
     if depth == 0:
         return draws.randint(10)
+    state = [0, False]  # tokens so far; whether the tree reaches ``depth``
     try:
-        tree = _draw_op(draws, depth, [0], op_prob, ops, n_args)
+        tree = _draw_op(draws, depth, state, op_prob, ops, n_args)
     except _Abort:
         return None
-    return tree if tree_depth(tree) == depth else None
+    return tree if state[1] else None
 
 
-def _draw_arg(draws, budget: int, size: list, op_prob, ops, n_args):
+def _draw_arg(draws, budget: int, state: list, op_prob, ops, n_args):
     if draws.u01() < op_prob:
-        return _draw_op(draws, budget, size, op_prob, ops, n_args)
-    size[0] += 1
-    if size[0] > MAX_TOKENS:
+        return _draw_op(draws, budget, state, op_prob, ops, n_args)
+    state[0] += 1
+    if state[0] > MAX_TOKENS:
         raise _Abort
     return draws.randint(10)
 
 
-def _draw_op(draws, budget: int, size: list, op_prob, ops, n_args):
+def _draw_op(draws, budget: int, state: list, op_prob, ops, n_args):
     # Aborting as soon as the depth budget or token cap is exceeded is
-    # equivalent to rejecting the finished tree.
+    # equivalent to rejecting the finished tree. The tree has depth exactly
+    # that of the root's budget iff some operation is drawn with budget 1.
     if budget == 0:
         raise _Abort
-    size[0] += 3
-    if size[0] > MAX_TOKENS:
+    state[0] += 3
+    if state[0] > MAX_TOKENS:
         raise _Abort
+    state[1] = state[1] or budget == 1
     op = ops[draws.randint(len(ops))]
-    return (op, [_draw_arg(draws, budget - 1, size, op_prob, ops, n_args)
+    return (op, [_draw_arg(draws, budget - 1, state, op_prob, ops, n_args)
                  for _ in range(n_args(draws))])
 
 

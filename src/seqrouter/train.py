@@ -2,9 +2,12 @@
 
 Batches are drawn uniformly with replacement from the train split, padded
 to the longest sequence in the batch, and the loss is read at the single
-readout column. Every ``eval_every`` iterations the systematically harder
-validation split is scored and the best checkpoint retained; reported
-test numbers always come from that checkpoint, never the final one.
+readout column. Iteration ``it`` draws its batch from the stream
+``batches/iter{it}`` and its dropout from ``dropout/iter{it}``, so a
+checkpoint's iteration fixes every later draw. Every ``eval_every``
+iterations the systematically harder validation split is scored and the
+best checkpoint retained; reported test numbers always come from that
+checkpoint, never the final one.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 from . import tasks
 from .attention import Mode
 from .autodiff import Tape, zero_grads
-from .checkpoint import generator_state, load_checkpoint, restore_generator, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig, apply_overrides
 from .model import EncoderModel, loss as model_loss
 from .optim import NonFiniteGradient, OptimizerState, adamw_step, clip_gradients, grad_norm
@@ -116,7 +119,8 @@ class _MetricsLog:
         self.path = Path(path)
         if resume_iter is not None and self.path.exists():
             _truncate_log(self.path, resume_iter)
-        self._fh = open(self.path, "w" if resume_iter is None else "a")
+        # Line-buffered, so a hard kill loses no record a checkpoint covers.
+        self._fh = open(self.path, "w" if resume_iter is None else "a", buffering=1)
 
     def write(self, record: dict) -> None:
         self._fh.write(json.dumps(record, sort_keys=True) + "\n")
@@ -168,7 +172,7 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
     root = RngTree(cfg.seed)
     model = EncoderModel.build(mcfg, root.child("model"))
     opt = OptimizerState(lr=cfg.lr, weight_decay=cfg.weight_decay)
-    batch_gen = root.child("batches").generator()
+    batch_tree = root.child("batches")
     drop_tree = root.child("dropout")
     start_iter = 0
     best_acc, best_iter = -1.0, -1
@@ -182,7 +186,6 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
             raise ValueError(f"n_iters {cfg.n_iters} is below the checkpoint's iteration {start_iter}")
         best_acc = header.get("best_accuracy", -1.0)
         best_iter = header.get("best_iteration", -1)
-        batch_gen = restore_generator(header["batch_gen_state"])
 
     params = model.parameters()
     metrics = _MetricsLog(out_dir / "metrics.ndjson", start_iter if resume is not None else None)
@@ -192,7 +195,7 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
     def header_for(iteration: int) -> dict:
         return {"task": cfg.task, "vocab": list(vocab.tokens), "data_dir": str(cfg.data_dir),
                 "iteration": iteration, "best_accuracy": best_acc, "best_iteration": best_iter,
-                "batch_gen_state": generator_state(batch_gen), "run_config": cfg.to_dict()}
+                "run_config": cfg.to_dict()}
 
     def diverged(reason: str, it: int) -> TrainingDiverged:
         path = out_dir / "diverged.ckpt"
@@ -201,7 +204,8 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
 
     try:
         for it in range(start_iter, cfg.n_iters):
-            idx = batch_gen.integers(0, len(train_set), size=cfg.batch_size)
+            idx = batch_tree.child(f"iter{it}").generator().integers(
+                0, len(train_set), size=cfg.batch_size)
             batch = [train_set[i] for i in idx]
             tokens, lengths, targets = encode_batch(batch, vocab)
             mode = Mode(train=True, rng=drop_tree.child(f"iter{it}"))
@@ -229,7 +233,9 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
                         print(f"iter {it + 1}: {name} accuracy {acc:.4f}")
                     if name == "valid_ood" and acc > best_acc:
                         best_acc, best_iter = acc, it + 1
-                        save_checkpoint(best_path, model, opt, header_for(it + 1))
+                # Saved after this eval's records, so a resume from it finds them in the log.
+                if best_iter == it + 1:
+                    save_checkpoint(best_path, model, opt, header_for(it + 1))
 
         save_checkpoint(last_path, model, opt, header_for(cfg.n_iters))
         if not best_path.exists():  # eval never ran (tiny n_iters)

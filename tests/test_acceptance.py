@@ -78,7 +78,7 @@ def test_03_gradient_checks_all_variants():
         assert err < TOLERANCE, f"{name}: {err:.3e}"
     worst = max(results.values())
     report(3, f"8 layer variants pass grad check at d=8 on a ragged batch of lengths (4, 2); "
-              f"worst {worst:.2e} < 1e-3")
+              f"worst {worst:.2e} < {TOLERANCE:g}")
 
 
 def test_04_copy_gate_exactness_and_init_level():

@@ -1,11 +1,17 @@
 import copy
 import dataclasses
 import json
+import os
+import re
+import subprocess
+import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from seqrouter import autodiff as ad
 from seqrouter import checkpoint, tasks
 from seqrouter import train as train_mod
 from seqrouter.checkpoint import load_checkpoint, save_checkpoint
@@ -84,6 +90,14 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text("task = arith\nbogus = 3\n")
     with pytest.raises(ValueError, match="bogus"):
         load_config(path)
+    for key, raw, want in (("n_iters", "1e5", "int"), ("lr", "fast", "float"),
+                           ("test_steps", "many", "int")):
+        message = re.escape(f"config key {key!r} expects {want}, got {raw!r}")
+        path.write_text(f"{key} = {raw}\n")
+        with pytest.raises(ValueError, match=message):
+            load_config(path)
+        with pytest.raises(ValueError, match=message):
+            apply_overrides(default_config("ctl_fwd"), [f"{key}={raw}"])
 
 
 def test_overrides():
@@ -264,6 +278,55 @@ def test_nonfinite_gradient_dumps_state_and_closes_log(ctl_data, tmp_path, monke
     assert [json.loads(l)["iter"] for l in text.splitlines()] == [1, 2]
 
 
+def test_diverged_checkpoint_replays_its_iteration(ctl_data, tmp_path, monkeypatch):
+    real_loss = train_mod.model_loss
+    calls = []
+
+    def nan_at_iteration_2(out, targets):
+        calls.append(1)
+        step_loss = real_loss(out, targets)
+        return ad.scale(step_loss, np.nan) if len(calls) == 3 else step_loss
+
+    run = tmp_path / "run"
+    monkeypatch.setattr(train_mod, "model_loss", nan_at_iteration_2)
+    with pytest.raises(TrainingDiverged, match="non-finite loss.*iteration 2"):
+        train(tiny_run_config(ctl_data, run, n_iters=6, eval_every=2))
+    monkeypatch.setattr(train_mod, "model_loss", real_loss)
+    resumed = train(tiny_run_config(ctl_data, run, n_iters=6, eval_every=2),
+                    resume=str(run / "diverged.ckpt"))
+    straight = train(tiny_run_config(ctl_data, tmp_path / "straight", n_iters=6, eval_every=2))
+    assert Path(resumed.metrics_path).read_bytes() == Path(straight.metrics_path).read_bytes()
+
+
+def test_hard_kill_after_best_checkpoint_keeps_its_records(ctl_data, tmp_path):
+    # A child process dies without cleanup right after its first best.ckpt,
+    # as under an OOM kill; resuming from that checkpoint must rebuild the log.
+    code = textwrap.dedent("""
+        import json, os, sys
+        from seqrouter import train as train_mod
+        from seqrouter.config import RunConfig
+
+        real_save = train_mod.save_checkpoint
+
+        def save_then_die(path, *args):
+            real_save(path, *args)
+            if path.name == "best.ckpt":
+                os._exit(0)
+
+        train_mod.save_checkpoint = save_then_die
+        train_mod.train(RunConfig(**json.loads(sys.argv[1])))
+    """)
+    run = tmp_path / "run"
+    cfg = tiny_run_config(ctl_data, run, n_iters=8, eval_every=4)
+    src = str(Path(train_mod.__file__).resolve().parents[1])
+    subprocess.run([sys.executable, "-c", code, json.dumps(cfg.to_dict())], check=True,
+                   timeout=120, env={**os.environ, "PYTHONPATH": src})
+    assert not (run / "last.ckpt").exists()
+    resumed = train(cfg, resume=str(run / "best.ckpt"))
+    straight = train(tiny_run_config(ctl_data, tmp_path / "straight", n_iters=8, eval_every=4))
+    assert Path(resumed.metrics_path).read_bytes() == Path(straight.metrics_path).read_bytes()
+
+
 def test_resume_keeps_log_through_checkpoint_iteration(ctl_data, tmp_path):
     run = tmp_path / "run"
     train(tiny_run_config(ctl_data, run, n_iters=2, eval_every=2))
@@ -287,9 +350,11 @@ def test_resume_refuses_changed_config(ctl_data, tmp_path):
     with pytest.raises(ValueError, match=r"differs from the checkpoint's in lr \(0\.001 -> 0\.002\)$"):
         train(changed, resume=head.last_path)
     assert Path(head.metrics_path).read_bytes() == log
-    # A checkpoint written before headers carried run_config resumes as before.
+    # A checkpoint written before headers carried run_config resumes as before;
+    # one that still carries a batch generator's state resumes without it.
     model, opt, header = load_checkpoint(head.last_path)
     del header["run_config"]
+    header["batch_gen_state"] = {"bit_generator": "Philox"}
     legacy = tmp_path / "legacy.ckpt"
     save_checkpoint(legacy, model, opt, header)
     assert train(changed, resume=str(legacy)).iteration == 4
