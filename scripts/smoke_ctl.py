@@ -17,16 +17,9 @@ sys.path.insert(0, str(ROOT / "src"))
 from seqrouter import tasks
 from seqrouter.checkpoint import load_checkpoint
 from seqrouter.config import load_config
-from seqrouter.tasks.data import SplitPlan, SplitSpec
+from seqrouter.tasks.ctl import SMOKE_PLAN
 from seqrouter.trace import capture, frontier_monotonicity
 from seqrouter.train import evaluate_model, train
-
-SMOKE_PLAN = SplitPlan((
-    SplitSpec("train", (1, 2, 3), 8000),
-    SplitSpec("valid_iid", (1, 2, 3), 500),
-    SplitSpec("valid_ood", (4, 5), 500),
-    SplitSpec("test", (4, 5), 500),
-))
 
 
 def main() -> int:

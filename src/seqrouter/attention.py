@@ -332,40 +332,18 @@ def _per_target_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.matmul(by_target, c), 0, 1).reshape(x.shape)
 
 
-def _shadowed_weights(logp: np.ndarray, log1mp: np.ndarray, c: np.ndarray,
-                      drop: np.ndarray) -> np.ndarray:
-    """exp(log P[i, j] + sum_k log(1 - P[i, k]) C[i, k, j]), zero where drop."""
+def _weights_from_logs(logp: np.ndarray, log1mp: np.ndarray, c: np.ndarray,
+                       drop: np.ndarray) -> np.ndarray:
+    """exp(log P[i, j] + sum_k log(1 - P[i, k]) C[i, k, j]), zero where drop:
+    geometric weights from log P and log(1 - P), untaped."""
     return np.where(drop, 0, np.exp(logp + _per_target_matmul(log1mp, c)))
-
-
-def _weights_from_logs(logits: Tensor, src_invalid: np.ndarray) -> Tensor:
-    """Geometric attention weights from match logits z (..., N, N):
-    A[i, j] = p[i, j] * prod over sources k closer than j of (1 - p[i, k]),
-    with p = sigmoid(z), evaluated in log space as one masked GEMM. The
-    diagonal and pad sources (src_invalid, broadcast against z) get weight 0
-    and shadow nothing. The backward keeps only z, the weights and the mask."""
-    z = logits.data
-    n = z.shape[-1]
-    c = _closeness_mask(n, z.dtype)
-    logp, log1mp = ad._log_sigmoids(z)
-    drop = src_invalid | np.eye(n, dtype=bool)
-    w = _shadowed_weights(logp, np.where(src_invalid, 0, log1mp), c, drop)
-
-    def vjp(grad):
-        # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
-        u = grad * w
-        logp, log1mp = ad._log_sigmoids(z)
-        g = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
-        return np.where(src_invalid, 0, g)
-
-    return ad._op(w, (logits, vjp))
 
 
 def geometric_weights(p: Tensor) -> Tensor:
     """Convert match probabilities (..., N, N) to attention weights
     A[i, j] = P[i, j] * prod over closer sources k of (1 - P[i, k]),
-    with a zero diagonal. Runs the forward of ``_weights_from_logs`` from
-    log P and log(1 - P); the result is a constant Tensor, not taped."""
+    with a zero diagonal, by ``_weights_from_logs``; the result is a
+    constant Tensor, not taped."""
     x = p.data
     if not ((x >= 0) & (x <= 1)).all():
         raise ValueError("match probabilities outside [0, 1]")
@@ -374,45 +352,64 @@ def geometric_weights(p: Tensor) -> Tensor:
         logp = np.log(x)
         # At P = 1, log(1 - P) = -inf would make -inf * 0 = nan in the GEMM.
         log1mp = np.maximum(np.log1p(-x), NEG_SCORE)
-    return Tensor(_shadowed_weights(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
+    return Tensor(_weights_from_logs(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
 
 
-def _match_logits(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
-                  p: GeometricAttentionParams, valid: np.ndarray) -> Tensor:
-    """z[b, h, i, j] = alpha_h q_i.k_j + beta_h D[i, j] + gamma_h, (B, H, N, N),
-    from packed q, k (M, d) and per-head direction scores d_lr, d_rl (M, H):
-    D[i, j] is target i's d_lr for a source j at or right of i, else d_rl.
-    The backward keeps the packed q and k, rebuilds their per-head layout
-    once for all its VJPs, and recomputes q.k^T and D."""
+def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
+                   p: GeometricAttentionParams, valid: np.ndarray) -> Tensor:
+    """Geometric weights (B, H, N, N) of packed q, k (M, d) and per-head
+    direction scores d_lr, d_rl (M, H): A[i, j] = p[i, j] * prod over sources
+    k closer than j of (1 - p[i, k]), p = sigmoid(z), in log space as one
+    masked GEMM, of match logits z = alpha_h q_i.k_j + beta_h D[i, j] + gamma_h,
+    where D[i, j] is target i's d_lr for a source j at or right of i, else
+    d_rl. The diagonal and pad sources get weight 0 and shadow nothing. The
+    backward keeps the packed rows, the direction columns, the weights and
+    the mask, not z: it rebuilds q.k^T and z once for all seven VJPs."""
     nh, n = p.cfg.n_heads, valid.shape[1]
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
+    src_invalid, c = ~valid[:, None, None, :], _closeness_mask(n, q.dtype)
     # C-contiguous (B, H, N, 1) columns fix the memory order of D, and so
     # the summation order of beta's gradient.
     lr, rl = (np.ascontiguousarray(_split_heads(t.data, valid, nh)) for t in (d_lr, d_rl))
     alpha, beta, gamma = (t.data.reshape(nh, 1, 1) for t in (p.alpha, p.beta, p.gamma))
-    content, heads, qk_vjps = _content(q, k, valid, nh, lambda g: g * alpha)
 
     def direction() -> np.ndarray:
         return np.where(right_or_self, lr, rl)
 
+    def logits(content: np.ndarray) -> np.ndarray:
+        return alpha * content + beta * direction() + gamma
+
+    grads = []
+
+    def dz(g):  # and q.k^T in grads[1], for every VJP, computed by the first that runs
+        if not grads:
+            content = np.matmul(heads()[0], np.swapaxes(heads()[1], -1, -2))
+            # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
+            u, (logp, log1mp) = g * w, ad._log_sigmoids(logits(content))
+            g = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
+            grads.extend((np.where(src_invalid, 0, g), content))
+        return grads[0]
+
+    content, heads, qk_vjps = _content(q, k, valid, nh, lambda g: dz(g) * alpha)
+    logp, log1mp = ad._log_sigmoids(logits(content))
+    w = _weights_from_logs(logp, np.where(src_invalid, 0, log1mp), c, src_invalid | np.eye(n, dtype=bool))
     return ad._op(
-        alpha * content + beta * direction() + gamma, *qk_vjps,
-        (d_lr, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, g * beta, 0), lr.shape), valid)),
-        (d_rl, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, 0, g * beta), rl.shape), valid)),
-        (p.alpha, lambda g: ad._unbroadcast(g * np.matmul(heads()[0], np.swapaxes(heads()[1], -1, -2)),
-                                            alpha.shape).reshape(nh)),
-        (p.beta, lambda g: ad._unbroadcast(g * direction(), beta.shape).reshape(nh)),
-        (p.gamma, lambda g: ad._unbroadcast(g, gamma.shape).reshape(nh)))
+        w, *qk_vjps,
+        (d_lr, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, dz(g) * beta, 0), lr.shape), valid)),
+        (d_rl, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, 0, dz(g) * beta), rl.shape), valid)),
+        (p.alpha, lambda g: ad._unbroadcast(dz(g) * grads[1], alpha.shape).reshape(nh)),
+        (p.beta, lambda g: ad._unbroadcast(dz(g) * direction(), beta.shape).reshape(nh)),
+        (p.gamma, lambda g: ad._unbroadcast(dz(g), gamma.shape).reshape(nh)))
 
 
 def _geometric_logits(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
                       mode: Mode) -> Tensor:
-    """Match logits (B, H, N, N) of packed states h (M, d)."""
+    """Geometric weights (B, H, N, N) of packed states h (M, d)."""
     q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), p.cfg.content_dropout, mode, "att_content_q")
     k = ad.matmul(h, p.w_ke)
     d_lr = ad.matmul(h, p.w_lr, p.b_lr)
     d_rl = ad.matmul(h, p.w_rl, p.b_rl)
-    return _match_logits(q, k, d_lr, d_rl, p, valid)
+    return _match_weights(q, k, d_lr, d_rl, p, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -423,15 +420,14 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     """Self-attention of packed states h (M, d) over valid sources; returns
     (output (M, d), weights (B, H, N, N)).
 
-    Every kind is a scores op on packed rows, a weights op, and
-    _attend_values (weights.v as packed rows for w_o). The parameter
-    bundle's type picks the scores: _scores for MhaParams, rel_scores for
-    RelAttentionParams, and match logits for GeometricAttentionParams,
-    which become distance-ordered weights; the others take a softmax."""
+    Every kind forms weights from packed rows, then _attend_values (weights.v
+    as packed rows for w_o). The parameter bundle's type picks the weights:
+    a softmax of _scores (MhaParams) or of rel_scores (RelAttentionParams),
+    or one op, _match_weights (GeometricAttentionParams)."""
     _check_inputs(h, valid)
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
-        weights = _weights_from_logs(_geometric_logits(h, p, valid, mode), ~valid[:, None, None, :])
+        weights = _geometric_logits(h, p, valid, mode)
     elif isinstance(p, RelAttentionParams):
         weights = ad.softmax(rel_scores(h, p, valid, mode))
     else:

@@ -300,15 +300,14 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
-    """Convex mix w * a + (1 - w) * b, broadcasting. w's gradient is two
-    reductions and a difference; one reduction of g * (a - b) rounds otherwise."""
+    """Convex mix w * a + (1 - w) * b, broadcasting; the node keeps w, a and b, not 1 - w.
+    w's gradient is two reductions and a difference; one reduction of g * (a - b) rounds otherwise."""
     _check_same_dtype(w, a, b)
-    u, x, y = w.data, a.data, b.data
-    rest = w.dtype.type(1) - u
-    return _op(u * x + rest * y,
+    u, x, y, one = w.data, a.data, b.data, w.dtype.type(1)
+    return _op(u * x + (one - u) * y,
                (w, lambda g: _unbroadcast(g * x, u.shape) - _unbroadcast(g * y, u.shape)),
                (a, lambda g: _unbroadcast(g * u, x.shape)),
-               (b, lambda g: _unbroadcast(g * rest, y.shape)))
+               (b, lambda g: _unbroadcast(g * (one - u), y.shape)))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:

@@ -1,6 +1,8 @@
-"""Named gradient checks: every layer variant, the per-head layout op,
-geometric match logits and weights, the key-table scores of relative
-attention, the ACT readout, and representative op composites, all
+"""Named gradient checks: every layer variant, every attention op (the
+per-head layout, the softmax scores with a positional term, the
+key-table scores of relative attention, the fused geometric
+logits-and-weights op, and the values product), the ACT readout, and
+representative op composites, all
 checked against central finite differences in extended (80-bit)
 precision, which keeps the difference quotient meaningful on
 structurally tiny gradient coordinates.
@@ -83,9 +85,9 @@ def check_heads(seed: int = 5, n: int = 4, d: int = 4) -> float:
     return grad_check(lambda points: ad.sum_(ad.mul(att._heads(points[0], valid, 2), r)), [x], step=1e-5)
 
 
-def check_match_logits(seed: int = 6, n: int = 4, d: int = 4) -> float:
-    """Geometric match logits of packed q, k and direction scores over a
-    ragged batch, with random alpha, beta and gamma."""
+def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
+    """The fused geometric op: weights from packed q, k and direction
+    scores over a ragged batch, with random alpha, beta and gamma."""
     p = att.init_attention(Init(RngTree(seed), np.longdouble, prefix="gc"), AttentionConfig(d, 2, "geometric"))
     gen = np.random.default_rng(seed + 100)
     gains = [p.alpha, p.beta, p.gamma]
@@ -97,9 +99,37 @@ def check_match_logits(seed: int = 6, n: int = 4, d: int = 4) -> float:
     r = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
 
     def fn(points):
-        return ad.sum_(ad.mul(att._match_logits(*points[:4], p, valid), r))
+        return ad.sum_(ad.mul(att._match_weights(*points[:4], p, valid), r))
 
-    return grad_check(fn, rows + gains, step=1e-5)
+    # A smaller step than the other checks' keeps the O(step^2) truncation
+    # error of this nonlinear op well below 1e-9 (3e-11 here, 2.5e-10 at 1e-5).
+    return grad_check(fn, rows + gains, step=1e-6)
+
+
+def check_scores(seed: int = 9, n: int = 4, d: int = 4) -> float:
+    """Softmax attention scores of packed q and k over a ragged batch, with
+    a positional term; the pad sources, fixed at NEG_SCORE, weigh 0."""
+    gen = np.random.default_rng(seed)
+    lengths, valid = _ragged(n)
+    rows = [Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble) for _ in range(2)]
+    pos = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
+    r = Tensor(gen.normal(size=(2, 2, n, n)) * valid[:, None, None, :], dtype=np.longdouble)
+
+    def fn(points):
+        return ad.sum_(ad.mul(att._scores(*points[:2], valid, 2, 0.7, pos=points[2]), r))
+
+    return grad_check(fn, rows + [pos], step=1e-5)
+
+
+def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
+    """Per-head weights (2, 2, n, n) times packed values of a ragged batch."""
+    gen = np.random.default_rng(seed)
+    lengths, valid = _ragged(n)
+    weights = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
+    v = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    r = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    return grad_check(lambda points: ad.sum_(ad.mul(att._attend_values(*points, valid), r)),
+                      [weights, v], step=1e-5)
 
 
 def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
@@ -118,22 +148,6 @@ def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
         return ad.add(ad.sum_(ad.mul(rel, r[0])), ad.sum_(ad.mul(absolute, r[1])))
 
     return grad_check(fn, [q] + tables, step=1e-5)
-
-
-def check_geometric_weights(seed: int = 2, n: int = 4) -> float:
-    """Weights from logits for two rows of targets: every source valid in
-    the first, the last source a pad in the second."""
-    gen = np.random.default_rng(seed)
-    logits = Tensor(gen.normal(size=(2, n, n)), dtype=np.longdouble)
-    r = gen.normal(size=(2, n, n))
-    src_invalid = np.zeros((2, 1, n), dtype=bool)
-    src_invalid[1, 0, -1] = True
-
-    def fn(points):
-        a = att._weights_from_logs(points[0], src_invalid)
-        return ad.sum_(ad.mul(a, Tensor(r, dtype=np.longdouble)))
-
-    return grad_check(fn, [logits], step=1e-5)
 
 
 def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> float:
@@ -211,9 +225,10 @@ def run_checks(module: str | None = None) -> dict[str, float]:
         checks["substrate/softmax_chain"] = check_softmax_chain
     if module in (None, "attention"):
         checks["attention/heads"] = check_heads
-        checks["attention/match_logits"] = check_match_logits
+        checks["attention/scores"] = check_scores
         checks["attention/table_scores"] = check_table_scores
-        checks["attention/geometric_weights"] = check_geometric_weights
+        checks["attention/match_weights"] = check_match_weights
+        checks["attention/attend_values"] = check_attend_values
         for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):
             checks[f"attention/{kind}"] = lambda k=kind: check_attention_kind(k)
     if module in (None, "layer"):

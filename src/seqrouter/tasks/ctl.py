@@ -51,6 +51,11 @@ def default_plan() -> SplitPlan:
     ))
 
 
+# The desk-scale smoke recipe's lookups: depths 1-3 train, 4-5 held out.
+SMOKE_PLAN = SplitPlan((SplitSpec("train", (1, 2, 3), 8000), SplitSpec("valid_iid", (1, 2, 3), 500),
+                        SplitSpec("valid_ood", (4, 5), 500), SplitSpec("test", (4, 5), 500)))
+
+
 def ctl_eval(symbol: str, functions, spec: CtlSpec) -> str:
     """Apply the listed functions to the symbol, first function first."""
     if symbol not in spec.symbols:

@@ -197,6 +197,12 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
                 "iteration": iteration, "best_accuracy": best_acc, "best_iteration": best_iter,
                 "run_config": cfg.to_dict()}
 
+    # Resumed into a new out_dir: best.ckpt starts as the loaded model, labelled best only if it was.
+    if resume is not None and not best_path.exists():
+        if best_iter != start_iter:
+            best_acc, best_iter = -1.0, -1
+        save_checkpoint(best_path, model, opt, header_for(start_iter))
+
     def diverged(reason: str, it: int) -> TrainingDiverged:
         path = out_dir / "diverged.ckpt"
         save_checkpoint(path, model, opt, header_for(it))
@@ -238,8 +244,6 @@ def train(cfg: RunConfig, resume: str | None = None, quiet: bool = True) -> Trai
                     save_checkpoint(best_path, model, opt, header_for(it + 1))
 
         save_checkpoint(last_path, model, opt, header_for(cfg.n_iters))
-        if not best_path.exists():  # eval never ran (tiny n_iters)
-            save_checkpoint(best_path, model, opt, header_for(cfg.n_iters))
     finally:
         metrics.close()
     return TrainResult(cfg=cfg, model=model, opt=opt, iteration=cfg.n_iters,

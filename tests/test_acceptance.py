@@ -199,14 +199,6 @@ def test_07_act_remainder_property():
               "constant-halting ponder report is identically 1")
 
 
-SMOKE_PLAN = SplitPlan((
-    SplitSpec("train", (1, 2, 3), 8000),
-    SplitSpec("valid_iid", (1, 2, 3), 500),
-    SplitSpec("valid_ood", (4, 5), 500),
-    SplitSpec("test", (4, 5), 500),
-))
-
-
 def smoke_config(data_dir, out_dir, n_iters=5000) -> RunConfig:
     return RunConfig(task="ctl_fwd", d_model=64, d_ff=128, n_heads=2, n_layers=6,
                      kind="geometric", gated=True, dropout=0.1, att_dropout=0.0,
@@ -217,7 +209,7 @@ def smoke_config(data_dir, out_dir, n_iters=5000) -> RunConfig:
 
 def test_08_smoke_training(tmp_path):
     data_dir = tmp_path / "data"
-    tasks.generate_to_dir("ctl_fwd", seed=0, out_dir=data_dir, plan=SMOKE_PLAN)
+    tasks.generate_to_dir("ctl_fwd", seed=0, out_dir=data_dir, plan=ctl.SMOKE_PLAN)
     cfg = smoke_config(data_dir, tmp_path / "run")
     result = train(cfg)
     iid = [(json.loads(l)["iter"], json.loads(l)["accuracy"])

@@ -8,7 +8,8 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import TOLERANCE, check_heads, check_table_scores, run_checks
+from seqrouter.gradchecks import (TOLERANCE, check_attend_values, check_heads, check_scores,
+                                  check_table_scores, run_checks)
 from seqrouter.rng import RngTree
 
 from oracles import naive_mha, naive_rel_scores, sinusoid
@@ -231,6 +232,14 @@ def test_table_scores_grad_check():
     assert check_table_scores() < 1e-9
 
 
+def test_scores_grad_check():
+    assert check_scores() < 1e-9
+
+
+def test_attend_values_grad_check():
+    assert check_attend_values() < 1e-9
+
+
 def _held_bytes(op):
     tracemalloc.start()
     try:
@@ -303,7 +312,8 @@ def test_offsets_view_matches_gather(n):
 def test_every_attention_gradient_check_passes():
     results = run_checks("attention")
     kinds = ("standard_abs", "relative", "abs_rel_gated", "geometric")
-    assert {f"attention/{kind}" for kind in kinds} <= set(results)
+    ops = ("heads", "scores", "table_scores", "match_weights", "attend_values")
+    assert {f"attention/{name}" for name in kinds + ops} <= set(results)
     for name, err in results.items():
         assert err < TOLERANCE, f"{name}: {err:.3e}"
 

@@ -121,16 +121,16 @@ def test_an_array_no_vjp_reads_dies_when_forward_drops_it():
     np.testing.assert_array_equal(x.grad, 2.0 * (x.data > 0))
 
 
-def _tensors_reachable(node) -> list:
-    """Every Tensor reachable from a tape node through closure cells,
-    functions (cached ones included), tuples and lists."""
+def _reachable(node, kind=Tensor) -> list:
+    """Every object of type kind reachable from a tape node through closure
+    cells, functions (cached ones included), tuples and lists."""
     found, seen, todo = [], set(), [node]
     while todo:
         obj = todo.pop()
         if id(obj) in seen:
             continue
         seen.add(id(obj))
-        if isinstance(obj, Tensor):
+        if isinstance(obj, kind):
             found.append(obj)
         elif isinstance(obj, (tuple, list)):
             todo.extend(obj)
@@ -156,7 +156,7 @@ def test_no_tape_node_reaches_a_tensor_through_any_public_op():
         s = ad.softmax(att._scores(rows, rows, valid, 2, 0.5, pos=pos))
         logits = ad.dropout(ad.add(ad.sum_(s, axis=(1, 2)), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
         loss = ad.add(ad.cross_entropy(logits, np.array([2, 0])), ad.sum_(logits))
-        assert [t for node in tape._nodes for t in _tensors_reachable(node)] == []
+        assert [t for node in tape._nodes for t in _reachable(node)] == []
         tape.backward(loss)
     assert x.grad is not None and table.grad is not None and keys.grad is not None
 
@@ -174,9 +174,35 @@ def test_no_tape_node_of_a_train_step_reaches_a_tensor(kind, act):
         out = model.forward(gen.integers(0, 12, size=(3, 6)), np.array([6, 2, 4]),
                             mode=Mode(train=True, rng=RngTree(2)))
         loss = model_loss(out, np.array([0, 4, 2]))
-        assert [t for node in tape._nodes for t in _tensors_reachable(node)] == []
+        assert [t for node in tape._nodes for t in _reachable(node)] == []
         tape.backward(loss)
     assert all(p.grad is not None for p in model.parameters())
+
+
+def test_blend_node_keeps_only_its_operands():
+    gen = np.random.default_rng(41)
+    w, a, b = t64(gen.random((3, 1))), t64(gen.normal(size=(3, 4))), t64(gen.normal(size=(3, 4)))
+    with Tape() as tape:
+        ad.blend(w, a, b)
+        (node,) = tape._nodes
+        # No 1 - w: b's VJP forms it again.
+        held = {id(x) for x in _reachable(node, np.ndarray)}
+    assert held == {id(w.data), id(a.data), id(b.data)}
+
+
+def test_geometric_tape_holds_one_pair_array_per_layer_step():
+    cfg = ModelConfig(vocab_size=12, n_classes=5, d_model=16, d_ff=32, n_heads=2, n_layers=3,
+                      kind="geometric", gated=True, dropout=0.1, att_dropout=0.1)
+    model = EncoderModel.build(cfg, RngTree(0))
+    b, n = 3, 6
+    tokens = np.random.default_rng(1).integers(0, 12, size=(b, n))
+    with Tape() as tape:
+        model.forward(tokens, np.array([6, 2, 4]), mode=Mode(train=True, rng=RngTree(2)))
+        # The weights, shared by the weights op and the values op; the match
+        # logits are recomputed in backward, not held.
+        pair_arrays = {id(x) for node in tape._nodes for x in _reachable(node, np.ndarray)
+                       if x.shape == (b, cfg.n_heads, n, n)}
+    assert len(pair_arrays) == cfg.n_layers
 
 
 def test_shared_first_gradient_survives_accumulation_and_clip():

@@ -7,9 +7,9 @@ from hypothesis import strategies as st
 
 from seqrouter import attention as att
 from seqrouter import autodiff as ad
-from seqrouter.attention import EVAL, AttentionConfig, Mode, geometric_ordering, geometric_weights
+from seqrouter.attention import AttentionConfig, Mode, geometric_ordering, geometric_weights
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import check_match_logits
+from seqrouter.gradchecks import check_match_weights
 from seqrouter.layers import encoder_step, init_layer
 from seqrouter.rng import RngTree
 
@@ -21,11 +21,17 @@ def geo_params(d=8, heads=2, seed=0, dtype=np.float64):
     return att.init_attention(Init(RngTree(seed), dtype=dtype, prefix="geo"), cfg)
 
 
-def match_probs(h, p):
-    """Per-pair match probabilities sigmoid(logits), (B, H, N, N), of
-    states h (B, N, d) with every column valid."""
-    valid = np.ones(h.shape[:2], dtype=bool)
-    return ad.sigmoid(att._geometric_logits(Tensor(h.data[valid]), p, valid, EVAL))
+def logits_op(valid, n_heads, dtype=np.float64):
+    """The fused weights op as a function of match logits z (B, H, N, N),
+    fed as packed rows q = att._join_heads(z, valid): with unit-vector k
+    rows, alpha = 1 and beta = gamma = 0, q.k^T is z exactly, so q's
+    gradient is z's at the valid targets."""
+    b, n = valid.shape
+    p = geo_params(d=n_heads * n, heads=n_heads, dtype=dtype)
+    p.alpha.data[:], p.beta.data[:], p.gamma.data[:] = 1.0, 0.0, 0.0
+    k = Tensor(att._join_heads(np.broadcast_to(np.eye(n, dtype=dtype), (b, n_heads, n, n)), valid))
+    d = Tensor(np.zeros((k.shape[0], n_heads), dtype=dtype))
+    return lambda q: att._match_weights(q, k, d, d, p, valid)
 
 
 def test_ordering_forced_example():
@@ -150,8 +156,9 @@ def test_probs_all_zero_states_are_half():
         if param.name.endswith(("alpha",)):
             continue
         param.data[:] = 0.0
-    h = Tensor(np.zeros((1, 4, 8)), dtype=np.float64)
-    np.testing.assert_allclose(match_probs(h, p).data, 0.5)
+    _, weights = att.attend(Tensor(np.zeros((4, 8))), p, np.ones((1, 4), dtype=bool))
+    want = geometric_weights(Tensor(np.full((1, 2, 4, 4), 0.5))).data
+    np.testing.assert_allclose(weights.data, want, atol=1e-15)
 
 
 def test_probs_direction_bias_blocks_left():
@@ -159,31 +166,34 @@ def test_probs_direction_bias_blocks_left():
     p.b_rl.data[:] = -50.0
     p.w_rl.data[:] = 0.0
     p.beta.data[:] = 1.0
-    h = Tensor(np.random.default_rng(5).normal(size=(1, 5, 8)) * 0.1, dtype=np.float64)
-    probs = match_probs(h, p).data
+    h = Tensor(np.random.default_rng(5).normal(size=(5, 8)) * 0.1, dtype=np.float64)
+    _, weights = att.attend(h, p, np.ones((1, 5), dtype=bool))
     i_idx, j_idx = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-    assert probs[0][:, i_idx > j_idx].max() < 1e-6
+    assert weights.data[0][:, i_idx > j_idx].max() < 1e-6
+
+
+def naive_probs(h, p):
+    return naive_match_probs(
+        h, p.w_q.data, p.b_q.data, p.w_ke.data, p.w_lr.data, p.b_lr.data,
+        p.w_rl.data, p.b_rl.data, p.alpha.data, p.beta.data, p.gamma.data, 2)
 
 
 def test_probs_match_pairwise_oracle():
     p = geo_params(d=8, heads=2, seed=6)
-    gen = np.random.default_rng(7)
-    h = gen.normal(size=(5, 8))
-    probs = match_probs(Tensor(h[None]), p).data[0]
-    want = naive_match_probs(
-        h, p.w_q.data, p.b_q.data, p.w_ke.data, p.w_lr.data, p.b_lr.data,
-        p.w_rl.data, p.b_rl.data, p.alpha.data, p.beta.data, p.gamma.data, 2)
-    np.testing.assert_allclose(probs, want, atol=1e-6)
+    h = np.random.default_rng(7).normal(size=(5, 8))
+    _, weights = att.attend(Tensor(h), p, np.ones((1, 5), dtype=bool))
+    for head, probs in enumerate(naive_probs(h, p)):
+        np.testing.assert_allclose(weights.data[0, head], naive_geometric_weights(probs), atol=1e-6)
 
 
 def test_probs_padded_sources_are_zero():
     p = geo_params(seed=8)
-    h = Tensor(np.random.default_rng(9).normal(size=(1, 5, 8)), dtype=np.float64)
+    h = np.random.default_rng(9).normal(size=(5, 8))
     valid = np.array([[True, True, True, False, False]])
     # Pad sources neither receive mass nor shadow closer matches.
-    _, weights = att.attend(Tensor(h.data[valid]), p, valid)
+    _, weights = att.attend(Tensor(h[:3]), p, valid)
     assert (weights.data[..., 3:] == 0).all()
-    want = naive_geometric_weights(np.pad(match_probs(h, p).data[0, 0, :, :3], ((0, 0), (0, 2))))
+    want = naive_geometric_weights(np.pad(naive_probs(h[:3], p)[0], ((0, 2), (0, 2))))
     np.testing.assert_allclose(weights.data[0, 0, :3], want[:3], atol=1e-12)
 
 
@@ -233,15 +243,15 @@ def test_attend_row_mass_bounded_by_one():
 
 def test_geometric_weights_grad_vs_fd():
     gen = np.random.default_rng(16)
-    logits = Tensor(gen.normal(size=(2, 3, 3)), dtype=np.float64)
-    r = gen.normal(size=(2, 3, 3))
-    src_invalid = np.array([False, False, False, False, True, False]).reshape(2, 1, 3)
+    z = gen.normal(size=(2, 1, 3, 3))
+    r = Tensor(gen.normal(size=z.shape))
+    valid = np.array([[True, True, True], [True, True, False]])
+    op = logits_op(valid, 1)
 
     def f(points):
-        a = att._weights_from_logs(points[0], src_invalid)
-        return ad.sum_(ad.mul(a, Tensor(r, dtype=np.float64)))
+        return ad.sum_(ad.mul(op(points[0]), r))
 
-    assert ad.grad_check(f, [logits], step=1e-6) < 1e-3
+    assert ad.grad_check(f, [Tensor(att._join_heads(z, valid))], step=1e-6) < 1e-3
 
 
 def test_closeness_mask_reproduces_ordering():
@@ -259,23 +269,24 @@ def test_weights_op_matches_oracle_on_padded_batch():
     lengths = [6, 4, 1]
     z = gen.normal(scale=2.0, size=(3, 2, 6, 6))
     valid = np.arange(6)[None, :] < np.array(lengths)[:, None]
-    a = att._weights_from_logs(Tensor(z), ~valid[:, None, None, :]).data
+    a = logits_op(valid, 2)(Tensor(att._join_heads(z, valid))).data
     for b, n in enumerate(lengths):
         assert (a[b, :, :, n:] == 0).all()
         for head in range(2):
             p = 1.0 / (1.0 + np.exp(-z[b, head]))
             p[:, n:] = 0.0  # pads neither receive mass nor shadow
-            np.testing.assert_allclose(a[b, head, :, :n], naive_geometric_weights(p)[:, :n], atol=1e-14)
+            np.testing.assert_allclose(a[b, head, :n], naive_geometric_weights(p)[:n], atol=1e-14)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_weights_op_extreme_logits_stay_finite(dtype):
     gen = np.random.default_rng(18)
     z = np.where(gen.random((2, 2, 7, 7)) < 0.5, -1e9, 1e9).astype(dtype)
-    x = Tensor(z, requires_grad=True)
+    valid = np.ones((2, 7), dtype=bool)
+    x = Tensor(att._join_heads(z, valid), requires_grad=True)
     r = Tensor(gen.normal(size=z.shape).astype(dtype))
     with Tape() as tape:
-        a = att._weights_from_logs(x, np.zeros((2, 1, 1, 7), dtype=bool))
+        a = logits_op(valid, 2, dtype)(x)
         tape.backward(ad.sum_(ad.mul(a, r)))
     assert np.isfinite(a.data).all() and np.isfinite(x.grad).all()
     # p is 0 or 1: each row puts weight 1 on its nearest certain match.
@@ -284,20 +295,31 @@ def test_weights_op_extreme_logits_stay_finite(dtype):
 
 
 def test_weights_op_holds_only_weights_and_mask():
-    gen = np.random.default_rng(19)
-    x = Tensor(gen.normal(size=(4, 4, 40, 40)).astype(np.float32), requires_grad=True)
-    src_invalid = np.zeros((4, 1, 1, 40), dtype=bool)
-    mask_bytes = att._closeness_mask(40, np.float32).nbytes
+    b, nh, n, d = 4, 8, 64, 64
+    p = geo_params(d=d, heads=nh, seed=24, dtype=np.float32)
+    valid = np.ones((b, n), dtype=bool)
+    valid[1, 40:] = False
+    m = np.count_nonzero(valid)
+    gen = np.random.default_rng(24)
+    q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
+    d_lr, d_rl = (Tensor(gen.normal(size=(m, nh)).astype(np.float32), requires_grad=True)
+                  for _ in range(2))
+    att._closeness_mask(n, np.dtype(np.float32))  # one shared array, made before measuring
     tracemalloc.start()
     try:
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            a = att._weights_from_logs(x, src_invalid)
+            a = att._match_weights(q, k, d_lr, d_rl, p, valid)
             held = tracemalloc.get_traced_memory()[0] - before
             tape.backward(ad.sum_(a))
     finally:
         tracemalloc.stop()
-    assert held <= 2 * x.data.nbytes + mask_bytes + 64 * 1024, held
+    # The weights, the direction columns and the mask, with slack: the
+    # (B, H, N, N) logits, another 512 KB, are recomputed, not kept.
+    rows = sum(t.data.nbytes for t in (q, k, d_lr, d_rl))
+    assert a.shape == (b, nh, n, n)
+    assert held <= a.data.nbytes + rows + 64 * 1024, held
+    assert all(t.grad is not None for t in (q, k, d_lr, d_rl, p.alpha, p.beta, p.gamma))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 52])
@@ -306,9 +328,10 @@ def test_weights_op_grad_matches_direct_product_fd(n):
     z = gen.normal(size=(2, 3, n, n))
     r = gen.normal(size=z.shape)
     v = gen.normal(size=z.shape)
-    x = Tensor(z.copy(), requires_grad=True)
+    valid = np.ones((2, n), dtype=bool)
+    x = Tensor(att._join_heads(z, valid), requires_grad=True)
     with Tape() as tape:
-        a = att._weights_from_logs(x, np.zeros((2, 1, 1, n), dtype=bool))
+        a = logits_op(valid, 3)(x)
         tape.backward(ad.sum_(ad.mul(a, Tensor(r))))
 
     def direct_loss(zz):
@@ -317,11 +340,12 @@ def test_weights_op_grad_matches_direct_product_fd(n):
     np.testing.assert_allclose(a.data, geometric_weights_direct(1.0 / (1.0 + np.exp(-z))), atol=1e-14)
     h = 1e-6
     numeric = (direct_loss(z + h * v) - direct_loss(z - h * v)) / (2 * h)
-    assert abs(float((x.grad * v).sum()) - numeric) <= 1e-7 * (1.0 + abs(numeric))
+    analytic = float((att._split_heads(x.grad, valid, 3) * v).sum())
+    assert abs(analytic - numeric) <= 1e-7 * (1.0 + abs(numeric))
 
 
-def test_match_logits_grad_check():
-    assert check_match_logits() < 1e-9
+def test_match_weights_grad_check():
+    assert check_match_weights() < 1e-9
 
 
 def test_geometric_attend_records_few_nodes():
@@ -342,14 +366,14 @@ def test_geometric_attend_records_few_nodes():
     with Tape() as tape:
         encoder_step(h, lp, valid, mode, drop=0.1)
         step_nodes = len(tape._nodes)
-    # Four biased projections, q's dropout and one logits op; then the
-    # weights op, v's projection, the values op and the output product.
+    # Four biased projections, q's dropout and one logits-and-weights op;
+    # then v's projection, the values op and the output product.
     assert logits_nodes <= 6
-    assert attend_nodes <= 10
+    assert attend_nodes <= 9
     # attend, the residual and its layernorm, the FFN (two products, ReLU,
     # dropout) and its layernorm, the gate (two products, ReLU, sigmoid)
     # and the blend.
-    assert step_nodes <= 22
+    assert step_nodes <= 21
 
 
 @pytest.mark.parametrize("kind, most", [("standard_abs", 7), ("relative", 11), ("abs_rel_gated", 17)])
@@ -366,30 +390,6 @@ def test_relative_attend_records_few_nodes(kind, most):
         # The gate adds the absolute table's product and scores op, its own
         # product, sigmoid, per-head layout and blend.
         assert len(tape._nodes) <= most
-
-
-def test_match_logits_holds_only_its_output():
-    b, nh, n, d = 4, 8, 64, 64
-    p = geo_params(d=d, heads=nh, seed=24, dtype=np.float32)
-    valid = np.ones((b, n), dtype=bool)
-    valid[1, 40:] = False
-    m = np.count_nonzero(valid)
-    gen = np.random.default_rng(24)
-    q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
-    d_lr, d_rl = (Tensor(gen.normal(size=(m, nh)).astype(np.float32), requires_grad=True)
-                  for _ in range(2))
-    tracemalloc.start()
-    try:
-        with Tape() as tape:
-            before = tracemalloc.get_traced_memory()[0]
-            z = att._match_logits(q, k, d_lr, d_rl, p, valid)
-            held = tracemalloc.get_traced_memory()[0] - before
-            tape.backward(ad.sum_(z))
-    finally:
-        tracemalloc.stop()
-    # z and slack below the 128 KB of per-head q and k, which are not kept.
-    assert z.shape == (b, nh, n, n)
-    assert held <= z.data.nbytes + 64 * 1024, held
 
 
 def test_closeness_mask_is_one_read_only_array():

@@ -327,6 +327,18 @@ def test_hard_kill_after_best_checkpoint_keeps_its_records(ctl_data, tmp_path):
     assert Path(resumed.metrics_path).read_bytes() == Path(straight.metrics_path).read_bytes()
 
 
+def test_resume_into_new_dir_labels_best_checkpoint_truly(ctl_data, tmp_path):
+    first = train(tiny_run_config(ctl_data, tmp_path / "first", n_iters=4, eval_every=2))
+    assert first.best_iteration == 2  # the resumed evals must beat the checkpoint to move it
+    resumed = train(tiny_run_config(ctl_data, tmp_path / "resumed", n_iters=8, eval_every=2),
+                    resume=first.best_path)
+    model, _, header = load_checkpoint(resumed.best_path)
+    assert header["iteration"] == header["best_iteration"] == resumed.best_iteration
+    ood = tasks.load_split(ctl_data, "valid_ood")
+    acc = evaluate_model(model, ood, tasks.vocab_for_task("ctl_fwd"), 16)
+    assert acc == header["best_accuracy"] == resumed.best_accuracy
+
+
 def test_resume_keeps_log_through_checkpoint_iteration(ctl_data, tmp_path):
     run = tmp_path / "run"
     train(tiny_run_config(ctl_data, run, n_iters=2, eval_every=2))
