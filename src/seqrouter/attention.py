@@ -23,6 +23,7 @@ from .autodiff import Init, Parameter, Tensor
 from .rng import RngTree
 
 NEG_SCORE = -1e9  # score at pad sources; exp() underflows to exactly 0
+KINDS = ("standard_abs", "relative", "abs_rel_gated", "geometric")
 
 
 @dataclass
@@ -43,10 +44,12 @@ EVAL = Mode()
 class AttentionConfig:
     d_model: int
     n_heads: int
-    kind: str = "standard_abs"  # standard_abs | relative | abs_rel_gated | geometric
+    kind: str = "standard_abs"  # one of KINDS
     content_dropout: float = 0.0
 
     def __post_init__(self):
+        if self.kind not in KINDS:
+            raise ValueError(f"unknown attention kind {self.kind!r}; expected one of {', '.join(KINDS)}")
         if self.n_heads < 1:
             raise ValueError(f"n_heads must be at least 1, got {self.n_heads}")
         if self.d_model % self.n_heads != 0:
@@ -116,24 +119,22 @@ def init_attention(init: Init, cfg: AttentionConfig):
             w_ar=init.linear("w_ar", d, 1) if gated else None,
             b_ar=init.bias("b_ar", 1) if gated else None,
         )
-    if cfg.kind == "geometric":
-        h = cfg.n_heads
-        return GeometricAttentionParams(
-            cfg,
-            w_q=init.linear("w_q", d, d),
-            b_q=init.bias("b_q", d),
-            w_ke=init.linear("w_ke", d, d),
-            w_lr=init.linear("w_lr", d, h),
-            b_lr=init.bias("b_lr", h),
-            w_rl=init.linear("w_rl", d, h),
-            b_rl=init.bias("b_rl", h),
-            alpha=init.gain("alpha", h, value=1.0 / math.sqrt(cfg.d_head)),
-            beta=init.gain("beta", h, value=1.0),
-            gamma=init.bias("gamma", h),
-            w_v=init.linear("w_v", d, d),
-            w_o=init.linear("w_o", d, d),
-        )
-    raise ValueError(f"unknown attention kind: {cfg.kind}")
+    h = cfg.n_heads  # geometric: the only kind left
+    return GeometricAttentionParams(
+        cfg,
+        w_q=init.linear("w_q", d, d),
+        b_q=init.bias("b_q", d),
+        w_ke=init.linear("w_ke", d, d),
+        w_lr=init.linear("w_lr", d, h),
+        b_lr=init.bias("b_lr", h),
+        w_rl=init.linear("w_rl", d, h),
+        b_rl=init.bias("b_rl", h),
+        alpha=init.gain("alpha", h, value=1.0 / math.sqrt(cfg.d_head)),
+        beta=init.gain("beta", h, value=1.0),
+        gamma=init.bias("gamma", h),
+        w_v=init.linear("w_v", d, d),
+        w_o=init.linear("w_o", d, d),
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -283,17 +283,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _op(data, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb)))
 
 
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_same_dtype(a, b)
-    x, y = a.data, b.data
-    try:
-        data = x * y
-    except ValueError:
-        raise DimensionError(f"mul: shapes {a.shape} and {b.shape} do not broadcast") from None
-    return _op(data, (a, lambda g: _unbroadcast(g * y, x.shape)),
-               (b, lambda g: _unbroadcast(g * x, y.shape)))
-
-
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.dtype.type(c)
     return _op(a.data * c, (a, lambda g: g * c))
@@ -311,20 +300,16 @@ def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """``a @ b (+ bias)`` for a >=2-D ``a`` and a 2-D weight ``b``."""
+    """``a @ b (+ bias)`` for a >=2-D ``a`` and a 2-D weight ``b``: all
+    leading axes of ``a`` fold into one (M, k) matrix, so forward and both
+    product gradients are single GEMMs and the weight gradient needs no
+    per-sample reduction."""
     _check_same_dtype(a, b, bias)
     if a.data.ndim < 2 or b.data.ndim != 2:
         raise DimensionError(f"matmul needs a >=2-d left operand and a 2-d weight, "
                              f"got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[0]:
         raise DimensionError(f"matmul: inner dims differ, {a.shape} vs {b.shape}")
-    return _matmul_folded(a, b, bias)
-
-
-def _matmul_folded(a: Tensor, b: Tensor, bias: Tensor | None) -> Tensor:
-    """``a @ b (+ bias)`` for a 2-D ``b`` (a weight): all leading axes of
-    ``a`` fold into one (M, k) matrix, so forward and both product gradients
-    are single GEMMs and the weight gradient needs no per-sample reduction."""
     x, w = a.data, b.data
     k, n = w.shape
     data = np.matmul(x.reshape(-1, k), w).reshape(x.shape[:-1] + (n,))
@@ -428,17 +413,6 @@ def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
     keep = gen.random(a.shape) >= rate
     s = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
     return _op(a.data * (keep * s), (a, lambda g: g * (keep * s)))
-
-
-def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    shape = a.shape
-
-    def vjp(g):
-        if axis is not None and not keepdims:
-            g = np.expand_dims(g, axis=axis)
-        return np.broadcast_to(g, shape).copy()
-
-    return _op(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:

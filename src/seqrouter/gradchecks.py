@@ -1,17 +1,33 @@
-"""Named gradient checks: every layer variant, every attention op (the
-per-head layout, the softmax scores with a positional term, the
-key-table scores of relative attention, the fused geometric
-logits-and-weights op, and the values product), the ACT readout, and
-representative op composites, all
-checked against central finite differences in extended (80-bit)
-precision, which keeps the difference quotient meaningful on
-structurally tiny gradient coordinates.
+"""Named gradient checks, all against central finite differences in
+extended (80-bit) precision, which keeps the difference quotient
+meaningful on structurally tiny gradient coordinates.
+
+- Per-op checks (``OP_CHECKS``): every function of autodiff, attention and
+  layers that records a tape node, alone on a small input. These are the
+  autodiff ops (``substrate/<op>``), the attention ops (the per-head
+  layout, the softmax scores with a positional term, the key-table scores
+  of relative attention, the fused geometric logits-and-weights op, and
+  the values product) and the ACT readout. Each reads below 1e-9.
+- Composites: two op chains, every attention kind and every layer variant.
+
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
 so pad columns and the boundary between packed rows and the padded
 attention layout, both ways (``_heads``, and the values op
-``_attend_values``), are covered."""
+``_attend_values``), are covered.
+
+The layer checks of the relative kinds read 8e-6 to 6e-5, the others
+below 1e-8. The worst coordinates are in row 7 of ``w_kp``: ``layer/rel``
+reads 1.47e-5 at ``w_kp[56]`` and ``layer/abs/rel+gate`` 5.53e-5 at
+``w_kp[57]``, where |grad| is 3.4e-9 and 4.7e-10 and the absolute error
+about 1e-13. At d = 8 that row meets the sinusoid's ``cos(pos / 1000)``
+column, nearly constant over the offsets, so the softmax cancels its score
+term and leaves a gradient near the difference quotient's rounding. Over
+the coordinates with |grad| > 1e-3 the two read 7.2e-10 and 1.0e-10, and
+no ReLU input is within 5e-3 of its kink."""
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -35,6 +51,49 @@ LAYER_VARIANTS = {
     "act-a": ("relative", False, "A"),
     "act-u": ("geometric", False, "U"),
 }
+
+
+def project(t: Tensor, r=1.0) -> Tensor:
+    """The scalar sum(t * r), r cast to t's dtype and broadcast to t's shape:
+    a check's loss, whose one VJP seeds t's gradient with g * r."""
+    r = np.broadcast_to(np.asarray(r, dtype=t.dtype), t.shape)
+    return ad._op((t.data * r).sum(), (t, lambda g: g * r))
+
+
+def _normal(gen: np.random.Generator, *shapes) -> list[Tensor]:
+    return [Tensor(gen.normal(size=shape), dtype=np.longdouble) for shape in shapes]
+
+
+# Each autodiff op on small longdouble points: (op, points) from a generator.
+SUBSTRATE_OPS = {
+    "add": lambda gen: (ad.add, _normal(gen, (2, 3, 4), (3, 1))),  # both operands broadcast
+    "scale": lambda gen: (lambda a: ad.scale(a, 0.7), _normal(gen, (3, 4))),
+    # A per-target gate (B, 1, N, 1) mixing two (B, H, N, N) score tensors.
+    "blend": lambda gen: (ad.blend, [ad.sigmoid(*_normal(gen, (2, 1, 3, 1)))]
+                          + _normal(gen, (2, 2, 3, 3), (2, 2, 3, 3))),
+    "matmul": lambda gen: (ad.matmul, _normal(gen, (2, 3, 4), (4, 5), (5,))),  # 3-D left operand, bias
+    # Entries at least 0.1 from the kink at 0.
+    "relu": lambda gen: (ad.relu, [Tensor(gen.uniform(0.1, 2.0, (3, 4)) * gen.choice((-1.0, 1.0), (3, 4)),
+                                          dtype=np.longdouble)]),
+    "sigmoid": lambda gen: (ad.sigmoid, _normal(gen, (3, 4))),
+    "tanh": lambda gen: (ad.tanh, _normal(gen, (3, 4))),
+    "softmax": lambda gen: (ad.softmax, _normal(gen, (3, 5))),
+    "layernorm": lambda gen: (ad.layernorm, _normal(gen, (3, 5), (5,), (5,))),  # input, gain, bias
+    # A repeated id: the gradient rows of one table row add up.
+    "embedding": lambda gen: (lambda t: ad.embedding(t, np.array([[0, 2, 2], [4, 0, 2]])),
+                              _normal(gen, (5, 3))),
+    # A fresh generator per call, so every evaluation drops the same cells.
+    "dropout": lambda gen: (lambda a: ad.dropout(a, 0.3, np.random.default_rng(0)), _normal(gen, (4, 5))),
+    "cross_entropy": lambda gen: (lambda x: ad.cross_entropy(x, np.array([1, 0, 3])), _normal(gen, (3, 4))),
+}
+
+
+def check_substrate_op(name: str, seed: int = 40) -> float:
+    """One autodiff op alone, projected on a random direction of its output's shape."""
+    gen = np.random.default_rng(seed)
+    op, points = SUBSTRATE_OPS[name](gen)
+    r = gen.normal(size=op(*points).shape)
+    return grad_check(lambda pts: project(op(*pts), r), points, step=1e-6)
 
 
 def check_composite_ops(seed: int = 0) -> float:
@@ -64,7 +123,7 @@ def check_softmax_chain(seed: int = 1) -> float:
     def fn(points):
         (xx,) = points
         y = ad.softmax(ad.sigmoid(xx))
-        return ad.sum_(ad.mul(y, Tensor(r, dtype=np.longdouble)))
+        return project(y, r)
 
     return grad_check(fn, [x], step=1e-5)
 
@@ -81,8 +140,8 @@ def check_heads(seed: int = 5, n: int = 4, d: int = 4) -> float:
     gen = np.random.default_rng(seed)
     lengths, valid = _ragged(n)
     x = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
-    r = Tensor(gen.normal(size=(2, 2, n, d // 2)), dtype=np.longdouble)
-    return grad_check(lambda points: ad.sum_(ad.mul(att._heads(points[0], valid, 2), r)), [x], step=1e-5)
+    r = gen.normal(size=(2, 2, n, d // 2))
+    return grad_check(lambda points: project(att._heads(points[0], valid, 2), r), [x], step=1e-5)
 
 
 def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
@@ -96,10 +155,10 @@ def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
     lengths, valid = _ragged(n)
     # q and k (M, d), then the direction scores d_lr and d_rl (M, H).
     rows = [Tensor(gen.normal(size=(lengths.sum(), c)), dtype=np.longdouble) for c in (d, d, 2, 2)]
-    r = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
+    r = gen.normal(size=(2, 2, n, n))
 
     def fn(points):
-        return ad.sum_(ad.mul(att._match_weights(*points[:4], p, valid), r))
+        return project(att._match_weights(*points[:4], p, valid), r)
 
     # A smaller step than the other checks' keeps the O(step^2) truncation
     # error of this nonlinear op well below 1e-9 (3e-11 here, 2.5e-10 at 1e-5).
@@ -113,10 +172,10 @@ def check_scores(seed: int = 9, n: int = 4, d: int = 4) -> float:
     lengths, valid = _ragged(n)
     rows = [Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble) for _ in range(2)]
     pos = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
-    r = Tensor(gen.normal(size=(2, 2, n, n)) * valid[:, None, None, :], dtype=np.longdouble)
+    r = gen.normal(size=(2, 2, n, n)) * valid[:, None, None, :]
 
     def fn(points):
-        return ad.sum_(ad.mul(att._scores(*points[:2], valid, 2, 0.7, pos=points[2]), r))
+        return project(att._scores(*points[:2], valid, 2, 0.7, pos=points[2]), r)
 
     return grad_check(fn, rows + [pos], step=1e-5)
 
@@ -127,8 +186,8 @@ def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
     lengths, valid = _ragged(n)
     weights = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
     v = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
-    r = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
-    return grad_check(lambda points: ad.sum_(ad.mul(att._attend_values(*points, valid), r)),
+    r = gen.normal(size=(lengths.sum(), d))
+    return grad_check(lambda points: project(att._attend_values(*points, valid), r),
                       [weights, v], step=1e-5)
 
 
@@ -140,12 +199,12 @@ def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
     lengths, valid = _ragged(n)
     q = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
     tables = [Tensor(gen.normal(size=(rows, d)), dtype=np.longdouble) for rows in (2 * n - 1, n)]
-    r = [Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble) for _ in range(2)]
+    r = [gen.normal(size=(2, 2, n, n)) for _ in range(2)]
 
     def fn(points):
         rel = att._table_scores(points[0], points[1], valid, 2, view=att._offsets)
         absolute = att._table_scores(points[0], points[2], valid, 2)
-        return ad.add(ad.sum_(ad.mul(rel, r[0])), ad.sum_(ad.mul(absolute, r[1])))
+        return ad.add(project(rel, r[0]), project(absolute, r[1]))
 
     return grad_check(fn, [q] + tables, step=1e-5)
 
@@ -160,7 +219,7 @@ def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> fl
 
     def fn(points):
         out, _ = att.attend(points[0], params, valid)
-        return ad.sum_(ad.mul(out, Tensor(r, dtype=np.longdouble)))
+        return project(out, r)
 
     return grad_check(fn, [h] + ad.parameters(params), step=1e-5)
 
@@ -173,12 +232,12 @@ def check_act_readout(variant: str, seed: int = 8, d: int = 3) -> float:
     rows = [[0.995, 0.4, 0.2, 0.1], [0.3, 0.3, 0.3, 0.2], [0.2, 0.5, 0.1, 0.15], [0.4, 0.2, 0.5, 0.1]]
     p_hats = [Tensor(np.array(row)[:, None], dtype=np.longdouble) for row in rows]
     states = [Tensor(gen.normal(size=(4, d)), dtype=np.longdouble) for _ in rows]
-    r = Tensor(gen.normal(size=(4, d)), dtype=np.longdouble)
+    r = gen.normal(size=(4, d))
     cfg = ACTConfig(variant=variant, reg_weight=0.5)
 
     def fn(points):
         res = act_readout(points[:4], points[4:], cfg, np.array([1, 3]))
-        return ad.add(ad.sum_(ad.mul(res.readout, r)), res.act_loss)
+        return ad.add(project(res.readout, r), res.act_loss)
 
     return grad_check(fn, states + p_hats, step=1e-5)
 
@@ -211,31 +270,38 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
 
     def fn(pts):
         out, _, _ = encoder_step(pts[0], lp, valid)
-        return ad.sum_(ad.mul(out, Tensor(r, dtype=np.longdouble)))
+        return project(out, r)
 
     return grad_check(fn, [h] + ad.parameters(lp), step=1e-5)
 
 
+# Every function of autodiff, attention and layers that records a tape node
+# (calls ``_op``), keyed "module.function", with its per-op checks by name.
+OP_CHECKS = {
+    **{f"autodiff.{op}": {f"substrate/{op}": functools.partial(check_substrate_op, op)}
+       for op in SUBSTRATE_OPS},
+    "attention._heads": {"attention/heads": check_heads},
+    "attention._scores": {"attention/scores": check_scores},
+    "attention._table_scores": {"attention/table_scores": check_table_scores},
+    "attention._match_weights": {"attention/match_weights": check_match_weights},
+    "attention._attend_values": {"attention/attend_values": check_attend_values},
+    "layers.act_readout": {f"layer/act_readout-{v.lower()}": functools.partial(check_act_readout, v)
+                           for v in "AU"},
+}
+MODULES = ("substrate", "attention", "layer")
+
+
 def run_checks(module: str | None = None) -> dict[str, float]:
-    """All named checks, optionally filtered by module prefix
-    (substrate, attention, layer)."""
-    checks = {}
-    if module in (None, "substrate"):
-        checks["substrate/composite"] = check_composite_ops
-        checks["substrate/softmax_chain"] = check_softmax_chain
-    if module in (None, "attention"):
-        checks["attention/heads"] = check_heads
-        checks["attention/scores"] = check_scores
-        checks["attention/table_scores"] = check_table_scores
-        checks["attention/match_weights"] = check_match_weights
-        checks["attention/attend_values"] = check_attend_values
-        for kind in ("standard_abs", "relative", "abs_rel_gated", "geometric"):
-            checks[f"attention/{kind}"] = lambda k=kind: check_attention_kind(k)
-    if module in (None, "layer"):
-        for name in LAYER_VARIANTS:
-            checks[f"layer/{name}"] = lambda v=name: check_layer_variant(v)
-        for variant in ("A", "U"):
-            checks[f"layer/act_readout-{variant.lower()}"] = lambda v=variant: check_act_readout(v)
-    if not checks:
+    """All named checks, optionally filtered by module (substrate,
+    attention, layer); grouped by module."""
+    checks = {"substrate/composite": check_composite_ops, "substrate/softmax_chain": check_softmax_chain}
+    for named in OP_CHECKS.values():
+        checks.update(named)
+    for kind in att.KINDS:
+        checks[f"attention/{kind}"] = functools.partial(check_attention_kind, kind)
+    for name in LAYER_VARIANTS:
+        checks[f"layer/{name}"] = functools.partial(check_layer_variant, name)
+    if module not in (None,) + MODULES:
         raise ValueError(f"unknown module {module!r}; expected substrate, attention, or layer")
-    return {name: fn() for name, fn in checks.items()}
+    order = sorted(checks, key=lambda name: MODULES.index(name.split("/")[0]))
+    return {name: checks[name]() for name in order if module in (None, name.split("/")[0])}

@@ -14,7 +14,7 @@ from seqrouter import tasks, trace as tr
 from seqrouter.attention import geometric_ordering, geometric_weights
 from seqrouter.autodiff import Tensor
 from seqrouter.checkpoint import load_checkpoint
-from seqrouter.config import RunConfig
+from seqrouter.config import RunConfig, load_config
 from seqrouter.gradchecks import TOLERANCE, run_checks
 from seqrouter.layers import ACTConfig, act_schedule
 from seqrouter.model import EncoderModel, ModelConfig
@@ -200,11 +200,10 @@ def test_07_act_remainder_property():
 
 
 def smoke_config(data_dir, out_dir, n_iters=5000) -> RunConfig:
-    return RunConfig(task="ctl_fwd", d_model=64, d_ff=128, n_heads=2, n_layers=6,
-                     kind="geometric", gated=True, dropout=0.1, att_dropout=0.0,
-                     batch_size=64, lr=1e-3, weight_decay=0.01, grad_clip=5.0,
-                     n_iters=n_iters, eval_every=500, seed=0,
-                     data_dir=str(data_dir), out_dir=str(out_dir))
+    """The shipped smoke recipe, configs/ctl_smoke.cfg, on the given paths."""
+    cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "ctl_smoke.cfg")
+    cfg.data_dir, cfg.out_dir, cfg.n_iters = str(data_dir), str(out_dir), n_iters
+    return cfg
 
 
 def test_08_smoke_training(tmp_path):

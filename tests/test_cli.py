@@ -88,6 +88,8 @@ def test_train_rejects_run_values_below_one(workspace, tmp_path, capsys, key, va
 @pytest.mark.parametrize("key, value, message", [
     ("n_heads", "0", "n_heads must be at least 1, got 0"),
     ("n_layers", "0", "n_layers must be at least 1, got 0"),
+    ("kind", "bogus", "unknown attention kind 'bogus'; expected one of standard_abs, relative, "
+                      "abs_rel_gated, geometric"),
     ("dropout", "-0.2", "dropout must be in [0, 1), got -0.2"),
     ("dropout", "1.0", "dropout must be in [0, 1), got 1.0"),
     ("att_dropout", "-0.5", "att_dropout must be in [0, 1), got -0.5"),

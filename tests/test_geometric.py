@@ -9,7 +9,7 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode, geometric_ordering, geometric_weights
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import check_match_weights
+from seqrouter.gradchecks import check_match_weights, project
 from seqrouter.layers import encoder_step, init_layer
 from seqrouter.rng import RngTree
 
@@ -244,12 +244,12 @@ def test_attend_row_mass_bounded_by_one():
 def test_geometric_weights_grad_vs_fd():
     gen = np.random.default_rng(16)
     z = gen.normal(size=(2, 1, 3, 3))
-    r = Tensor(gen.normal(size=z.shape))
+    r = gen.normal(size=z.shape)
     valid = np.array([[True, True, True], [True, True, False]])
     op = logits_op(valid, 1)
 
     def f(points):
-        return ad.sum_(ad.mul(op(points[0]), r))
+        return project(op(points[0]), r)
 
     assert ad.grad_check(f, [Tensor(att._join_heads(z, valid))], step=1e-6) < 1e-3
 
@@ -284,10 +284,10 @@ def test_weights_op_extreme_logits_stay_finite(dtype):
     z = np.where(gen.random((2, 2, 7, 7)) < 0.5, -1e9, 1e9).astype(dtype)
     valid = np.ones((2, 7), dtype=bool)
     x = Tensor(att._join_heads(z, valid), requires_grad=True)
-    r = Tensor(gen.normal(size=z.shape).astype(dtype))
+    r = gen.normal(size=z.shape).astype(dtype)
     with Tape() as tape:
         a = logits_op(valid, 2, dtype)(x)
-        tape.backward(ad.sum_(ad.mul(a, r)))
+        tape.backward(project(a, r))
     assert np.isfinite(a.data).all() and np.isfinite(x.grad).all()
     # p is 0 or 1: each row puts weight 1 on its nearest certain match.
     want = geometric_weights_direct((z > 0).astype(np.float64))
@@ -311,7 +311,7 @@ def test_weights_op_holds_only_weights_and_mask():
             before = tracemalloc.get_traced_memory()[0]
             a = att._match_weights(q, k, d_lr, d_rl, p, valid)
             held = tracemalloc.get_traced_memory()[0] - before
-            tape.backward(ad.sum_(a))
+            tape.backward(project(a))
     finally:
         tracemalloc.stop()
     # The weights, the direction columns and the mask, with slack: the
@@ -332,7 +332,7 @@ def test_weights_op_grad_matches_direct_product_fd(n):
     x = Tensor(att._join_heads(z, valid), requires_grad=True)
     with Tape() as tape:
         a = logits_op(valid, 3)(x)
-        tape.backward(ad.sum_(ad.mul(a, Tensor(r))))
+        tape.backward(project(a, r))
 
     def direct_loss(zz):
         return float((r * geometric_weights_direct(1.0 / (1.0 + np.exp(-zz)))).sum())

@@ -232,6 +232,8 @@ def test_model_config_validation():
         tiny_config(test_steps=1)
     with pytest.raises(ValueError, match="readout"):
         tiny_config(readout="middle")
+    with pytest.raises(ValueError, match="unknown attention kind 'bogus'"):
+        tiny_config(kind="bogus")
 
 
 def test_model_config_dict_roundtrip():
@@ -335,16 +337,16 @@ def test_no_weight_product_sees_a_pad_row(monkeypatch, kind, gated, act):
                        dropout=0.1, att_dropout=0.1)
     tokens, lengths = batch_for("ctl_fwd", [["101", "d", "a"], ["000", "a", "b", "c", "d", "e"],
                                             ["111"]])
-    folded = ad._matmul_folded
+    matmul = ad.matmul
     products = []
 
-    def recording(a, b, bias):
-        out = folded(a, b, bias)
+    def recording(a, b, bias=None):
+        out = matmul(a, b, bias)
         if a.requires_grad:
             products.append(out)
         return out
 
-    monkeypatch.setattr(ad, "_matmul_folded", recording)
+    monkeypatch.setattr(ad, "matmul", recording)
     with Tape() as tape:
         out = model.forward(tokens, lengths, mode=Mode(train=True, rng=RngTree(13)))
         tape.backward(loss(out, np.array([0, 1, 2])))
