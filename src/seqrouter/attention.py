@@ -173,7 +173,7 @@ def _join_heads(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
 
 def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
     """Packed (M, d) rows to the padded per-head layout (B, H, N, d / H)."""
-    return ad._op(_split_heads(x.data, valid, n_heads), (x, lambda g: _join_heads(g, valid)))
+    return ad._op(_split_heads(x.data, valid, n_heads), (x,), lambda g: (_join_heads(g, valid),))
 
 
 def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
@@ -182,29 +182,27 @@ def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
     rebuilds its per-head layout."""
     nh = weights.shape[1]
     a, vd = weights.data, v.data
-    return ad._op(_join_heads(np.matmul(a, _split_heads(vd, valid, nh)), valid),
-                  (weights, lambda g: np.matmul(_split_heads(g, valid, nh),
-                                                np.swapaxes(_split_heads(vd, valid, nh), -1, -2))),
-                  (v, lambda g: _join_heads(np.matmul(np.swapaxes(a, -1, -2),
-                                                      _split_heads(g, valid, nh)), valid)))
+
+    def vjp(g):
+        gh = _split_heads(g, valid, nh)
+        return (np.matmul(gh, np.swapaxes(_split_heads(vd, valid, nh), -1, -2)),
+                _join_heads(np.matmul(np.swapaxes(a, -1, -2), gh), valid))
+
+    return ad._op(_join_heads(np.matmul(a, _split_heads(vd, valid, nh)), valid), (weights, v), vjp)
 
 
-def _content(q: Tensor, k: Tensor, valid: np.ndarray, n_heads: int, scaled):
-    """q_i.k_j per head, (B, H, N, N), of packed q and k (M, d); the q and k
-    VJPs of an op whose output gradient g reaches that product as scaled(g);
-    and the VJPs' per-head q and k, built by the first VJP that reads them
-    and freed with the tape node. The VJPs keep only the packed rows."""
-    qd, kd = q.data, k.data
+def _content(qd: np.ndarray, kd: np.ndarray, valid: np.ndarray, n_heads: int):
+    """Per-head q and k (B, H, N, d / H) of packed q and k (M, d), and their
+    product q_i.k_j per head (B, H, N, N)."""
+    qh, kh = _split_heads(qd, valid, n_heads), _split_heads(kd, valid, n_heads)
+    return qh, kh, np.matmul(qh, np.swapaxes(kh, -1, -2))
 
-    def split() -> tuple[np.ndarray, np.ndarray]:
-        return _split_heads(qd, valid, n_heads), _split_heads(kd, valid, n_heads)
 
-    heads = functools.cache(split)
-    qh, kh = split()
-    return np.matmul(qh, np.swapaxes(kh, -1, -2)), heads, (
-        (q, lambda g: _join_heads(np.matmul(scaled(g), heads()[1]), valid)),
-        (k, lambda g: _join_heads(
-            np.swapaxes(np.matmul(np.swapaxes(heads()[0], -1, -2), scaled(g)), -1, -2), valid)))
+def _content_grads(gs: np.ndarray, qh: np.ndarray, kh: np.ndarray, valid: np.ndarray):
+    """Packed q and k gradients (M, d) of gs, the gradient of the per-head
+    product q_i.k_j (B, H, N, N), given the per-head q and k."""
+    return (_join_heads(np.matmul(gs, kh), valid),
+            _join_heads(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), valid))
 
 
 def _check_inputs(h: Tensor, valid: np.ndarray) -> None:
@@ -230,16 +228,19 @@ def _scores(q: Tensor, k: Tensor, valid: np.ndarray, n_heads: int, c: float,
             pos: Tensor | None = None) -> Tensor:
     """c (q_i.k_j + pos[i, j]) per head, (B, H, N, N), of packed q, k (M, d)
     and an optional positional term pos (B, H, N, N), with NEG_SCORE at pad
-    sources. The VJPs zero the pad sources; they keep only packed q and k."""
+    sources. The VJP zeroes the pad sources; it keeps only packed q and k."""
     c, src_invalid = q.dtype.type(c), ~valid[:, None, None, :]
+    qd, kd, with_pos = q.data, k.data, pos is not None
+    s = _content(qd, kd, valid, n_heads)[2]
+    if with_pos:
+        s = s + pos.data
 
-    def masked(g: np.ndarray) -> np.ndarray:
-        return np.where(src_invalid, 0, g) * c
+    def vjp(g):
+        gs = np.where(src_invalid, 0, g) * c
+        qh, kh = _split_heads(qd, valid, n_heads), _split_heads(kd, valid, n_heads)
+        return _content_grads(gs, qh, kh, valid) + ((gs,) if with_pos else ())
 
-    s, _, vjps = _content(q, k, valid, n_heads, masked)
-    if pos is not None:
-        s, vjps = s + pos.data, vjps + ((pos, masked),)
-    return ad._op(np.where(src_invalid, NEG_SCORE, s * c), *vjps)
+    return ad._op(np.where(src_invalid, NEG_SCORE, s * c), (q, k, pos) if with_pos else (q, k), vjp)
 
 
 def _offsets(x: np.ndarray) -> np.ndarray:
@@ -255,24 +256,23 @@ def _offsets(x: np.ndarray) -> np.ndarray:
 def _table_scores(q: Tensor, table: Tensor, valid: np.ndarray, n_heads: int, view=None) -> Tensor:
     """Per-head scores q_i.t_l, (B, H, N, L), of packed q (M, d) against a
     key table t (L, d) that every sequence shares; with a view (_offsets),
-    a C-contiguous copy of view(scores). The VJPs keep the packed q and the
-    table, and add the gradient back through the view into zeros."""
+    a C-contiguous copy of view(scores). The VJP keeps the packed q and the
+    table, and adds the gradient back through the view into zeros."""
     qd, td = q.data, table.data
     kt = td.reshape(td.shape[0], n_heads, -1).transpose(1, 2, 0)  # (H, d_h, L)
     full = np.matmul(_split_heads(qd, valid, n_heads), kt)
 
-    def unview(g: np.ndarray) -> np.ndarray:
-        if view is None:
-            return g
-        out = np.zeros(g.shape[:-1] + kt.shape[-1:], g.dtype)
-        cells = view(out)
-        cells += g
-        return out
+    def vjp(g):
+        if view is not None:
+            g_full = np.zeros(g.shape[:-1] + kt.shape[-1:], g.dtype)
+            cells = view(g_full)
+            cells += g
+            g = g_full
+        return (_join_heads(np.matmul(g, np.swapaxes(kt, -1, -2)), valid),
+                np.matmul(np.swapaxes(_split_heads(qd, valid, n_heads), -1, -2),
+                          g).sum(axis=0).transpose(2, 0, 1).reshape(td.shape))
 
-    return ad._op(full if view is None else np.ascontiguousarray(view(full)),
-                  (q, lambda g: _join_heads(np.matmul(unview(g), np.swapaxes(kt, -1, -2)), valid)),
-                  (table, lambda g: np.matmul(np.swapaxes(_split_heads(qd, valid, n_heads), -1, -2),
-                                              unview(g)).sum(axis=0).transpose(2, 0, 1).reshape(td.shape)))
+    return ad._op(full if view is None else np.ascontiguousarray(view(full)), (q, table), vjp)
 
 
 def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
@@ -365,7 +365,7 @@ def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     where D[i, j] is target i's d_lr for a source j at or right of i, else
     d_rl. The diagonal and pad sources get weight 0 and shadow nothing. The
     backward keeps the packed rows, the direction columns, the weights and
-    the mask, not z: it rebuilds q.k^T and z once for all seven VJPs."""
+    the mask, not z: its VJP rebuilds q.k^T and z."""
     nh, n = p.cfg.n_heads, valid.shape[1]
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
     src_invalid, c = ~valid[:, None, None, :], _closeness_mask(n, q.dtype)
@@ -380,27 +380,25 @@ def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     def logits(content: np.ndarray) -> np.ndarray:
         return alpha * content + beta * direction() + gamma
 
-    grads = []
-
-    def dz(g):  # and q.k^T in grads[1], for every VJP, computed by the first that runs
-        if not grads:
-            content = np.matmul(heads()[0], np.swapaxes(heads()[1], -1, -2))
-            # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
-            u, (logp, log1mp) = g * w, ad._log_sigmoids(logits(content))
-            g = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
-            grads.extend((np.where(src_invalid, 0, g), content))
-        return grads[0]
-
-    content, heads, qk_vjps = _content(q, k, valid, nh, lambda g: dz(g) * alpha)
-    logp, log1mp = ad._log_sigmoids(logits(content))
+    qd, kd = q.data, k.data
+    logp, log1mp = ad._log_sigmoids(logits(_content(qd, kd, valid, nh)[2]))
     w = _weights_from_logs(logp, np.where(src_invalid, 0, log1mp), c, src_invalid | np.eye(n, dtype=bool))
-    return ad._op(
-        w, *qk_vjps,
-        (d_lr, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, dz(g) * beta, 0), lr.shape), valid)),
-        (d_rl, lambda g: _join_heads(ad._unbroadcast(np.where(right_or_self, 0, dz(g) * beta), rl.shape), valid)),
-        (p.alpha, lambda g: ad._unbroadcast(dz(g) * grads[1], alpha.shape).reshape(nh)),
-        (p.beta, lambda g: ad._unbroadcast(dz(g) * direction(), beta.shape).reshape(nh)),
-        (p.gamma, lambda g: ad._unbroadcast(dz(g), gamma.shape).reshape(nh)))
+
+    def vjp(g):
+        qh, kh, content = _content(qd, kd, valid, nh)
+        # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
+        u, (logp, log1mp) = g * w, ad._log_sigmoids(logits(content))
+        dz = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
+        dz = np.where(src_invalid, 0, dz)
+        d_dir = dz * beta
+        return (*_content_grads(dz * alpha, qh, kh, valid),
+                _join_heads(ad._unbroadcast(np.where(right_or_self, d_dir, 0), lr.shape), valid),
+                _join_heads(ad._unbroadcast(np.where(right_or_self, 0, d_dir), rl.shape), valid),
+                ad._unbroadcast(dz * content, alpha.shape).reshape(nh),
+                ad._unbroadcast(dz * direction(), beta.shape).reshape(nh),
+                ad._unbroadcast(dz, gamma.shape).reshape(nh))
+
+    return ad._op(w, (q, k, d_lr, d_rl, p.alpha, p.beta, p.gamma), vjp)
 
 
 def _geometric_logits(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,

@@ -1,8 +1,9 @@
 """Minimal reverse-mode autodiff on numpy arrays.
 
 Tensors carry dense float data. Every differentiable op states its forward
-value and one vector-Jacobian product per operand, and ``_op`` records
-them as one backward closure on the active :class:`Tape`. Recording order
+value, its operands and one vector-Jacobian product that maps the output's
+gradient to one gradient per operand, and ``_op`` records them as one
+backward closure on the active :class:`Tape`. Recording order
 is execution order, which is a valid topological order, so the backward
 pass just walks the tape in reverse. Training runs in float32; gradient
 checks run the same code in float64.
@@ -221,30 +222,32 @@ def check_unique_names(params: Sequence[Parameter]) -> None:
 # op plumbing
 
 
-def _op(data: np.ndarray, *vjps: tuple[Tensor, Callable[[np.ndarray], np.ndarray]]) -> Tensor:
+def _op(data: np.ndarray, operands: Sequence[Tensor],
+        vjp: Callable[[np.ndarray], Sequence[np.ndarray]]) -> Tensor:
     """Wrap an op's forward value and record its backward on the active tape.
 
-    Each ``(operand, vjp)`` pair maps the output's gradient to that
-    operand's gradient. The output requires grad when any operand does.
-    The recorded node holds gradient slots, never tensors, so a VJP must
-    capture exactly the arrays and shapes it reads: every other array the
-    forward pass drops is freed at once. The node does nothing when the
-    output got no gradient; otherwise it runs the VJPs in the given order,
-    skips every operand that does not require grad by then, and
-    accumulates the results.
+    ``vjp`` maps the output's gradient to one gradient per operand, in
+    operand order, so backward work that the operands share is done once.
+    The output requires grad when any operand does. The recorded node
+    holds gradient slots, never tensors, so ``vjp`` must capture exactly
+    the arrays and shapes it reads: every other array the forward pass
+    drops is freed at once. The node does nothing when the output got no
+    gradient; otherwise it runs ``vjp`` once and accumulates, in operand
+    order, into every operand that requires grad by then, dropping the
+    others' gradients. A ``vjp`` that returns more or fewer gradients than
+    there are operands raises ValueError.
     """
-    out = Tensor(data, any(t.requires_grad for t, _ in vjps))
+    out = Tensor(data, any(t.requires_grad for t in operands))
     tape = _tape()
     if tape is not None and out.requires_grad:
-        slot = out._slot
-        operands = [(t._slot, vjp) for t, vjp in vjps]
+        slot, slots = out._slot, [t._slot for t in operands]
 
         def bwd():
             if slot.grad is None:
                 return
-            for operand, vjp in operands:
+            for operand, g in zip(slots, vjp(slot.grad), strict=True):
                 if operand.requires_grad:
-                    operand.accumulate(vjp(slot.grad))
+                    operand.accumulate(g)
 
         tape.record(bwd)
     return out
@@ -280,12 +283,12 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     except ValueError:
         raise DimensionError(f"add: shapes {a.shape} and {b.shape} do not broadcast") from None
     sa, sb = a.shape, b.shape
-    return _op(data, (a, lambda g: _unbroadcast(g, sa)), (b, lambda g: _unbroadcast(g, sb)))
+    return _op(data, (a, b), lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = a.dtype.type(c)
-    return _op(a.data * c, (a, lambda g: g * c))
+    return _op(a.data * c, (a,), lambda g: (g * c,))
 
 
 def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
@@ -293,10 +296,9 @@ def blend(w: Tensor, a: Tensor, b: Tensor) -> Tensor:
     w's gradient is two reductions and a difference; one reduction of g * (a - b) rounds otherwise."""
     _check_same_dtype(w, a, b)
     u, x, y, one = w.data, a.data, b.data, w.dtype.type(1)
-    return _op(u * x + (one - u) * y,
-               (w, lambda g: _unbroadcast(g * x, u.shape) - _unbroadcast(g * y, u.shape)),
-               (a, lambda g: _unbroadcast(g * u, x.shape)),
-               (b, lambda g: _unbroadcast(g * (one - u), y.shape)))
+    return _op(u * x + (one - u) * y, (w, a, b),
+               lambda g: (_unbroadcast(g * x, u.shape) - _unbroadcast(g * y, u.shape),
+                          _unbroadcast(g * u, x.shape), _unbroadcast(g * (one - u), y.shape)))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -313,18 +315,21 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     x, w = a.data, b.data
     k, n = w.shape
     data = np.matmul(x.reshape(-1, k), w).reshape(x.shape[:-1] + (n,))
-    vjps = [(a, lambda g: np.matmul(g.reshape(-1, n), w.T).reshape(x.shape)),
-            (b, lambda g: np.matmul(x.reshape(-1, k).T, g.reshape(-1, n)))]
-    if bias is not None:
-        data += bias.data
-        bias_shape = bias.shape
-        vjps.append((bias, lambda g: _unbroadcast(g, bias_shape)))
-    return _op(data, *vjps)
+
+    def vjp(g):
+        g2 = g.reshape(-1, n)
+        return np.matmul(g2, w.T).reshape(x.shape), np.matmul(x.reshape(-1, k).T, g2)
+
+    if bias is None:
+        return _op(data, (a, b), vjp)
+    data += bias.data
+    bias_shape = bias.shape
+    return _op(data, (a, b, bias), lambda g: vjp(g) + (_unbroadcast(g, bias_shape),))
 
 
 def relu(a: Tensor) -> Tensor:
     mask = a.data > 0
-    return _op(np.maximum(a.data, 0), (a, lambda g: g * mask))
+    return _op(np.maximum(a.data, 0), (a,), lambda g: (g * mask,))
 
 
 def _sigmoid_np(x: np.ndarray) -> np.ndarray:
@@ -345,12 +350,12 @@ def _log_sigmoids(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid_np(a.data)
-    return _op(y, (a, lambda g: g * y * (1.0 - y)))
+    return _op(y, (a,), lambda g: (g * y * (1.0 - y),))
 
 
 def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
-    return _op(y, (a, lambda g: g * (1.0 - y * y)))
+    return _op(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
 def softmax(a: Tensor) -> Tensor:
@@ -362,9 +367,9 @@ def softmax(a: Tensor) -> Tensor:
 
     def vjp(g):
         dot = (g * y).sum(axis=-1, keepdims=True)
-        return y * (g - dot)
+        return (y * (g - dot),)
 
-    return _op(y, (a, vjp))
+    return _op(y, (a,), vjp)
 
 
 def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
@@ -377,16 +382,14 @@ def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tenso
     xhat = xc * inv
     gd = gain.data
 
-    def vjp_a(g):
+    bias_shape = bias.shape
+
+    def vjp(g):
         dxhat = g * gd
         term = dxhat - dxhat.mean(axis=-1, keepdims=True) - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
-        return term * inv
+        return _unbroadcast(g * xhat, gd.shape), _unbroadcast(g, bias_shape), term * inv
 
-    bias_shape = bias.shape
-    return _op(xhat * gd + bias.data,
-               (gain, lambda g: _unbroadcast(g * xhat, gd.shape)),
-               (bias, lambda g: _unbroadcast(g, bias_shape)),
-               (a, vjp_a))
+    return _op(xhat * gd + bias.data, (gain, bias, a), vjp)
 
 
 def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -399,9 +402,9 @@ def embedding(table: Tensor, ids: np.ndarray) -> Tensor:
     def vjp(g):
         gt = np.zeros(shape, dtype)
         np.add.at(gt, ids, g)
-        return gt
+        return (gt,)
 
-    return _op(table.data[ids], (table, vjp))
+    return _op(table.data[ids], (table,), vjp)
 
 
 def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
@@ -412,7 +415,7 @@ def dropout(a: Tensor, rate: float, gen: np.random.Generator) -> Tensor:
         return a
     keep = gen.random(a.shape) >= rate
     s = a.dtype.type(1.0) / a.dtype.type(1.0 - rate)
-    return _op(a.data * (keep * s), (a, lambda g: g * (keep * s)))
+    return _op(a.data * (keep * s), (a,), lambda g: (g * (keep * s),))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
@@ -435,9 +438,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     def vjp(g):
         p = e / z
         p[np.arange(b), targets] -= 1.0
-        return p * (g / b)
+        return (p * (g / b),)
 
-    return _op(np.asarray(nll, dtype=x.dtype), (logits, vjp))
+    return _op(np.asarray(nll, dtype=x.dtype), (logits,), vjp)
 
 
 # ---------------------------------------------------------------------------

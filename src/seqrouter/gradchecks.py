@@ -57,7 +57,7 @@ def project(t: Tensor, r=1.0) -> Tensor:
     """The scalar sum(t * r), r cast to t's dtype and broadcast to t's shape:
     a check's loss, whose one VJP seeds t's gradient with g * r."""
     r = np.broadcast_to(np.asarray(r, dtype=t.dtype), t.shape)
-    return ad._op((t.data * r).sum(), (t, lambda g: g * r))
+    return ad._op((t.data * r).sum(), (t,), lambda g: (g * r,))
 
 
 def _normal(gen: np.random.Generator, *shapes) -> list[Tensor]:

@@ -172,26 +172,24 @@ def act_readout(states: list[Tensor], p_hats: list[Tensor], cfg: ACTConfig,
         else:
             folds.append(readout)
             readout = w * h + (1 - w) * readout
-    grads = []
 
-    def backward(g):  # every VJP of the fold, computed by the first that runs
-        if not grads:
-            g_states, g_w = [None] * t_max, np.empty_like(weights)
-            for t in reversed(range(t_max)):
-                g_states[t] = g * weights[t]
-                g_w[t] = (g * hs[t]).sum(axis=-1, keepdims=True)
-                if folds and t > 0:
-                    g_w[t] -= (g * folds[t - 1]).sum(axis=-1, keepdims=True)
-                    g = g * (1 - weights[t])
-            g_p = np.where(running, g_w - np.where(halting, g_w, 0).sum(axis=0), 0)
-            grads.extend(g_states + list(g_p))
-        return grads
+    def fold_vjp(g):
+        g_states, g_w = [None] * t_max, np.empty_like(weights)
+        for t in reversed(range(t_max)):
+            g_states[t] = g * weights[t]
+            g_w[t] = (g * hs[t]).sum(axis=-1, keepdims=True)
+            if folds and t > 0:
+                g_w[t] -= (g * folds[t - 1]).sum(axis=-1, keepdims=True)
+                g = g * (1 - weights[t])
+        g_p = np.where(running, g_w - np.where(halting, g_w, 0).sum(axis=0), 0)
+        return g_states + list(g_p)
 
-    readout = ad._op(readout, *[(x, lambda g, i=i: backward(g)[i]) for i, x in enumerate(states + p_hats)])
+    readout = ad._op(readout, states + p_hats, fold_vjp)
     row_weight = np.repeat(1.0 / lengths / len(lengths), lengths).astype(weights.dtype)
     reg, took_remainder = weights.dtype.type(cfg.reg_weight), halting.any(axis=0)
-    act_loss = ad._op((remainder[:, 0] * row_weight).sum() * reg, *[
-        (p, lambda g, run=run: np.where(run & took_remainder, -(g * reg * row_weight[:, None]), 0))
-        for p, run in zip(p_hats, running)])
+    # A column running at step T halts after it and takes no remainder, so
+    # the last halting unit gets no gradient here and is no operand.
+    act_loss = ad._op((remainder[:, 0] * row_weight).sum() * reg, p_hats[:-1], lambda g: list(
+        np.where(running[:-1] & took_remainder, -(g * reg * row_weight[:, None]), 0)))
     return ActResult(readout=readout, ponder=np.minimum(halt_step[:, 0], t_max),
                      remainder=remainder[:, 0], act_loss=act_loss)

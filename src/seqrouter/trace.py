@@ -18,9 +18,6 @@ class AttentionTrace:
     steps: list[np.ndarray]  # per step: (heads, N, N) post-normalization weights
     kind: str
 
-    def head_max(self, step: int) -> np.ndarray:
-        return self.steps[step].max(axis=0)
-
 
 @dataclass
 class GateTrace:
@@ -32,16 +29,11 @@ class GateTrace:
 
 
 @dataclass
-class PonderStats:
-    steps: np.ndarray  # (N,) readout step per column, 1-based
-
-
-@dataclass
 class Trace:
     tokens: list[str]
     attention: AttentionTrace
     gates: GateTrace | None
-    ponder: PonderStats | None
+    ponder: np.ndarray | None  # (N,) readout step per column, 1-based
     logits: np.ndarray
 
 
@@ -53,9 +45,7 @@ def capture(model, tokens: list[str], vocab: Vocab, steps: int | None = None) ->
     out = model.forward(ids, lengths, steps=steps, trace=True)
     rec = out.trace
     gates = GateTrace(rec.gates) if rec.gates else None
-    ponder = None
-    if out.act is not None:
-        ponder = PonderStats(out.act.ponder.copy())
+    ponder = out.act.ponder.copy() if out.act is not None else None
     return Trace(tokens=list(tokens), attention=AttentionTrace(rec.attention, model.cfg.kind),
                  gates=gates, ponder=ponder, logits=out.logits.data[0].copy())
 
@@ -116,7 +106,7 @@ def export(trace: Trace, out_dir) -> dict:
         payload["gates"] = [g.tolist() for g in trace.gates.steps]
         payload["gate_means"] = trace.gates.means().tolist()
     if trace.ponder is not None:
-        payload["ponder"] = trace.ponder.steps.tolist()
+        payload["ponder"] = trace.ponder.tolist()
     with open(out / "trace.json", "w") as fh:
         json.dump(payload, fh, sort_keys=True)
 

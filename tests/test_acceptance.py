@@ -209,10 +209,20 @@ def smoke_config(data_dir, out_dir, n_iters=5000) -> RunConfig:
 def test_08_smoke_training(tmp_path):
     data_dir = tmp_path / "data"
     tasks.generate_to_dir("ctl_fwd", seed=0, out_dir=data_dir, plan=ctl.SMOKE_PLAN)
-    cfg = smoke_config(data_dir, tmp_path / "run")
-    result = train(cfg)
-    iid = [(json.loads(l)["iter"], json.loads(l)["accuracy"])
-           for l in open(result.metrics_path) if '"valid_iid"' in l]
+    # Train eval_every iterations at a time, each chunk resuming from the
+    # last one's last.ckpt in the same out_dir, and stop at the first eval
+    # at or above 0.95. Resumes are bit-identical, so the log up to there is
+    # an uninterrupted run's.
+    cfg = smoke_config(data_dir, tmp_path / "run", n_iters=0)
+    resume = None
+    while cfg.n_iters < 5000:
+        cfg.n_iters = min(cfg.n_iters + cfg.eval_every, 5000)
+        result = train(cfg, resume=resume)
+        resume = result.last_path
+        iid = [(json.loads(l)["iter"], json.loads(l)["accuracy"])
+               for l in open(result.metrics_path) if '"valid_iid"' in l]
+        if iid[-1][1] >= 0.95:
+            break
     best_iter, best = max(iid, key=lambda t: t[1])
     crossed = [it for it, acc in iid if acc >= 0.95]
     assert crossed and crossed[0] <= 5000, f"IID accuracy never reached 0.95: {iid}"

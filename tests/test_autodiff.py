@@ -227,7 +227,7 @@ def test_transposed_first_gradient_is_stored_c_contiguous():
     r = gen.normal(size=(2, 4, 3))
     with Tape() as tape:
         # An op whose gradient is a transposed view of the output's.
-        y = ad._op(x.data.transpose(0, 2, 1), (x, lambda g: g.transpose(0, 2, 1)))
+        y = ad._op(x.data.transpose(0, 2, 1), (x,), lambda g: (g.transpose(0, 2, 1),))
         tape.backward(project(y, r))
     assert x.grad.flags.c_contiguous
     np.testing.assert_array_equal(x.grad, r.transpose(0, 2, 1))
@@ -487,24 +487,31 @@ def test_no_tape_means_no_recording():
     np.testing.assert_array_equal(x.grad, [3.0])
 
 
-def test_op_runs_vjps_in_operand_order_only_for_operands_needing_grad():
+def test_op_accumulates_only_into_operands_needing_grad():
     a, b, frozen, const = t64([1.0, 2.0]), t64([3.0, 4.0]), t64([5.0, 6.0]), t64([7.0, 8.0], rq=False)
     calls = []
 
-    def vjp(name):
-        def f(g):
-            calls.append(name)
-            return g
-        return f
+    def vjp(g):
+        calls.append(g)
+        return g * 2.0, g * 3.0, g * 5.0, g * 7.0
 
     with Tape() as tape:
-        out = ad._op(a.data + b.data + frozen.data + const.data,
-                     (b, vjp("b")), (const, vjp("const")), (frozen, vjp("frozen")), (a, vjp("a")))
+        out = ad._op(a.data + b.data + frozen.data + const.data, (b, const, frozen, a), vjp)
         frozen.requires_grad = False  # read when backward runs, not when the op ran
-        tape.backward(project(out))
-    assert calls == ["b", "a"]
+        tape.backward(project(out, [1.0, 10.0]))
+    assert len(calls) == 1  # one VJP call for every operand
     assert const.grad is None and frozen.grad is None
-    np.testing.assert_array_equal(a.grad, [1.0, 1.0])
+    np.testing.assert_array_equal(b.grad, [2.0, 20.0])
+    np.testing.assert_array_equal(a.grad, [7.0, 70.0])
+
+
+@pytest.mark.parametrize("n_grads", [1, 3])
+def test_op_vjp_returning_too_few_or_too_many_gradients_raises(n_grads):
+    a, b = t64([1.0, 2.0]), t64([3.0, 4.0])
+    with Tape() as tape:
+        out = ad._op(a.data + b.data, (a, b), lambda g: (g,) * n_grads)
+        with pytest.raises(ValueError, match="zip"):
+            tape.backward(project(out))
 
 
 def test_constant_operands_of_public_ops_get_no_grad():

@@ -260,9 +260,12 @@ def test_layer_checks_catch_a_weight_gradient_off_by_a_thousandth(monkeypatch):
     # Every product with a weight gets its weight gradient scaled by 1.001.
     matmul, op = ad.matmul, ad._op
 
-    def skewed_op(data, a_vjp, w_vjp, *bias_vjp):
-        w, vjp = w_vjp
-        return op(data, a_vjp, (w, lambda g: vjp(g) * 1.001), *bias_vjp)
+    def skewed_op(data, operands, vjp):
+        def skewed_vjp(g):
+            g_a, g_w, *g_bias = vjp(g)
+            return (g_a, g_w * 1.001, *g_bias)
+
+        return op(data, operands, skewed_vjp)
 
     def skewed(a, b, bias=None):
         ad._op = skewed_op

@@ -151,5 +151,5 @@ def test_act_trace_includes_ponder():
     model, vocab = tiny_model(seed=10, act=ACTConfig(variant="A"))
     t = tr.capture(model, TOKENS, vocab)
     assert t.ponder is not None
-    assert t.ponder.steps.shape == (len(TOKENS) + 2,)
-    assert (1 <= t.ponder.steps).all() and (t.ponder.steps <= 3).all()
+    assert t.ponder.shape == (len(TOKENS) + 2,)
+    assert (1 <= t.ponder).all() and (t.ponder <= 3).all()
