@@ -7,12 +7,14 @@ attention with a directional score term. All functions are pure given
 their parameters. States are packed: one row per real token, shaped
 (M, d), with a boolean validity mask (B, N) whose true cells, in
 row-major order, are those rows. Only the per-pair scores, weights and
-their products with the values use the padded (B, H, N, ...) layout.
+their products with the values use a padded (B, H, N, ...) layout, and
+``attend`` forms them per length band: a sequence whose last valid
+column is L falls in band ceil(L / BAND), and each band is padded to its
+own longest sequence, not the batch's.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -23,6 +25,12 @@ from .autodiff import Init, Parameter, Tensor
 from .rng import RngTree
 
 NEG_SCORE = -1e9  # score at pad sources; exp() underflows to exactly 0
+# Columns per length band. Narrower bands cut little more pair area (0.23
+# of the batch-wide area at 8 columns against 0.27 at 16, on listops bs8
+# batches) but run more bands, and below 16 columns each band's per-call
+# overhead outweighs its pair work. Batches of sequences of at most 16
+# tokens (every ctl batch, every single-sequence trace) are one band.
+BAND = 16
 KINDS = ("standard_abs", "relative", "abs_rel_gated", "geometric")
 
 
@@ -176,6 +184,42 @@ def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
     return ad._op(_split_heads(x.data, valid, n_heads), (x,), lambda g: (_join_heads(g, valid),))
 
 
+def _bands(valid: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
+    """The batch's length bands in band order, each as (packed row indices,
+    validity mask (B_b, N_b)). A sequence whose last valid column is L falls
+    in band ceil(L / BAND), and N_b is the largest L in the band. A batch of
+    one band keeps every row, in order, and gets None for its indices."""
+    extent = valid.shape[1] - np.argmax(valid[:, ::-1], axis=1)
+    band = -(-extent // BAND)
+    if (band == band[0]).all():
+        return [(None, valid[:, :extent.max()])]
+    row_band = np.repeat(band, np.count_nonzero(valid, axis=1))
+    return [(np.flatnonzero(row_band == b), valid[band == b, :extent[band == b].max()])
+            for b in np.unique(band)]
+
+
+def _rows(x: Tensor, idx: np.ndarray) -> Tensor:
+    """Rows idx of packed x (M, c), e.g. one band's rows; the VJP puts the
+    gradient back into those rows of zeros."""
+    shape = x.shape
+
+    def vjp(g):
+        full = np.zeros(shape, g.dtype)
+        full[idx] = g
+        return (full,)
+
+    return ad._op(x.data[idx], (x,), vjp)
+
+
+def _merge(parts: list[Tensor], idx: list[np.ndarray]) -> Tensor:
+    """Packed rows (M, c) whose rows idx[b] are parts[b]: the bands' outputs
+    back in packed order. Together the idx cover every row once."""
+    out = np.empty((sum(map(len, idx)), parts[0].shape[-1]), parts[0].dtype)
+    for part, rows in zip(parts, idx):
+        out[rows] = part.data
+    return ad._op(out, parts, lambda g: [g[rows] for rows in idx])
+
+
 def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
     """Per-head weights (B, H, N, N) times packed values v (M, d), merged
     back to packed (M, d) rows. The backward keeps the packed v and
@@ -275,27 +319,29 @@ def _table_scores(q: Tensor, table: Tensor, valid: np.ndarray, n_heads: int, vie
     return ad._op(full if view is None else np.ascontiguousarray(view(full)), (q, table), vjp)
 
 
-def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
-               mode: Mode = EVAL) -> Tensor:
-    """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d),
-    decomposed into content, content bias and a positional term that
-    interpolates relative offsets and absolute positions with a per-target
-    scalar gate (fixed at 1 when p.w_ar is None). Masked sources are
-    already pushed to -inf."""
+def _rel_scores(rows, p: RelAttentionParams, valid: np.ndarray) -> Tensor:
+    """Raw pre-softmax scores (B, H, N, N) of packed rows (q_e, q_p, k_e) and,
+    gated, the abs/rel gate column r (see _project): content, content bias
+    and a positional term that interpolates relative offsets and absolute
+    positions with r (fixed at 1 without it). The sinusoid tables span the
+    N columns of valid. Masked sources are already pushed to -inf."""
+    q_e, q_p, k_e, *gate = rows
     cfg = p.cfg
-    nh, n, d, dtype = cfg.n_heads, valid.shape[1], h.shape[-1], h.dtype
-    q = ad.matmul(h, p.w_q)
-    q_e = _maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q")
-    q_p = _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q")
-    k_e = ad.matmul(h, p.w_ke)
+    nh, n, d, dtype = cfg.n_heads, valid.shape[1], cfg.d_model, q_e.dtype
     rel_emb = Tensor(sinusoid_table(np.arange(-(n - 1), n), d, dtype))
     positional = _table_scores(q_p, ad.matmul(rel_emb, p.w_kp), valid, nh, view=_offsets)
-    if p.w_ar is not None:
+    if gate:
         abs_emb = Tensor(sinusoid_table(np.arange(n), d, dtype))
         score_abs = _table_scores(q_p, ad.matmul(abs_emb, p.w_kp), valid, nh)
-        r = _heads(ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)), valid, 1)  # (B, 1, N, 1)
-        positional = ad.blend(r, positional, score_abs)
+        positional = ad.blend(_heads(gate[0], valid, 1), positional, score_abs)  # r as (B, 1, N, 1)
     return _scores(q_e, k_e, valid, nh, 1.0 / math.sqrt(cfg.d_head), pos=positional)
+
+
+def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
+               mode: Mode = EVAL) -> Tensor:
+    """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d) over the
+    N columns of valid, as one band (see _rel_scores)."""
+    return _rel_scores(_project(h, p, mode), p, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -311,19 +357,28 @@ def geometric_ordering(i: int, n: int) -> list[int]:
     return sorted((k for k in range(1, n + 1) if k != i), key=lambda k: (abs(i - k), k < i))
 
 
-@functools.lru_cache(maxsize=1)
+_widest_closeness: np.ndarray | None = None  # the widest mask built so far
+
+
 def _closeness_mask(n: int, dtype) -> np.ndarray:
     """C[i, k, j] = 1 when source k comes before source j in target i's
     closeness ordering. The sort key 2|i - k| + [k < i] puts the right
     neighbour before the left one at equal distance and reproduces
     geometric_ordering; the diagonal sorts last, so it shadows nothing.
-    Every layer step of a batch shares one read-only (N, N, N) array."""
-    i, k = np.ogrid[:n, :n]
-    key = 2 * np.abs(i - k) + (k < i)
-    np.fill_diagonal(key, 2 * n)
-    c = (key[:, :, None] < key[:, None, :]).astype(dtype)
-    c.flags.writeable = False
-    return c
+    The key does not depend on N and the diagonal sorts last at every N, so
+    C_N restricted to its first n targets and sources is C_n: every width
+    and layer step shares the [:n, :n, :n] view of the widest read-only
+    array built so far, rebuilt only for a wider batch or another dtype."""
+    global _widest_closeness
+    c = _widest_closeness
+    if c is None or c.shape[0] < n or c.dtype != dtype:
+        i, k = np.ogrid[:n, :n]
+        key = 2 * np.abs(i - k) + (k < i)
+        np.fill_diagonal(key, 2 * n)
+        c = (key[:, :, None] < key[:, None, :]).astype(dtype)
+        c.flags.writeable = False
+        _widest_closeness = c
+    return c[:n, :n, :n]
 
 
 def _per_target_matmul(x: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -401,37 +456,64 @@ def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     return ad._op(w, (q, k, d_lr, d_rl, p.alpha, p.beta, p.gamma), vjp)
 
 
-def _geometric_logits(h: Tensor, p: GeometricAttentionParams, valid: np.ndarray,
-                      mode: Mode) -> Tensor:
-    """Geometric weights (B, H, N, N) of packed states h (M, d)."""
-    q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), p.cfg.content_dropout, mode, "att_content_q")
-    k = ad.matmul(h, p.w_ke)
-    d_lr = ad.matmul(h, p.w_lr, p.b_lr)
-    d_rl = ad.matmul(h, p.w_rl, p.b_rl)
-    return _match_weights(q, k, d_lr, d_rl, p, valid)
+def _geometric_logits(rows, p: GeometricAttentionParams, valid: np.ndarray) -> Tensor:
+    """Geometric weights (B, H, N, N) of packed rows (q, k, d_lr, d_rl) (see
+    _project) over the N columns of valid. The benchmark's traced run times
+    this function by name as attention.scores."""
+    return _match_weights(*rows, p, valid)
 
 
 # ---------------------------------------------------------------------------
 # one entry point for every kind
 
 
-def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
-    """Self-attention of packed states h (M, d) over valid sources; returns
-    (output (M, d), weights (B, H, N, N)).
-
-    Every kind forms weights from packed rows, then _attend_values (weights.v
-    as packed rows for w_o). The parameter bundle's type picks the weights:
-    a softmax of _scores (MhaParams) or of rel_scores (RelAttentionParams),
-    or one op, _match_weights (GeometricAttentionParams)."""
-    _check_inputs(h, valid)
+def _project(h: Tensor, p, mode: Mode) -> tuple[Tensor, ...]:
+    """The packed rows (M, c) that the weights of p's kind are formed from,
+    each one product over all rows of h: q and k (MhaParams); the content
+    and positional queries q_e and q_p, the keys k_e and, gated, the abs/rel
+    gate column r (RelAttentionParams); q, k and the per-head direction
+    scores d_lr and d_rl (GeometricAttentionParams)."""
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
-        weights = _geometric_logits(h, p, valid, mode)
-    elif isinstance(p, RelAttentionParams):
-        weights = ad.softmax(rel_scores(h, p, valid, mode))
-    else:
-        q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
-        weights = ad.softmax(_scores(q, ad.matmul(h, p.w_k), valid, cfg.n_heads,
-                                     1.0 / math.sqrt(cfg.d_head)))
-    out = ad.matmul(_attend_values(weights, ad.matmul(h, p.w_v), valid), p.w_o)
-    return out, weights
+        q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), cfg.content_dropout, mode, "att_content_q")
+        return q, ad.matmul(h, p.w_ke), ad.matmul(h, p.w_lr, p.b_lr), ad.matmul(h, p.w_rl, p.b_rl)
+    if isinstance(p, RelAttentionParams):
+        q = ad.matmul(h, p.w_q)
+        rows = (_maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q"),
+                _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q"),
+                ad.matmul(h, p.w_ke))
+        return rows if p.w_ar is None else rows + (ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)),)
+    q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
+    return q, ad.matmul(h, p.w_k)
+
+
+def _band_weights(rows, p, valid: np.ndarray) -> Tensor:
+    """Per-head weights (B, H, N, N) of one band's packed rows (see _project)
+    over the N columns of its validity mask."""
+    if isinstance(p, GeometricAttentionParams):
+        return _geometric_logits(rows, p, valid)
+    if isinstance(p, RelAttentionParams):
+        return ad.softmax(_rel_scores(rows, p, valid))
+    return ad.softmax(_scores(*rows, valid, p.cfg.n_heads, 1.0 / math.sqrt(p.cfg.d_head)))
+
+
+def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
+    """Self-attention of packed states h (M, d) over valid sources; returns
+    (output (M, d), weights): the weights are one (B_b, H, N_b, N_b) Tensor
+    per length band (see _bands), in band order, zero at pad sources.
+
+    Every kind projects its packed rows once (_project). Then each band takes
+    its rows, forms its weights (_band_weights: a softmax of _scores or of
+    _rel_scores, or one op, _match_weights), and _attend_values multiplies
+    them by its rows of v; the bands' outputs go back to packed order
+    (_merge) for w_o. Only the pair work runs per band. A batch of one band
+    gathers and merges nothing."""
+    _check_inputs(h, valid)
+    rows, bands = _project(h, p, mode), _bands(valid)
+    weights = [_band_weights(rows if idx is None else [_rows(t, idx) for t in rows], p, band_valid)
+               for idx, band_valid in bands]
+    v = ad.matmul(h, p.w_v)
+    outs = [_attend_values(w, v if idx is None else _rows(v, idx), band_valid)
+            for w, (idx, band_valid) in zip(weights, bands)]
+    out = outs[0] if len(outs) == 1 else _merge(outs, [idx for idx, _ in bands])
+    return ad.matmul(out, p.w_o), weights

@@ -6,14 +6,17 @@ meaningful on structurally tiny gradient coordinates.
   layers that records a tape node, alone on a small input. These are the
   autodiff ops (``substrate/<op>``), the attention ops (the per-head
   layout, the softmax scores with a positional term, the key-table scores
-  of relative attention, the fused geometric logits-and-weights op, and
-  the values product) and the ACT readout. Each reads below 1e-9.
+  of relative attention, the fused geometric logits-and-weights op, the
+  values product, and the band gather and merge) and the ACT readout.
+  Each reads below 1e-9.
 - Composites: two op chains, every attention kind and every layer variant.
 
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
 so pad columns and the boundary between packed rows and the padded
 attention layout, both ways (``_heads``, and the values op
-``_attend_values``), are covered.
+``_attend_values``), are covered. Each attention kind is also checked over
+three sequences in two length bands (``attention/<kind>-bands``); at
+d = 4 these read below 1e-9.
 
 The layer checks of the relative kinds read 8e-6 to 6e-5, the others
 below 1e-8. The worst coordinates are in row 7 of ``w_kp``: ``layer/rel``
@@ -191,6 +194,24 @@ def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
                       [weights, v], step=1e-5)
 
 
+def check_rows(seed: int = 12, d: int = 3) -> float:
+    """The band gather alone: rows 4, 1 and 2 of six packed rows."""
+    gen = np.random.default_rng(seed)
+    x = Tensor(gen.normal(size=(6, d)), dtype=np.longdouble)
+    r = gen.normal(size=(3, d))
+    return grad_check(lambda points: project(att._rows(points[0], np.array([4, 1, 2])), r), [x], step=1e-5)
+
+
+def check_merge(seed: int = 13, d: int = 3) -> float:
+    """The band merge alone: two parts of 2 and 3 rows interleaved back into
+    five packed rows."""
+    gen = np.random.default_rng(seed)
+    parts = [Tensor(gen.normal(size=(rows, d)), dtype=np.longdouble) for rows in (2, 3)]
+    idx = [np.array([3, 0]), np.array([1, 4, 2])]
+    r = gen.normal(size=(5, d))
+    return grad_check(lambda points: project(att._merge(points, idx), r), parts, step=1e-5)
+
+
 def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
     """Scores of packed q over a ragged batch against two shared key tables:
     a (2n - 1, d) one read through the relative-offset view, and an (n, d)
@@ -209,11 +230,13 @@ def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
     return grad_check(fn, [q] + tables, step=1e-5)
 
 
-def check_attention_kind(kind: str, seed: int = 3, d: int = 8, n: int = 4) -> float:
+def check_attention_kind(kind: str, seed: int = 3, d: int = 8, lengths=(4, 2)) -> float:
+    """attend over a batch of the given sequence lengths."""
     cfg = AttentionConfig(d, 2, kind)
     params = att.init_attention(Init(RngTree(seed), np.longdouble, prefix="gc"), cfg)
     gen = np.random.default_rng(seed + 100)
-    lengths, valid = _ragged(n)
+    lengths = np.asarray(lengths)
+    valid = np.arange(lengths.max())[None, :] < lengths[:, None]
     h = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
     r = gen.normal(size=h.shape)
 
@@ -285,6 +308,8 @@ OP_CHECKS = {
     "attention._table_scores": {"attention/table_scores": check_table_scores},
     "attention._match_weights": {"attention/match_weights": check_match_weights},
     "attention._attend_values": {"attention/attend_values": check_attend_values},
+    "attention._rows": {"attention/rows": check_rows},
+    "attention._merge": {"attention/merge": check_merge},
     "layers.act_readout": {f"layer/act_readout-{v.lower()}": functools.partial(check_act_readout, v)
                            for v in "AU"},
 }
@@ -299,6 +324,10 @@ def run_checks(module: str | None = None) -> dict[str, float]:
         checks.update(named)
     for kind in att.KINDS:
         checks[f"attention/{kind}"] = functools.partial(check_attention_kind, kind)
+        # Bands of widths 6 (lengths 3 and 6) and 18: the gathers, per-band
+        # widths, tables and masks, and the merge.
+        checks[f"attention/{kind}-bands"] = functools.partial(check_attention_kind, kind, d=4,
+                                                              lengths=(3, 18, 6))
     for name in LAYER_VARIANTS:
         checks[f"layer/{name}"] = functools.partial(check_layer_variant, name)
     if module not in (None,) + MODULES:

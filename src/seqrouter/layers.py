@@ -76,8 +76,9 @@ def _ffn(x: Tensor, w1, b1, w2, b2, drop: float, mode: Mode, site: str) -> Tenso
 def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVAL,
                  drop: float = 0.0):
     """One shared step on packed states h (M, d), one row per true cell of
-    valid (B, N); returns (next states (M, d), attention weights
-    (B, H, N, N), gate (M, d) or None).
+    valid (B, N); returns (next states (M, d), attention weights (one
+    (B_b, H, N_b, N_b) Tensor per length band, see attention.attend), gate
+    (M, d) or None).
 
     Attention with a residual and layernorm feeds the FFN. With gate
     parameters the FFN update (tanh-squashed, or layernormed when lp has

@@ -8,8 +8,8 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import (TOLERANCE, check_attend_values, check_heads, check_scores,
-                                  check_table_scores, project, run_checks)
+from seqrouter.gradchecks import (TOLERANCE, check_attend_values, check_attention_kind, check_heads,
+                                  check_scores, check_table_scores, project, run_checks)
 from seqrouter.rng import RngTree
 
 from oracles import naive_mha, naive_rel_scores, sinusoid
@@ -49,7 +49,7 @@ def test_sinusoid_odd_width_leaves_last_column_zero():
 def test_mha_single_column_is_value_projection():
     p = make_params("standard_abs", d=8, heads=2)
     h = rand_states(1, 8)
-    out, weights = att.attend(h, p, np.ones((1, 1), dtype=bool))
+    out, (weights,) = att.attend(h, p, np.ones((1, 1), dtype=bool))
     expect = h.data @ p.w_v.data @ p.w_o.data
     np.testing.assert_allclose(out.data, expect, atol=1e-10)
     np.testing.assert_allclose(weights.data, 1.0)
@@ -58,7 +58,7 @@ def test_mha_single_column_is_value_projection():
 def test_mha_identical_keys_give_uniform_weights():
     p = make_params("standard_abs")
     h = Tensor(np.tile(np.linspace(-1, 1, 8), (5, 1)).astype(np.float64))
-    _, weights = att.attend(h, p, np.ones((1, 5), dtype=bool))
+    _, (weights,) = att.attend(h, p, np.ones((1, 5), dtype=bool))
     np.testing.assert_allclose(weights.data, 0.2, atol=1e-12)
 
 
@@ -74,10 +74,11 @@ def test_mha_matches_naive_reference():
 
 def test_mha_masked_sources_get_zero_weight():
     p = make_params("standard_abs")
-    h = rand_states(3, 8, seed=3)
-    valid = np.array([[True, True, True, False, False]])
-    _, weights = att.attend(h, p, valid)
-    assert (weights.data[..., 3:] == 0).all()
+    # A longer second sequence keeps the first one's pad sources in its band.
+    h = rand_states(8, 8, seed=3)
+    valid = np.array([[True, True, True, False, False], [True] * 5])
+    _, (weights,) = att.attend(h, p, valid)
+    assert (weights.data[0, ..., 3:] == 0).all()
     np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
 
 
@@ -205,7 +206,7 @@ def test_relative_attend_rows_sum_to_one():
     p = make_params("relative", seed=15)
     h = rand_states(8, 8, seed=16)
     valid = np.array([[True] * 5, [True, True, True, False, False]])
-    _, weights = att.attend(h, p, valid)
+    _, (weights,) = att.attend(h, p, valid)
     np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
     assert (weights.data[1, :, :, 3:] == 0).all()
 
@@ -238,6 +239,33 @@ def test_scores_grad_check():
 
 def test_attend_values_grad_check():
     assert check_attend_values() < 1e-9
+
+
+@pytest.mark.parametrize("kind", att.KINDS)
+def test_attend_over_two_bands_grad_check(kind):
+    # Lengths 3 and 6 share a 6-column band; 18 has a band of its own.
+    assert check_attention_kind(kind, d=4, lengths=(3, 18, 6)) < 1e-9
+
+
+@pytest.mark.parametrize("kind, one_band, band_ops, projected", [
+    ("standard_abs", 7, 2, 2), ("relative", 11, 4, 3), ("abs_rel_gated", 17, 8, 4), ("geometric", 8, 1, 4)])
+def test_bands_add_only_their_gathers_pair_ops_and_a_merge(kind, one_band, band_ops, projected):
+    p = make_params(kind, d=16, seed=26)
+
+    def nodes(lengths):
+        valid = np.arange(lengths.max() + 3)[None, :] < lengths[:, None]
+        h = rand_states(lengths.sum(), 16, seed=27)
+        h.requires_grad = True
+        with Tape() as tape:
+            att.attend(h, p, valid)
+        return len(tape._nodes)
+
+    # One band records what attention recorded before it had bands.
+    assert nodes(np.array([6, 3, 5])) == one_band
+    # Three bands: each gathers its projected rows and v and runs its own
+    # pair ops and values op; one merge restores packed order.
+    three = one_band + 2 * (band_ops + 1) + 3 * (projected + 1) + 1
+    assert nodes(np.array([6, 20, 3, 40])) == three
 
 
 def _held_bytes(op):
@@ -312,8 +340,9 @@ def test_offsets_view_matches_gather(n):
 def test_every_attention_gradient_check_passes():
     results = run_checks("attention")
     kinds = ("standard_abs", "relative", "abs_rel_gated", "geometric")
-    ops = ("heads", "scores", "table_scores", "match_weights", "attend_values")
-    assert {f"attention/{name}" for name in kinds + ops} <= set(results)
+    ops = ("heads", "scores", "table_scores", "match_weights", "attend_values", "rows", "merge")
+    bands = tuple(f"{kind}-bands" for kind in kinds)
+    assert {f"attention/{name}" for name in kinds + ops + bands} <= set(results)
     for name, err in results.items():
         assert err < TOLERANCE, f"{name}: {err:.3e}"
 

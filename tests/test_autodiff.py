@@ -306,6 +306,19 @@ def test_shape_mismatch_reports_both_shapes():
         ad.matmul(t64(np.zeros((2, 3))), t64(np.zeros((4, 5))))
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_column_matmul_input_gradient_has_the_gemm_bytes(dtype):
+    # The product, not a GEMM with inner dimension 1, forms this gradient.
+    gen = np.random.default_rng(6)
+    x = Tensor(gen.normal(size=(5, 129, 256)).astype(dtype), requires_grad=True)
+    w = Tensor(gen.normal(size=(256, 1)).astype(dtype), requires_grad=True)
+    g = gen.normal(size=(5, 129, 1)).astype(dtype)
+    with Tape() as tape:
+        tape.backward(project(ad.matmul(x, w), g))
+    want = np.matmul(g.reshape(-1, 1), w.data.T).reshape(x.shape)
+    assert x.grad.dtype == dtype and x.grad.tobytes() == want.tobytes()
+
+
 def test_relu_matmul_composite_grad():
     gen = np.random.default_rng(2)
     x = t64(gen.normal(size=(4, 5)))

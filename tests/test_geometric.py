@@ -156,7 +156,7 @@ def test_probs_all_zero_states_are_half():
         if param.name.endswith(("alpha",)):
             continue
         param.data[:] = 0.0
-    _, weights = att.attend(Tensor(np.zeros((4, 8))), p, np.ones((1, 4), dtype=bool))
+    _, (weights,) = att.attend(Tensor(np.zeros((4, 8))), p, np.ones((1, 4), dtype=bool))
     want = geometric_weights(Tensor(np.full((1, 2, 4, 4), 0.5))).data
     np.testing.assert_allclose(weights.data, want, atol=1e-15)
 
@@ -167,7 +167,7 @@ def test_probs_direction_bias_blocks_left():
     p.w_rl.data[:] = 0.0
     p.beta.data[:] = 1.0
     h = Tensor(np.random.default_rng(5).normal(size=(5, 8)) * 0.1, dtype=np.float64)
-    _, weights = att.attend(h, p, np.ones((1, 5), dtype=bool))
+    _, (weights,) = att.attend(h, p, np.ones((1, 5), dtype=bool))
     i_idx, j_idx = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
     assert weights.data[0][:, i_idx > j_idx].max() < 1e-6
 
@@ -181,7 +181,7 @@ def naive_probs(h, p):
 def test_probs_match_pairwise_oracle():
     p = geo_params(d=8, heads=2, seed=6)
     h = np.random.default_rng(7).normal(size=(5, 8))
-    _, weights = att.attend(Tensor(h), p, np.ones((1, 5), dtype=bool))
+    _, (weights,) = att.attend(Tensor(h), p, np.ones((1, 5), dtype=bool))
     for head, probs in enumerate(naive_probs(h, p)):
         np.testing.assert_allclose(weights.data[0, head], naive_geometric_weights(probs), atol=1e-6)
 
@@ -189,10 +189,11 @@ def test_probs_match_pairwise_oracle():
 def test_probs_padded_sources_are_zero():
     p = geo_params(seed=8)
     h = np.random.default_rng(9).normal(size=(5, 8))
-    valid = np.array([[True, True, True, False, False]])
+    # A longer second sequence keeps the first one's pad sources in its band.
+    valid = np.array([[True, True, True, False, False], [True] * 5])
     # Pad sources neither receive mass nor shadow closer matches.
-    _, weights = att.attend(Tensor(h[:3]), p, valid)
-    assert (weights.data[..., 3:] == 0).all()
+    _, (weights,) = att.attend(Tensor(np.concatenate([h[:3], h])), p, valid)
+    assert (weights.data[0, ..., 3:] == 0).all()
     want = naive_geometric_weights(np.pad(naive_probs(h[:3], p)[0], ((0, 2), (0, 2))))
     np.testing.assert_allclose(weights.data[0, 0, :3], want[:3], atol=1e-12)
 
@@ -210,7 +211,7 @@ def test_attend_one_hot_rows_select_values():
     p.w_rl.data[:] = 0.0
     p.b_lr.data[:] = 500.0
     p.b_rl.data[:] = -500.0
-    out, weights = att.attend(Tensor(h[0], dtype=np.float64), p, valid)
+    out, (weights,) = att.attend(Tensor(h[0], dtype=np.float64), p, valid)
     # Every target except the last picks exactly its right neighbour.
     picks = weights.data[0, 0].argmax(-1)
     np.testing.assert_array_equal(picks[:-1], np.arange(1, 4))
@@ -236,7 +237,7 @@ def test_attend_row_mass_bounded_by_one():
     p = geo_params(seed=14)
     h = Tensor(np.random.default_rng(15).normal(size=(12, 8)), dtype=np.float64)
     valid = np.ones((2, 6), dtype=bool)
-    _, weights = att.attend(h, p, valid)
+    _, (weights,) = att.attend(h, p, valid)
     assert weights.data.min() >= 0.0
     assert weights.data.sum(-1).max() <= 1.0 + 1e-6
 
@@ -357,7 +358,7 @@ def test_geometric_attend_records_few_nodes():
     h = Tensor(gen.normal(size=(lengths.sum(), 16)).astype(np.float32), requires_grad=True)
     mode = Mode(train=True, rng=RngTree(23, "drop"))
     with Tape() as tape:
-        att._geometric_logits(h, p, valid, mode)
+        att._geometric_logits(att._project(h, p, mode), p, valid)
         logits_nodes = len(tape._nodes)
     with Tape() as tape:
         att.attend(h, p, valid, mode)
@@ -394,5 +395,16 @@ def test_relative_attend_records_few_nodes(kind, most):
 
 def test_closeness_mask_is_one_read_only_array():
     c = att._closeness_mask(7, np.dtype(np.float32))
-    assert att._closeness_mask(7, np.dtype(np.float32)) is c
+    assert att._closeness_mask(7, np.dtype(np.float32)).base is c.base
     assert not c.flags.writeable
+
+
+def test_narrower_closeness_mask_is_a_view_equal_to_a_fresh_build(monkeypatch):
+    monkeypatch.setattr(att, "_widest_closeness", None)
+    wide = att._closeness_mask(40, np.dtype(np.float32))
+    narrow = att._closeness_mask(9, np.dtype(np.float32))
+    assert narrow.base is wide.base
+    monkeypatch.setattr(att, "_widest_closeness", None)
+    fresh = att._closeness_mask(9, np.dtype(np.float32))
+    assert fresh.base is not wide.base and fresh.shape == (9, 9, 9)
+    np.testing.assert_array_equal(narrow, fresh)

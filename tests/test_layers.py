@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter import layers
 from seqrouter.attention import AttentionConfig, Mode
@@ -94,6 +95,29 @@ def test_ragged_step_rows_match_each_sequence_alone():
     for rows, n in ((slice(0, 4), 4), (slice(4, 10), 6)):
         alone, _, _ = encoder_step(Tensor(h.data[rows]), lp, np.ones((1, n), dtype=bool))
         np.testing.assert_allclose(out.data[rows], alone.data, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("kind", att.KINDS)
+def test_band_rows_match_each_sequence_alone(kind):
+    # Bands 1, 2, 3, 1, 2 of widths 12, 20 and 33, in a batch 36 columns wide.
+    lengths = np.array([5, 17, 33, 12, 20])
+    valid = np.arange(36)[None, :] < lengths[:, None]
+    lp = build_layer(kind=kind, seed=30)
+    h = states(lengths.sum(), 8, seed=31)
+    out, weights, _ = encoder_step(h, lp, valid)
+    att_out, att_weights = att.attend(h, lp.attn, valid)
+    assert [w.shape for w in weights] == [(2, 2, 12, 12), (2, 2, 20, 20), (1, 2, 33, 33)]
+    band = -(-lengths // att.BAND)
+    for s, (start, n) in enumerate(zip(np.cumsum(lengths) - lengths, lengths)):
+        rows, one = slice(start, start + n), np.ones((1, n), dtype=bool)
+        alone, (alone_weights,), _ = encoder_step(Tensor(h.data[rows]), lp, one)
+        np.testing.assert_allclose(out.data[rows], alone.data, rtol=0, atol=1e-12)
+        attended, _ = att.attend(Tensor(h.data[rows]), lp.attn, one)
+        np.testing.assert_allclose(att_out.data[rows], attended.data, rtol=0, atol=1e-12)
+        w = weights[band[s] - 1].data[np.count_nonzero(band[:s] == band[s])]
+        np.testing.assert_allclose(w[:, :n, :n], alone_weights.data[0], rtol=0, atol=1e-12)
+        assert not w[:, :, n:].any()
+        np.testing.assert_array_equal(w, att_weights[band[s] - 1].data[np.count_nonzero(band[:s] == band[s])])
 
 
 def test_ungated_matches_manual_reference():
