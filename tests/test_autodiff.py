@@ -149,8 +149,10 @@ def test_no_tape_node_reaches_a_tensor_through_any_public_op():
         rows = ad.embedding(h, np.arange(5))
         pos = att._table_scores(rows, keys, valid, 2, view=att._offsets)
         s = ad.softmax(att._scores(rows, rows, valid, 2, 0.5, pos=pos))
-        # The first row of each sequence.
-        firsts = ad.embedding(att._attend_values(s, rows, valid), np.array([0, 3]))
+        # The first row of each sequence, gathered and merged back as bands are.
+        values = att._attend_values(s, rows, valid)
+        firsts = att._merge([att._rows(values, np.array([3])), att._rows(values, np.array([0]))],
+                            [np.array([1]), np.array([0])])
         logits = ad.dropout(ad.add(ad.matmul(firsts, w_out), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
         loss = ad.cross_entropy(logits, np.array([2, 0]))
         assert [t for node in tape._nodes for t in _reachable(node)] == []

@@ -57,7 +57,6 @@ def test_gate_forced_open_gives_update_exactly():
     out, _, gate = encoder_step(h, lp, valid)
     assert (gate.data == 1.0).all()
     # Recompute the update head by hand: LN(att + h) -> FFN -> LN.
-    import seqrouter.attention as att
     a_in, _ = att.attend(h, lp.attn, valid)
     a = ad.layernorm(ad.add(a_in, h), lp.ln_att_g, lp.ln_att_b)
     f = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(a, lp.ffn_w1), lp.ffn_b1)), lp.ffn_w2), lp.ffn_b2)
@@ -79,7 +78,6 @@ def test_gated_tanh_update_without_ffn_layernorm():
     valid = np.ones((1, 4), dtype=bool)
     out, _, gate = encoder_step(h, lp, valid)
     assert (gate.data == 1.0).all()
-    import seqrouter.attention as att
     a_in, _ = att.attend(h, lp.attn, valid)
     a = ad.layernorm(ad.add(a_in, h), lp.ln_att_g, lp.ln_att_b)
     f = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(a, lp.ffn_w1), lp.ffn_b1)), lp.ffn_w2), lp.ffn_b2)
@@ -125,7 +123,6 @@ def test_ungated_matches_manual_reference():
     h = states(5, 8, seed=10)
     valid = np.ones((1, 5), dtype=bool)
     out, _, _ = encoder_step(h, lp, valid)
-    import seqrouter.attention as att
     a_in, _ = att.attend(h, lp.attn, valid)
     a = ad.layernorm(ad.add(a_in, h), lp.ln_att_g, lp.ln_att_b)
     f = ad.add(ad.matmul(ad.relu(ad.add(ad.matmul(a, lp.ffn_w1), lp.ffn_b1)), lp.ffn_w2), lp.ffn_b2)
