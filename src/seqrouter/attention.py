@@ -341,7 +341,7 @@ def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
                mode: Mode = EVAL) -> Tensor:
     """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d) over the
     N columns of valid, as one band (see _rel_scores)."""
-    return _rel_scores(_project(h, p, mode), p, valid)
+    return _rel_scores(_project(h, p, mode)[0], p, valid)
 
 
 # ---------------------------------------------------------------------------
@@ -467,34 +467,30 @@ def _geometric_logits(rows, p: GeometricAttentionParams, valid: np.ndarray) -> T
 # one entry point for every kind
 
 
-def _project(h: Tensor, p, mode: Mode) -> tuple[Tensor, ...]:
-    """The packed rows (M, c) that the weights of p's kind are formed from,
-    each one product over all rows of h: q and k (MhaParams); the content
-    and positional queries q_e and q_p, the keys k_e and, gated, the abs/rel
-    gate column r (RelAttentionParams); q, k and the per-head direction
-    scores d_lr and d_rl (GeometricAttentionParams)."""
+def _project(h: Tensor, p, mode: Mode):
+    """(rows, weights): the packed rows (M, c) that the weights of p's kind
+    are formed from, each one product over all rows of h, and the function
+    that forms one band's per-head weights (B, H, N, N) from its rows over
+    the N columns of its validity mask. The rows are q and k (MhaParams); the
+    content and positional queries q_e and q_p, the keys k_e and, gated, the
+    abs/rel gate column r (RelAttentionParams); q, k and the per-head
+    direction scores d_lr and d_rl (GeometricAttentionParams)."""
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
         q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), cfg.content_dropout, mode, "att_content_q")
-        return q, ad.matmul(h, p.w_ke), ad.matmul(h, p.w_lr, p.b_lr), ad.matmul(h, p.w_rl, p.b_rl)
+        rows = q, ad.matmul(h, p.w_ke), ad.matmul(h, p.w_lr, p.b_lr), ad.matmul(h, p.w_rl, p.b_rl)
+        return rows, lambda rows, valid: _geometric_logits(rows, p, valid)
     if isinstance(p, RelAttentionParams):
         q = ad.matmul(h, p.w_q)
         rows = (_maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q"),
                 _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q"),
                 ad.matmul(h, p.w_ke))
-        return rows if p.w_ar is None else rows + (ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)),)
+        if p.w_ar is not None:
+            rows += (ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)),)
+        return rows, lambda rows, valid: ad.softmax(_rel_scores(rows, p, valid))
     q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
-    return q, ad.matmul(h, p.w_k)
-
-
-def _band_weights(rows, p, valid: np.ndarray) -> Tensor:
-    """Per-head weights (B, H, N, N) of one band's packed rows (see _project)
-    over the N columns of its validity mask."""
-    if isinstance(p, GeometricAttentionParams):
-        return _geometric_logits(rows, p, valid)
-    if isinstance(p, RelAttentionParams):
-        return ad.softmax(_rel_scores(rows, p, valid))
-    return ad.softmax(_scores(*rows, valid, p.cfg.n_heads, 1.0 / math.sqrt(p.cfg.d_head)))
+    c = 1.0 / math.sqrt(cfg.d_head)
+    return (q, ad.matmul(h, p.w_k)), lambda rows, valid: ad.softmax(_scores(*rows, valid, cfg.n_heads, c))
 
 
 def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
@@ -503,14 +499,14 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     per length band (see _bands), in band order, zero at pad sources.
 
     Every kind projects its packed rows once (_project). Then each band takes
-    its rows, forms its weights (_band_weights: a softmax of _scores or of
-    _rel_scores, or one op, _match_weights), and _attend_values multiplies
-    them by its rows of v; the bands' outputs go back to packed order
-    (_merge) for w_o. Only the pair work runs per band. A batch of one band
-    gathers and merges nothing."""
+    its rows, forms its weights with the kind's function (a softmax of
+    _scores or of _rel_scores, or one op, _match_weights), and
+    _attend_values multiplies them by its rows of v; the bands' outputs go
+    back to packed order (_merge) for w_o. Only the pair work runs per band.
+    A batch of one band gathers and merges nothing."""
     _check_inputs(h, valid)
-    rows, bands = _project(h, p, mode), _bands(valid)
-    weights = [_band_weights(rows if idx is None else [_rows(t, idx) for t in rows], p, band_valid)
+    (rows, band_weights), bands = _project(h, p, mode), _bands(valid)
+    weights = [band_weights(rows if idx is None else [_rows(t, idx) for t in rows], band_valid)
                for idx, band_valid in bands]
     v = ad.matmul(h, p.w_v)
     outs = [_attend_values(w, v if idx is None else _rows(v, idx), band_valid)

@@ -227,10 +227,12 @@ def test_attend_one_hot_rows_select_values():
 def test_attend_padded_equals_unpadded_prefix():
     p = geo_params(seed=12)
     gen = np.random.default_rng(13)
-    h = Tensor(gen.normal(size=(4, 8)), dtype=np.float64)
-    exact, _ = att.attend(h, p, np.ones((1, 4), dtype=bool))
-    padded, _ = att.attend(h, p, np.array([[True] * 4 + [False] * 3]))
-    np.testing.assert_allclose(padded.data, exact.data, atol=1e-6)
+    h = gen.normal(size=(11, 8))
+    # A longer second sequence keeps the first one's pad columns in its band.
+    padded, _ = att.attend(Tensor(h), p, np.array([[True] * 4 + [False] * 3, [True] * 7]))
+    for rows in (slice(0, 4), slice(4, 11)):
+        exact, _ = att.attend(Tensor(h[rows]), p, np.ones((1, rows.stop - rows.start), dtype=bool))
+        np.testing.assert_allclose(padded.data[rows], exact.data, atol=1e-6)
 
 
 def test_attend_row_mass_bounded_by_one():
@@ -358,7 +360,7 @@ def test_geometric_attend_records_few_nodes():
     h = Tensor(gen.normal(size=(lengths.sum(), 16)).astype(np.float32), requires_grad=True)
     mode = Mode(train=True, rng=RngTree(23, "drop"))
     with Tape() as tape:
-        att._geometric_logits(att._project(h, p, mode), p, valid)
+        att._geometric_logits(att._project(h, p, mode)[0], p, valid)
         logits_nodes = len(tape._nodes)
     with Tape() as tape:
         att.attend(h, p, valid, mode)
