@@ -10,13 +10,15 @@ row-major order, are those rows. Only the per-pair scores, weights and
 their products with the values use a padded (B, H, N, ...) layout, and
 ``attend`` forms them per length band: a sequence whose last valid
 column is L falls in band ceil(L / BAND), and each band is padded to its
-own longest sequence, not the batch's.
+own longest sequence, not the batch's. A band is a layout (``Band``): the
+pair ops read its rows straight from the packed operands.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -163,90 +165,90 @@ def sinusoid_table(positions: np.ndarray, d: int, dtype=np.float32) -> np.ndarra
     return table.astype(dtype)
 
 
-def _split_heads(x: np.ndarray, valid: np.ndarray, n_heads: int) -> np.ndarray:
-    """Packed (M, c) rows to the zero-padded per-head layout (B, H, N, c / H):
-    row r fills the r-th true cell of valid (B, N) in row-major order."""
-    b, n = valid.shape
-    # Indexing rows by flat position is faster than by the 2-D boolean mask.
-    out = np.zeros((valid.size, x.shape[-1]), dtype=x.dtype)
-    out[np.flatnonzero(valid)] = x
-    return out.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
+class Band(NamedTuple):
+    """A length band of a packed batch as a layout: its validity mask valid
+    (B_b, N_b), whose r-th true cell in row-major order holds the band's r-th
+    row; rows, the indices of those rows in the packed (M, c) operands, in
+    packed order (slice(None): all of them); and m = M."""
+
+    valid: np.ndarray
+    rows: np.ndarray | slice = slice(None)
+    m: int = 0  # read only when rows are indices
+
+    def split(self, x: np.ndarray, n_heads: int) -> np.ndarray:
+        """The band's rows of packed x (M, c), zero-padded per head (B_b, H, N_b, c / H)."""
+        b, n = self.valid.shape
+        # Indexing rows by flat position is faster than by the 2-D boolean mask.
+        out = np.zeros((b * n, x.shape[-1]), dtype=x.dtype)
+        out[np.flatnonzero(self.valid)] = x[self.rows]
+        return out.reshape(b, n, n_heads, -1).transpose(0, 2, 1, 3)
+
+    def join(self, x: np.ndarray) -> np.ndarray:
+        """(B_b, H, N_b, d_h) to the band's packed rows (M_b, H * d_h); inverse of split."""
+        b, h, n, dh = x.shape
+        return np.take(x.transpose(0, 2, 1, 3).reshape(b * n, h * dh), np.flatnonzero(self.valid), axis=0)
+
+    def grad(self, x: np.ndarray) -> np.ndarray:
+        """join(x) as the gradient of a packed (M, H * d_h) operand, zero outside the band."""
+        if isinstance(self.rows, slice):
+            return self.join(x)
+        full = np.zeros((self.m, x.shape[1] * x.shape[3]), x.dtype)
+        full[self.rows] = self.join(x)
+        return full
 
 
-def _join_heads(x: np.ndarray, valid: np.ndarray) -> np.ndarray:
-    """(B, H, N, d_h) back to packed (M, H * d_h) rows; inverse of _split_heads."""
-    b, h, n, dh = x.shape
-    return np.take(x.transpose(0, 2, 1, 3).reshape(b * n, h * dh), np.flatnonzero(valid), axis=0)
+def _heads(x: Tensor, band: Band, n_heads: int) -> Tensor:
+    """The band's rows of packed x (M, d), zero-padded per head (B_b, H, N_b, d / H)."""
+    return ad._op(band.split(x.data, n_heads), (x,), lambda g: (band.grad(g),))
 
 
-def _heads(x: Tensor, valid: np.ndarray, n_heads: int) -> Tensor:
-    """Packed (M, d) rows to the padded per-head layout (B, H, N, d / H)."""
-    return ad._op(_split_heads(x.data, valid, n_heads), (x,), lambda g: (_join_heads(g, valid),))
-
-
-def _bands(valid: np.ndarray) -> list[tuple[np.ndarray | None, np.ndarray]]:
-    """The batch's length bands in band order, each as (packed row indices,
-    validity mask (B_b, N_b)). A sequence whose last valid column is L falls
-    in band ceil(L / BAND), and N_b is the largest L in the band. A batch of
-    one band keeps every row, in order, and gets None for its indices."""
+def _bands(valid: np.ndarray) -> list[Band]:
+    """The batch's length bands in band order. A sequence whose last valid
+    column is L falls in band ceil(L / BAND), and the band's mask spans the
+    largest L in it."""
     extent = valid.shape[1] - np.argmax(valid[:, ::-1], axis=1)
     band = -(-extent // BAND)
     if (band == band[0]).all():
-        return [(None, valid[:, :extent.max()])]
+        return [Band(valid[:, :extent.max()])]
     row_band = np.repeat(band, np.count_nonzero(valid, axis=1))
-    return [(np.flatnonzero(row_band == b), valid[band == b, :extent[band == b].max()])
+    return [Band(valid[band == b, :extent[band == b].max()], np.flatnonzero(row_band == b), len(row_band))
             for b in np.unique(band)]
 
 
-def _rows(x: Tensor, idx: np.ndarray) -> Tensor:
-    """Rows idx of packed x (M, c), e.g. one band's rows; the VJP puts the
-    gradient back into those rows of zeros."""
-    shape = x.shape
+def _attend_values(weights: list[Tensor], v: Tensor, bands: list[Band]) -> Tensor:
+    """Packed (M, d) rows whose band b rows are band b's per-head weights
+    (B_b, H, N_b, N_b) times its rows of the packed values v (M, d). The
+    backward keeps the weights' arrays and the packed v, and rebuilds each
+    band's per-head v."""
+    nh = weights[0].shape[1]
+    arrays, vd = [w.data for w in weights], v.data
+    out = np.empty(vd.shape, vd.dtype)
+    for a, band in zip(arrays, bands):
+        out[band.rows] = band.join(np.matmul(a, band.split(vd, nh)))
 
     def vjp(g):
-        full = np.zeros(shape, g.dtype)
-        full[idx] = g
-        return (full,)
+        grads, g_v = [], np.empty(vd.shape, g.dtype)
+        for a, band in zip(arrays, bands):
+            gh = band.split(g, nh)
+            grads.append(np.matmul(gh, np.swapaxes(band.split(vd, nh), -1, -2)))
+            g_v[band.rows] = band.join(np.matmul(np.swapaxes(a, -1, -2), gh))
+        return (*grads, g_v)
 
-    return ad._op(x.data[idx], (x,), vjp)
-
-
-def _merge(parts: list[Tensor], idx: list[np.ndarray]) -> Tensor:
-    """Packed rows (M, c) whose rows idx[b] are parts[b]: the bands' outputs
-    back in packed order. Together the idx cover every row once."""
-    out = np.empty((sum(map(len, idx)), parts[0].shape[-1]), parts[0].dtype)
-    for part, rows in zip(parts, idx):
-        out[rows] = part.data
-    return ad._op(out, parts, lambda g: [g[rows] for rows in idx])
+    return ad._op(out, (*weights, v), vjp)
 
 
-def _attend_values(weights: Tensor, v: Tensor, valid: np.ndarray) -> Tensor:
-    """Per-head weights (B, H, N, N) times packed values v (M, d), merged
-    back to packed (M, d) rows. The backward keeps the packed v and
-    rebuilds its per-head layout."""
-    nh = weights.shape[1]
-    a, vd = weights.data, v.data
-
-    def vjp(g):
-        gh = _split_heads(g, valid, nh)
-        return (np.matmul(gh, np.swapaxes(_split_heads(vd, valid, nh), -1, -2)),
-                _join_heads(np.matmul(np.swapaxes(a, -1, -2), gh), valid))
-
-    return ad._op(_join_heads(np.matmul(a, _split_heads(vd, valid, nh)), valid), (weights, v), vjp)
-
-
-def _content(qd: np.ndarray, kd: np.ndarray, valid: np.ndarray, n_heads: int):
-    """Per-head q and k (B, H, N, d / H) of packed q and k (M, d), and their
-    product q_i.k_j per head (B, H, N, N)."""
-    qh, kh = _split_heads(qd, valid, n_heads), _split_heads(kd, valid, n_heads)
+def _content(qd: np.ndarray, kd: np.ndarray, band: Band, n_heads: int):
+    """Per-head q and k (B_b, H, N_b, d / H) of the band's rows of packed q
+    and k (M, d), and their product q_i.k_j per head (B_b, H, N_b, N_b)."""
+    qh, kh = band.split(qd, n_heads), band.split(kd, n_heads)
     return qh, kh, np.matmul(qh, np.swapaxes(kh, -1, -2))
 
 
-def _content_grads(gs: np.ndarray, qh: np.ndarray, kh: np.ndarray, valid: np.ndarray):
+def _content_grads(gs: np.ndarray, qh: np.ndarray, kh: np.ndarray, band: Band):
     """Packed q and k gradients (M, d) of gs, the gradient of the per-head
-    product q_i.k_j (B, H, N, N), given the per-head q and k."""
-    return (_join_heads(np.matmul(gs, kh), valid),
-            _join_heads(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2), valid))
+    product q_i.k_j (B_b, H, N_b, N_b), given the per-head q and k."""
+    return (band.grad(np.matmul(gs, kh)),
+            band.grad(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)))
 
 
 def _check_inputs(h: Tensor, valid: np.ndarray) -> None:
@@ -268,21 +270,22 @@ def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
 # softmax attention: standard, relative and gated absolute/relative
 
 
-def _scores(q: Tensor, k: Tensor, valid: np.ndarray, n_heads: int, c: float,
+def _scores(q: Tensor, k: Tensor, band: Band, n_heads: int, c: float,
             pos: Tensor | None = None) -> Tensor:
-    """c (q_i.k_j + pos[i, j]) per head, (B, H, N, N), of packed q, k (M, d)
-    and an optional positional term pos (B, H, N, N), with NEG_SCORE at pad
-    sources. The VJP zeroes the pad sources; it keeps only packed q and k."""
-    c, src_invalid = q.dtype.type(c), ~valid[:, None, None, :]
+    """c (q_i.k_j + pos[i, j]) per head, (B_b, H, N_b, N_b), of the band's
+    rows of packed q, k (M, d) and an optional positional term pos
+    (B_b, H, N_b, N_b), with NEG_SCORE at pad sources. The VJP zeroes the pad
+    sources; it keeps only packed q and k."""
+    c, src_invalid = q.dtype.type(c), ~band.valid[:, None, None, :]
     qd, kd, with_pos = q.data, k.data, pos is not None
-    s = _content(qd, kd, valid, n_heads)[2]
+    s = _content(qd, kd, band, n_heads)[2]
     if with_pos:
         s = s + pos.data
 
     def vjp(g):
         gs = np.where(src_invalid, 0, g) * c
-        qh, kh = _split_heads(qd, valid, n_heads), _split_heads(kd, valid, n_heads)
-        return _content_grads(gs, qh, kh, valid) + ((gs,) if with_pos else ())
+        qh, kh = band.split(qd, n_heads), band.split(kd, n_heads)
+        return _content_grads(gs, qh, kh, band) + ((gs,) if with_pos else ())
 
     return ad._op(np.where(src_invalid, NEG_SCORE, s * c), (q, k, pos) if with_pos else (q, k), vjp)
 
@@ -297,14 +300,14 @@ def _offsets(x: np.ndarray) -> np.ndarray:
                                            x.strides[:-2] + (si + sl, -sl))
 
 
-def _table_scores(q: Tensor, table: Tensor, valid: np.ndarray, n_heads: int, view=None) -> Tensor:
-    """Per-head scores q_i.t_l, (B, H, N, L), of packed q (M, d) against a
-    key table t (L, d) that every sequence shares; with a view (_offsets),
+def _table_scores(q: Tensor, table: Tensor, band: Band, n_heads: int, view=None) -> Tensor:
+    """Per-head scores q_i.t_l, (B_b, H, N_b, L), of the band's rows of packed
+    q (M, d) against a key table t (L, d) that every sequence shares; with a view (_offsets),
     a C-contiguous copy of view(scores). The VJP keeps the packed q and the
     table, and adds the gradient back through the view into zeros."""
     qd, td = q.data, table.data
     kt = td.reshape(td.shape[0], n_heads, -1).transpose(1, 2, 0)  # (H, d_h, L)
-    full = np.matmul(_split_heads(qd, valid, n_heads), kt)
+    full = np.matmul(band.split(qd, n_heads), kt)
 
     def vjp(g):
         if view is not None:
@@ -312,36 +315,37 @@ def _table_scores(q: Tensor, table: Tensor, valid: np.ndarray, n_heads: int, vie
             cells = view(g_full)
             cells += g
             g = g_full
-        return (_join_heads(np.matmul(g, np.swapaxes(kt, -1, -2)), valid),
-                np.matmul(np.swapaxes(_split_heads(qd, valid, n_heads), -1, -2),
+        return (band.grad(np.matmul(g, np.swapaxes(kt, -1, -2))),
+                np.matmul(np.swapaxes(band.split(qd, n_heads), -1, -2),
                           g).sum(axis=0).transpose(2, 0, 1).reshape(td.shape))
 
     return ad._op(full if view is None else np.ascontiguousarray(view(full)), (q, table), vjp)
 
 
-def _rel_scores(rows, p: RelAttentionParams, valid: np.ndarray) -> Tensor:
-    """Raw pre-softmax scores (B, H, N, N) of packed rows (q_e, q_p, k_e) and,
-    gated, the abs/rel gate column r (see _project): content, content bias
-    and a positional term that interpolates relative offsets and absolute
-    positions with r (fixed at 1 without it). The sinusoid tables span the
-    N columns of valid. Masked sources are already pushed to -inf."""
+def _rel_scores(rows, p: RelAttentionParams, band: Band) -> Tensor:
+    """Raw pre-softmax scores (B_b, H, N_b, N_b) of the band's rows of packed
+    (q_e, q_p, k_e) and, gated, the abs/rel gate column r (see _project):
+    content, content bias and a positional term that interpolates relative
+    offsets and absolute positions with r (fixed at 1 without it). The
+    sinusoid tables span the band's N_b columns. Masked sources are already
+    pushed to -inf."""
     q_e, q_p, k_e, *gate = rows
     cfg = p.cfg
-    nh, n, d, dtype = cfg.n_heads, valid.shape[1], cfg.d_model, q_e.dtype
+    nh, n, d, dtype = cfg.n_heads, band.valid.shape[1], cfg.d_model, q_e.dtype
     rel_emb = Tensor(sinusoid_table(np.arange(-(n - 1), n), d, dtype))
-    positional = _table_scores(q_p, ad.matmul(rel_emb, p.w_kp), valid, nh, view=_offsets)
+    positional = _table_scores(q_p, ad.matmul(rel_emb, p.w_kp), band, nh, view=_offsets)
     if gate:
         abs_emb = Tensor(sinusoid_table(np.arange(n), d, dtype))
-        score_abs = _table_scores(q_p, ad.matmul(abs_emb, p.w_kp), valid, nh)
-        positional = ad.blend(_heads(gate[0], valid, 1), positional, score_abs)  # r as (B, 1, N, 1)
-    return _scores(q_e, k_e, valid, nh, 1.0 / math.sqrt(cfg.d_head), pos=positional)
+        score_abs = _table_scores(q_p, ad.matmul(abs_emb, p.w_kp), band, nh)
+        positional = ad.blend(_heads(gate[0], band, 1), positional, score_abs)  # r as (B_b, 1, N_b, 1)
+    return _scores(q_e, k_e, band, nh, 1.0 / math.sqrt(cfg.d_head), pos=positional)
 
 
 def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
                mode: Mode = EVAL) -> Tensor:
     """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d) over the
     N columns of valid, as one band (see _rel_scores)."""
-    return _rel_scores(_project(h, p, mode)[0], p, valid)
+    return _rel_scores(_project(h, p, mode)[0], p, Band(valid))
 
 
 # ---------------------------------------------------------------------------
@@ -412,21 +416,21 @@ def geometric_weights(p: Tensor) -> Tensor:
 
 
 def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
-                   p: GeometricAttentionParams, valid: np.ndarray) -> Tensor:
-    """Geometric weights (B, H, N, N) of packed q, k (M, d) and per-head
-    direction scores d_lr, d_rl (M, H): A[i, j] = p[i, j] * prod over sources
+                   p: GeometricAttentionParams, band: Band) -> Tensor:
+    """Geometric weights (B_b, H, N_b, N_b) of the band's rows of packed q, k
+    (M, d) and per-head direction scores d_lr, d_rl (M, H): A[i, j] = p[i, j] * prod over sources
     k closer than j of (1 - p[i, k]), p = sigmoid(z), in log space as one
     masked GEMM, of match logits z = alpha_h q_i.k_j + beta_h D[i, j] + gamma_h,
     where D[i, j] is target i's d_lr for a source j at or right of i, else
     d_rl. The diagonal and pad sources get weight 0 and shadow nothing. The
     backward keeps the packed rows, the direction columns, the weights and
     the mask, not z: its VJP rebuilds q.k^T and z."""
-    nh, n = p.cfg.n_heads, valid.shape[1]
+    nh, n = p.cfg.n_heads, band.valid.shape[1]
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
-    src_invalid, c = ~valid[:, None, None, :], _closeness_mask(n, q.dtype)
-    # C-contiguous (B, H, N, 1) columns fix the memory order of D, and so
+    src_invalid, c = ~band.valid[:, None, None, :], _closeness_mask(n, q.dtype)
+    # C-contiguous (B_b, H, N_b, 1) columns fix the memory order of D, and so
     # the summation order of beta's gradient.
-    lr, rl = (np.ascontiguousarray(_split_heads(t.data, valid, nh)) for t in (d_lr, d_rl))
+    lr, rl = (np.ascontiguousarray(band.split(t.data, nh)) for t in (d_lr, d_rl))
     alpha, beta, gamma = (t.data.reshape(nh, 1, 1) for t in (p.alpha, p.beta, p.gamma))
 
     def direction() -> np.ndarray:
@@ -436,19 +440,19 @@ def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
         return alpha * content + beta * direction() + gamma
 
     qd, kd = q.data, k.data
-    logp, log1mp = ad._log_sigmoids(logits(_content(qd, kd, valid, nh)[2]))
+    logp, log1mp = ad._log_sigmoids(logits(_content(qd, kd, band, nh)[2]))
     w = _weights_from_logs(logp, np.where(src_invalid, 0, log1mp), c, src_invalid | np.eye(n, dtype=bool))
 
     def vjp(g):
-        qh, kh, content = _content(qd, kd, valid, nh)
+        qh, kh, content = _content(qd, kd, band, nh)
         # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
         u, (logp, log1mp) = g * w, ad._log_sigmoids(logits(content))
         dz = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
         dz = np.where(src_invalid, 0, dz)
         d_dir = dz * beta
-        return (*_content_grads(dz * alpha, qh, kh, valid),
-                _join_heads(ad._unbroadcast(np.where(right_or_self, d_dir, 0), lr.shape), valid),
-                _join_heads(ad._unbroadcast(np.where(right_or_self, 0, d_dir), rl.shape), valid),
+        return (*_content_grads(dz * alpha, qh, kh, band),
+                band.grad(ad._unbroadcast(np.where(right_or_self, d_dir, 0), lr.shape)),
+                band.grad(ad._unbroadcast(np.where(right_or_self, 0, d_dir), rl.shape)),
                 ad._unbroadcast(dz * content, alpha.shape).reshape(nh),
                 ad._unbroadcast(dz * direction(), beta.shape).reshape(nh),
                 ad._unbroadcast(dz, gamma.shape).reshape(nh))
@@ -456,11 +460,11 @@ def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     return ad._op(w, (q, k, d_lr, d_rl, p.alpha, p.beta, p.gamma), vjp)
 
 
-def _geometric_logits(rows, p: GeometricAttentionParams, valid: np.ndarray) -> Tensor:
-    """Geometric weights (B, H, N, N) of packed rows (q, k, d_lr, d_rl) (see
-    _project) over the N columns of valid. The benchmark's traced run times
-    this function by name as attention.scores."""
-    return _match_weights(*rows, p, valid)
+def _geometric_logits(rows, p: GeometricAttentionParams, band: Band) -> Tensor:
+    """Geometric weights (B_b, H, N_b, N_b) of the band's rows of packed
+    (q, k, d_lr, d_rl) (see _project). The benchmark's traced run times this
+    function by name as attention.scores."""
+    return _match_weights(*rows, p, band)
 
 
 # ---------------------------------------------------------------------------
@@ -468,18 +472,18 @@ def _geometric_logits(rows, p: GeometricAttentionParams, valid: np.ndarray) -> T
 
 
 def _project(h: Tensor, p, mode: Mode):
-    """(rows, weights): the packed rows (M, c) that the weights of p's kind
-    are formed from, each one product over all rows of h, and the function
-    that forms one band's per-head weights (B, H, N, N) from its rows over
-    the N columns of its validity mask. The rows are q and k (MhaParams); the
-    content and positional queries q_e and q_p, the keys k_e and, gated, the
-    abs/rel gate column r (RelAttentionParams); q, k and the per-head
-    direction scores d_lr and d_rl (GeometricAttentionParams)."""
+    """(rows, band_weights): the packed rows (M, c) that the weights of p's
+    kind are formed from, each one product over all rows of h, and the
+    function that forms a Band's per-head weights (B_b, H, N_b, N_b) from
+    them. The rows are q and k (MhaParams); the content and positional
+    queries q_e and q_p, the keys k_e and, gated, the abs/rel gate column r
+    (RelAttentionParams); q, k and the per-head direction scores d_lr and
+    d_rl (GeometricAttentionParams)."""
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
         q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), cfg.content_dropout, mode, "att_content_q")
         rows = q, ad.matmul(h, p.w_ke), ad.matmul(h, p.w_lr, p.b_lr), ad.matmul(h, p.w_rl, p.b_rl)
-        return rows, lambda rows, valid: _geometric_logits(rows, p, valid)
+        return rows, lambda band: _geometric_logits(rows, p, band)
     if isinstance(p, RelAttentionParams):
         q = ad.matmul(h, p.w_q)
         rows = (_maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q"),
@@ -487,10 +491,10 @@ def _project(h: Tensor, p, mode: Mode):
                 ad.matmul(h, p.w_ke))
         if p.w_ar is not None:
             rows += (ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)),)
-        return rows, lambda rows, valid: ad.softmax(_rel_scores(rows, p, valid))
+        return rows, lambda band: ad.softmax(_rel_scores(rows, p, band))
     q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
-    c = 1.0 / math.sqrt(cfg.d_head)
-    return (q, ad.matmul(h, p.w_k)), lambda rows, valid: ad.softmax(_scores(*rows, valid, cfg.n_heads, c))
+    rows, c = (q, ad.matmul(h, p.w_k)), 1.0 / math.sqrt(cfg.d_head)
+    return rows, lambda band: ad.softmax(_scores(*rows, band, cfg.n_heads, c))
 
 
 def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
@@ -498,18 +502,13 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     (output (M, d), weights): the weights are one (B_b, H, N_b, N_b) Tensor
     per length band (see _bands), in band order, zero at pad sources.
 
-    Every kind projects its packed rows once (_project). Then each band takes
-    its rows, forms its weights with the kind's function (a softmax of
-    _scores or of _rel_scores, or one op, _match_weights), and
-    _attend_values multiplies them by its rows of v; the bands' outputs go
-    back to packed order (_merge) for w_o. Only the pair work runs per band.
-    A batch of one band gathers and merges nothing."""
+    Every kind projects its packed rows once (_project). Each band forms its
+    weights from its rows of them with the kind's function (a softmax of
+    _scores or of _rel_scores, or one op, _match_weights), and one op,
+    _attend_values, multiplies every band's weights by its rows of v, in
+    packed order for w_o. Only the pair work runs per band."""
     _check_inputs(h, valid)
-    (rows, band_weights), bands = _project(h, p, mode), _bands(valid)
-    weights = [band_weights(rows if idx is None else [_rows(t, idx) for t in rows], band_valid)
-               for idx, band_valid in bands]
-    v = ad.matmul(h, p.w_v)
-    outs = [_attend_values(w, v if idx is None else _rows(v, idx), band_valid)
-            for w, (idx, band_valid) in zip(weights, bands)]
-    out = outs[0] if len(outs) == 1 else _merge(outs, [idx for idx, _ in bands])
+    band_weights, bands = _project(h, p, mode)[1], _bands(valid)
+    weights = [band_weights(band) for band in bands]
+    out = _attend_values(weights, ad.matmul(h, p.w_v), bands)
     return ad.matmul(out, p.w_o), weights

@@ -6,15 +6,17 @@ meaningful on structurally tiny gradient coordinates.
   layers that records a tape node, alone on a small input. These are the
   autodiff ops (``substrate/<op>``), the attention ops (the per-head
   layout, the softmax scores with a positional term, the key-table scores
-  of relative attention, the fused geometric logits-and-weights op, the
-  values product, and the band gather and merge) and the ACT readout.
-  Each reads below 1e-9.
+  of relative attention, the fused geometric logits-and-weights op and the
+  values product over every band) and the ACT readout. Each reads below
+  1e-9.
 - Composites: two op chains, every attention kind and every layer variant.
 
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
 so pad columns and the boundary between packed rows and the padded
 attention layout, both ways (``_heads``, and the values op
-``_attend_values``), are covered. Each attention kind is also checked over
+``_attend_values``), are covered. The per-op attention checks run that
+batch as a band of only some rows of the packed operands, and the values
+op over it and a second band. Each attention kind is also checked over
 three sequences in two length bands (``attention/<kind>-bands``); at
 d = 4 these read below 1e-9.
 
@@ -137,31 +139,38 @@ def _ragged(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.arange(n)[None, :] < lengths[:, None]
 
 
+def _two_bands(n: int) -> list[att.Band]:
+    """The ragged batch (see _ragged) and a batch of lengths (2, 1) as two
+    bands of 2n + 1 packed rows; the second has rows 1, n + 1 and 2n."""
+    m, other = 2 * n + 1, np.array([1, n + 1, 2 * n])
+    return [att.Band(_ragged(n)[1], np.setdiff1d(np.arange(m), other), m),
+            att.Band(np.array([[True, True], [True, False]]), other, m)]
+
+
 def check_heads(seed: int = 5, n: int = 4, d: int = 4) -> float:
-    """The layout op alone: packed (M, d) rows of a ragged batch to the
-    per-head (2, 2, n, d / 2) layout."""
-    gen = np.random.default_rng(seed)
-    lengths, valid = _ragged(n)
-    x = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    """The layout op alone: a ragged band's rows of packed (M, d) rows to
+    the per-head (2, 2, n, d / 2) layout."""
+    gen, band = np.random.default_rng(seed), _two_bands(n)[0]
+    x = Tensor(gen.normal(size=(band.m, d)), dtype=np.longdouble)
     r = gen.normal(size=(2, 2, n, d // 2))
-    return grad_check(lambda points: project(att._heads(points[0], valid, 2), r), [x], step=1e-5)
+    return grad_check(lambda points: project(att._heads(points[0], band, 2), r), [x], step=1e-5)
 
 
 def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
-    """The fused geometric op: weights from packed q, k and direction
-    scores over a ragged batch, with random alpha, beta and gamma."""
+    """The fused geometric op: weights from a ragged band's rows of packed
+    q, k and direction scores, with random alpha, beta and gamma."""
     p = att.init_attention(Init(RngTree(seed), np.longdouble, prefix="gc"), AttentionConfig(d, 2, "geometric"))
     gen = np.random.default_rng(seed + 100)
     gains = [p.alpha, p.beta, p.gamma]
     for gain in gains:
         gain.data[:] = gen.normal(size=gain.shape)
-    lengths, valid = _ragged(n)
+    band = _two_bands(n)[0]
     # q and k (M, d), then the direction scores d_lr and d_rl (M, H).
-    rows = [Tensor(gen.normal(size=(lengths.sum(), c)), dtype=np.longdouble) for c in (d, d, 2, 2)]
+    rows = [Tensor(gen.normal(size=(band.m, c)), dtype=np.longdouble) for c in (d, d, 2, 2)]
     r = gen.normal(size=(2, 2, n, n))
 
     def fn(points):
-        return project(att._match_weights(*points[:4], p, valid), r)
+        return project(att._match_weights(*points[:4], p, band), r)
 
     # A smaller step than the other checks' keeps the O(step^2) truncation
     # error of this nonlinear op well below 1e-9 (3e-11 here, 2.5e-10 at 1e-5).
@@ -169,62 +178,43 @@ def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
 
 
 def check_scores(seed: int = 9, n: int = 4, d: int = 4) -> float:
-    """Softmax attention scores of packed q and k over a ragged batch, with
-    a positional term; the pad sources, fixed at NEG_SCORE, weigh 0."""
-    gen = np.random.default_rng(seed)
-    lengths, valid = _ragged(n)
-    rows = [Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble) for _ in range(2)]
+    """Softmax attention scores of a ragged band's rows of packed q and k,
+    with a positional term; the pad sources, fixed at NEG_SCORE, weigh 0."""
+    gen, band = np.random.default_rng(seed), _two_bands(n)[0]
+    rows = [Tensor(gen.normal(size=(band.m, d)), dtype=np.longdouble) for _ in range(2)]
     pos = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
-    r = gen.normal(size=(2, 2, n, n)) * valid[:, None, None, :]
+    r = gen.normal(size=(2, 2, n, n)) * band.valid[:, None, None, :]
 
     def fn(points):
-        return project(att._scores(*points[:2], valid, 2, 0.7, pos=points[2]), r)
+        return project(att._scores(*points[:2], band, 2, 0.7, pos=points[2]), r)
 
     return grad_check(fn, rows + [pos], step=1e-5)
 
 
 def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
-    """Per-head weights (2, 2, n, n) times packed values of a ragged batch."""
+    """Per-head weights of two bands, (2, 2, n, n) and (2, 2, 2, 2), times
+    packed values whose rows the bands interleave."""
     gen = np.random.default_rng(seed)
-    lengths, valid = _ragged(n)
-    weights = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
-    v = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
-    r = gen.normal(size=(lengths.sum(), d))
-    return grad_check(lambda points: project(att._attend_values(*points, valid), r),
-                      [weights, v], step=1e-5)
-
-
-def check_rows(seed: int = 12, d: int = 3) -> float:
-    """The band gather alone: rows 4, 1 and 2 of six packed rows."""
-    gen = np.random.default_rng(seed)
-    x = Tensor(gen.normal(size=(6, d)), dtype=np.longdouble)
-    r = gen.normal(size=(3, d))
-    return grad_check(lambda points: project(att._rows(points[0], np.array([4, 1, 2])), r), [x], step=1e-5)
-
-
-def check_merge(seed: int = 13, d: int = 3) -> float:
-    """The band merge alone: two parts of 2 and 3 rows interleaved back into
-    five packed rows."""
-    gen = np.random.default_rng(seed)
-    parts = [Tensor(gen.normal(size=(rows, d)), dtype=np.longdouble) for rows in (2, 3)]
-    idx = [np.array([3, 0]), np.array([1, 4, 2])]
-    r = gen.normal(size=(5, d))
-    return grad_check(lambda points: project(att._merge(points, idx), r), parts, step=1e-5)
+    bands = _two_bands(n)
+    weights = [Tensor(gen.normal(size=(2, 2, w, w)), dtype=np.longdouble) for w in (n, 2)]
+    v = Tensor(gen.normal(size=(bands[0].m, d)), dtype=np.longdouble)
+    r = gen.normal(size=v.shape)
+    return grad_check(lambda points: project(att._attend_values(points[:2], points[2], bands), r),
+                      weights + [v], step=1e-5)
 
 
 def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
-    """Scores of packed q over a ragged batch against two shared key tables:
-    a (2n - 1, d) one read through the relative-offset view, and an (n, d)
-    one read whole."""
-    gen = np.random.default_rng(seed)
-    lengths, valid = _ragged(n)
-    q = Tensor(gen.normal(size=(lengths.sum(), d)), dtype=np.longdouble)
+    """Scores of a ragged band's rows of packed q against two shared key
+    tables: a (2n - 1, d) one read through the relative-offset view, and an
+    (n, d) one read whole."""
+    gen, band = np.random.default_rng(seed), _two_bands(n)[0]
+    q = Tensor(gen.normal(size=(band.m, d)), dtype=np.longdouble)
     tables = [Tensor(gen.normal(size=(rows, d)), dtype=np.longdouble) for rows in (2 * n - 1, n)]
     r = [gen.normal(size=(2, 2, n, n)) for _ in range(2)]
 
     def fn(points):
-        rel = att._table_scores(points[0], points[1], valid, 2, view=att._offsets)
-        absolute = att._table_scores(points[0], points[2], valid, 2)
+        rel = att._table_scores(points[0], points[1], band, 2, view=att._offsets)
+        absolute = att._table_scores(points[0], points[2], band, 2)
         return ad.add(project(rel, r[0]), project(absolute, r[1]))
 
     return grad_check(fn, [q] + tables, step=1e-5)
@@ -308,8 +298,6 @@ OP_CHECKS = {
     "attention._table_scores": {"attention/table_scores": check_table_scores},
     "attention._match_weights": {"attention/match_weights": check_match_weights},
     "attention._attend_values": {"attention/attend_values": check_attend_values},
-    "attention._rows": {"attention/rows": check_rows},
-    "attention._merge": {"attention/merge": check_merge},
     "layers.act_readout": {f"layer/act_readout-{v.lower()}": functools.partial(check_act_readout, v)
                            for v in "AU"},
 }
@@ -324,8 +312,8 @@ def run_checks(module: str | None = None) -> dict[str, float]:
         checks.update(named)
     for kind in att.KINDS:
         checks[f"attention/{kind}"] = functools.partial(check_attention_kind, kind)
-        # Bands of widths 6 (lengths 3 and 6) and 18: the gathers, per-band
-        # widths, tables and masks, and the merge.
+        # Bands of widths 6 (lengths 3 and 6) and 18: each band's rows,
+        # widths, tables and masks, and the values op over both.
         checks[f"attention/{kind}-bands"] = functools.partial(check_attention_kind, kind, d=4,
                                                               lengths=(3, 18, 6))
     for name in LAYER_VARIANTS:

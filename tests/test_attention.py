@@ -129,7 +129,7 @@ def test_scores_zero_the_gradient_at_pad_sources():
     pos = Tensor(gen.normal(size=(2, 2, 3, 3)), requires_grad=True)
     r = gen.normal(size=(2, 2, 3, 3))
     with Tape() as tape:
-        s = att._scores(q, k, valid, 2, 0.5, pos=pos)
+        s = att._scores(q, k, att.Band(valid), 2, 0.5, pos=pos)
         tape.backward(project(s, r))
     pad = ~valid[:, None, None, :]
     assert (s.data[np.broadcast_to(pad, s.shape)] == att.NEG_SCORE).all()
@@ -246,9 +246,9 @@ def test_attend_values_grad_check():
     assert check_attend_values() < 1e-9
 
 
-@pytest.mark.parametrize("kind, one_band, band_ops, projected", [
-    ("standard_abs", 7, 2, 2), ("relative", 11, 4, 3), ("abs_rel_gated", 17, 8, 4), ("geometric", 8, 1, 4)])
-def test_bands_add_only_their_gathers_pair_ops_and_a_merge(kind, one_band, band_ops, projected):
+@pytest.mark.parametrize("kind, one_band, band_ops", [
+    ("standard_abs", 7, 2), ("relative", 11, 4), ("abs_rel_gated", 17, 8), ("geometric", 8, 1)])
+def test_each_extra_band_adds_only_its_pair_ops(kind, one_band, band_ops):
     p = make_params(kind, d=16, seed=26)
 
     def nodes(lengths):
@@ -261,10 +261,9 @@ def test_bands_add_only_their_gathers_pair_ops_and_a_merge(kind, one_band, band_
 
     # One band records what attention recorded before it had bands.
     assert nodes(np.array([6, 3, 5])) == one_band
-    # Three bands: each gathers its projected rows and v and runs its own
-    # pair ops and values op; one merge restores packed order.
-    three = one_band + 2 * (band_ops + 1) + 3 * (projected + 1) + 1
-    assert nodes(np.array([6, 20, 3, 40])) == three
+    # Three bands: each runs its own pair ops on its rows of the projected
+    # operands, and one values op serves every band.
+    assert nodes(np.array([6, 20, 3, 40])) == one_band + 2 * band_ops
 
 
 def _held_bytes(op):
@@ -288,7 +287,7 @@ def test_attend_values_holds_only_its_output():
     gen = np.random.default_rng(31)
     weights = Tensor(gen.random((b, nh, n, n)).astype(np.float32), requires_grad=True)
     v = Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._attend_values(weights, v, valid))
+    out, held = _held_bytes(lambda: att._attend_values([weights], v, [att.Band(valid)]))
     # The output, with slack below the 64 KB of zero-padded per-head v or
     # (B, H, N, d_h) product, neither of which is kept.
     assert out.shape == (m, d)
@@ -303,7 +302,7 @@ def test_scores_hold_only_their_output():
     gen = np.random.default_rng(32)
     q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
     pos = Tensor(gen.normal(size=(b, nh, n, n)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._scores(q, k, valid, nh, 0.125, pos=pos))
+    out, held = _held_bytes(lambda: att._scores(q, k, att.Band(valid), nh, 0.125, pos=pos))
     # The scores, with slack below the 128 KB of per-head q and k or the
     # 512 KB q.k product, none of which is kept.
     assert out.shape == (b, nh, n, n)
@@ -317,7 +316,7 @@ def test_table_scores_hold_only_their_output():
     gen = np.random.default_rng(33)
     q = Tensor(gen.normal(size=(np.count_nonzero(valid), d)).astype(np.float32), requires_grad=True)
     table = Tensor(gen.normal(size=(2 * n - 1, d)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._table_scores(q, table, valid, nh, view=att._offsets))
+    out, held = _held_bytes(lambda: att._table_scores(q, table, att.Band(valid), nh, view=att._offsets))
     # The (B, H, N, N) scores, with slack below the 64 KB of per-head q;
     # the 1 MB (B, H, N, 2N - 1) product is not kept either.
     assert out.shape == (b, nh, n, n) and out.data.flags.c_contiguous
@@ -339,7 +338,7 @@ def test_offsets_view_matches_gather(n):
 def test_every_attention_gradient_check_passes():
     results = run_checks("attention")
     kinds = ("standard_abs", "relative", "abs_rel_gated", "geometric")
-    ops = ("heads", "scores", "table_scores", "match_weights", "attend_values", "rows", "merge")
+    ops = ("heads", "scores", "table_scores", "match_weights", "attend_values")
     bands = tuple(f"{kind}-bands" for kind in kinds)
     assert {f"attention/{name}" for name in kinds + ops + bands} <= set(results)
     for name, err in results.items():
@@ -353,14 +352,23 @@ def test_split_and_join_heads_are_exact_inverses():
     gen = np.random.default_rng(30)
     lengths = np.array([5, 1, 3])
     valid = np.arange(6)[None, :] < lengths[:, None]
-    rows = gen.normal(size=(9, 6))
-    heads = att._split_heads(rows, valid, 2)
+    rows, band = gen.normal(size=(9, 6)), att.Band(valid)
+    heads = band.split(rows, 2)
     assert heads.shape == (3, 2, 6, 3)
     assert (heads.transpose(0, 2, 1, 3)[~valid] == 0).all()
     # Rows fill valid in row-major order: sequence by sequence, column by column.
     np.testing.assert_array_equal(heads[1, :, 0].reshape(-1), rows[5])
     np.testing.assert_array_equal(heads[0, 1, 4], rows[4, 3:])
-    np.testing.assert_array_equal(att._join_heads(heads, valid), rows)
+    np.testing.assert_array_equal(band.join(heads), rows)
+    np.testing.assert_array_equal(band.grad(heads), rows)
     layout = gen.normal(size=(3, 2, 6, 3))
-    round_trip = att._split_heads(att._join_heads(layout, valid), valid, 2)
+    round_trip = band.split(band.join(layout), 2)
     np.testing.assert_array_equal(round_trip, np.where(valid[:, None, :, None], layout, 0.0))
+    # The same band as packed rows 1, 2, 4, ... of a 12-row operand: split
+    # reads those rows, and grad puts them back into zeros.
+    idx = np.array([1, 2, 4, 5, 6, 7, 8, 10, 11])
+    wider, sub = gen.normal(size=(12, 6)), att.Band(valid, idx, 12)
+    np.testing.assert_array_equal(sub.split(wider, 2), band.split(wider[idx], 2))
+    want = np.zeros_like(wider)
+    want[idx] = rows
+    np.testing.assert_array_equal(sub.grad(heads), want)

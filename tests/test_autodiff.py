@@ -17,7 +17,7 @@ import seqrouter
 from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import Mode
-from seqrouter.autodiff import Tape, Tensor
+from seqrouter.autodiff import Tape, Tensor, zero_grads
 from seqrouter.gradchecks import project
 from seqrouter.layers import ACTConfig
 from seqrouter.model import EncoderModel, ModelConfig, loss as model_loss
@@ -147,12 +147,13 @@ def test_no_tape_node_reaches_a_tensor_through_any_public_op():
         h = ad.blend(ad.sigmoid(h), ad.tanh(h), ad.relu(h))
         h = ad.add(h, ad.scale(h, 2.0))
         rows = ad.embedding(h, np.arange(5))
-        pos = att._table_scores(rows, keys, valid, 2, view=att._offsets)
-        s = ad.softmax(att._scores(rows, rows, valid, 2, 0.5, pos=pos))
-        # The first row of each sequence, gathered and merged back as bands are.
-        values = att._attend_values(s, rows, valid)
-        firsts = att._merge([att._rows(values, np.array([3])), att._rows(values, np.array([0]))],
-                            [np.array([1]), np.array([0])])
+        # Each sequence as a band of its own; one values op over both.
+        bands = [att.Band(valid[:1], np.arange(3), 5), att.Band(valid[1:, :2], np.arange(3, 5), 5)]
+        weights = [ad.softmax(att._scores(rows, rows, band, 2, 0.5,
+                                          pos=att._table_scores(rows, keys, band, 2, view=att._offsets)))
+                   for band in bands]
+        values = att._attend_values(weights, rows, bands)
+        firsts = ad.embedding(values, np.array([3, 0]))  # the first row of each sequence
         logits = ad.dropout(ad.add(ad.matmul(firsts, w_out), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
         loss = ad.cross_entropy(logits, np.array([2, 0]))
         assert [t for node in tape._nodes for t in _reachable(node)] == []
@@ -169,13 +170,16 @@ def test_no_tape_node_of_a_train_step_reaches_a_tensor(kind, act):
                       dropout=0.1, att_dropout=0.1)
     model = EncoderModel.build(cfg, RngTree(0))
     gen = np.random.default_rng(1)
-    with Tape() as tape:
-        out = model.forward(gen.integers(0, 12, size=(3, 6)), np.array([6, 2, 4]),
-                            mode=Mode(train=True, rng=RngTree(2)))
-        loss = model_loss(out, np.array([0, 4, 2]))
-        assert [t for node in tape._nodes for t in _reachable(node)] == []
-        tape.backward(loss)
-    assert all(p.grad is not None for p in model.parameters())
+    # One band, then two: the 20-token sequence has a band of its own.
+    for lengths in ([6, 2, 4], [6, 20, 4]):
+        zero_grads(model.parameters())
+        with Tape() as tape:
+            out = model.forward(gen.integers(0, 12, size=(3, max(lengths))), np.array(lengths),
+                                mode=Mode(train=True, rng=RngTree(2)))
+            loss = model_loss(out, np.array([0, 4, 2]))
+            assert [t for node in tape._nodes for t in _reachable(node)] == []
+            tape.backward(loss)
+        assert all(p.grad is not None for p in model.parameters())
 
 
 def test_blend_node_keeps_only_its_operands():
@@ -193,15 +197,19 @@ def test_geometric_tape_holds_one_pair_array_per_layer_step():
     cfg = ModelConfig(vocab_size=12, n_classes=5, d_model=16, d_ff=32, n_heads=2, n_layers=3,
                       kind="geometric", gated=True, dropout=0.1, att_dropout=0.1)
     model = EncoderModel.build(cfg, RngTree(0))
-    b, n = 3, 6
-    tokens = np.random.default_rng(1).integers(0, 12, size=(b, n))
-    with Tape() as tape:
-        model.forward(tokens, np.array([6, 2, 4]), mode=Mode(train=True, rng=RngTree(2)))
-        # The weights, shared by the weights op and the values op; the match
-        # logits are recomputed in backward, not held.
-        pair_arrays = {id(x) for node in tape._nodes for x in _reachable(node, np.ndarray)
-                       if x.shape == (b, cfg.n_heads, n, n)}
-    assert len(pair_arrays) == cfg.n_layers
+    gen = np.random.default_rng(1)
+    # One band (3 sequences over 6 columns), then two: lengths 6 and 4 over
+    # 6 columns, and 20 over 20.
+    for lengths, shapes in (([6, 2, 4], [(3, 6)]), ([6, 20, 4], [(2, 6), (1, 20)])):
+        tokens = gen.integers(0, 12, size=(3, max(lengths)))
+        pair_shapes = {(b, cfg.n_heads, n, n) for b, n in shapes}
+        with Tape() as tape:
+            model.forward(tokens, np.array(lengths), mode=Mode(train=True, rng=RngTree(2)))
+            # The weights, shared by the weights op and the values op; the
+            # match logits are recomputed in backward, not held.
+            pair_arrays = {id(x) for node in tape._nodes for x in _reachable(node, np.ndarray)
+                           if x.shape in pair_shapes}
+        assert len(pair_arrays) == cfg.n_layers * len(shapes)
 
 
 def test_shared_first_gradient_survives_accumulation_and_clip():

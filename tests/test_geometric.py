@@ -23,15 +23,15 @@ def geo_params(d=8, heads=2, seed=0, dtype=np.float64):
 
 def logits_op(valid, n_heads, dtype=np.float64):
     """The fused weights op as a function of match logits z (B, H, N, N),
-    fed as packed rows q = att._join_heads(z, valid): with unit-vector k
+    fed as packed rows q = att.Band(valid).join(z): with unit-vector k
     rows, alpha = 1 and beta = gamma = 0, q.k^T is z exactly, so q's
     gradient is z's at the valid targets."""
-    b, n = valid.shape
+    (b, n), band = valid.shape, att.Band(valid)
     p = geo_params(d=n_heads * n, heads=n_heads, dtype=dtype)
     p.alpha.data[:], p.beta.data[:], p.gamma.data[:] = 1.0, 0.0, 0.0
-    k = Tensor(att._join_heads(np.broadcast_to(np.eye(n, dtype=dtype), (b, n_heads, n, n)), valid))
+    k = Tensor(band.join(np.broadcast_to(np.eye(n, dtype=dtype), (b, n_heads, n, n))))
     d = Tensor(np.zeros((k.shape[0], n_heads), dtype=dtype))
-    return lambda q: att._match_weights(q, k, d, d, p, valid)
+    return lambda q: att._match_weights(q, k, d, d, p, band)
 
 
 def test_ordering_forced_example():
@@ -254,7 +254,7 @@ def test_geometric_weights_grad_vs_fd():
     def f(points):
         return project(op(points[0]), r)
 
-    assert ad.grad_check(f, [Tensor(att._join_heads(z, valid))], step=1e-6) < 1e-3
+    assert ad.grad_check(f, [Tensor(att.Band(valid).join(z))], step=1e-6) < 1e-3
 
 
 def test_closeness_mask_reproduces_ordering():
@@ -272,7 +272,7 @@ def test_weights_op_matches_oracle_on_padded_batch():
     lengths = [6, 4, 1]
     z = gen.normal(scale=2.0, size=(3, 2, 6, 6))
     valid = np.arange(6)[None, :] < np.array(lengths)[:, None]
-    a = logits_op(valid, 2)(Tensor(att._join_heads(z, valid))).data
+    a = logits_op(valid, 2)(Tensor(att.Band(valid).join(z))).data
     for b, n in enumerate(lengths):
         assert (a[b, :, :, n:] == 0).all()
         for head in range(2):
@@ -286,7 +286,7 @@ def test_weights_op_extreme_logits_stay_finite(dtype):
     gen = np.random.default_rng(18)
     z = np.where(gen.random((2, 2, 7, 7)) < 0.5, -1e9, 1e9).astype(dtype)
     valid = np.ones((2, 7), dtype=bool)
-    x = Tensor(att._join_heads(z, valid), requires_grad=True)
+    x = Tensor(att.Band(valid).join(z), requires_grad=True)
     r = gen.normal(size=z.shape).astype(dtype)
     with Tape() as tape:
         a = logits_op(valid, 2, dtype)(x)
@@ -312,7 +312,7 @@ def test_weights_op_holds_only_weights_and_mask():
     try:
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            a = att._match_weights(q, k, d_lr, d_rl, p, valid)
+            a = att._match_weights(q, k, d_lr, d_rl, p, att.Band(valid))
             held = tracemalloc.get_traced_memory()[0] - before
             tape.backward(project(a))
     finally:
@@ -332,7 +332,7 @@ def test_weights_op_grad_matches_direct_product_fd(n):
     r = gen.normal(size=z.shape)
     v = gen.normal(size=z.shape)
     valid = np.ones((2, n), dtype=bool)
-    x = Tensor(att._join_heads(z, valid), requires_grad=True)
+    x = Tensor(att.Band(valid).join(z), requires_grad=True)
     with Tape() as tape:
         a = logits_op(valid, 3)(x)
         tape.backward(project(a, r))
@@ -343,7 +343,7 @@ def test_weights_op_grad_matches_direct_product_fd(n):
     np.testing.assert_allclose(a.data, geometric_weights_direct(1.0 / (1.0 + np.exp(-z))), atol=1e-14)
     h = 1e-6
     numeric = (direct_loss(z + h * v) - direct_loss(z - h * v)) / (2 * h)
-    analytic = float((att._split_heads(x.grad, valid, 3) * v).sum())
+    analytic = float((att.Band(valid).split(x.grad, 3) * v).sum())
     assert abs(analytic - numeric) <= 1e-7 * (1.0 + abs(numeric))
 
 
@@ -360,7 +360,7 @@ def test_geometric_attend_records_few_nodes():
     h = Tensor(gen.normal(size=(lengths.sum(), 16)).astype(np.float32), requires_grad=True)
     mode = Mode(train=True, rng=RngTree(23, "drop"))
     with Tape() as tape:
-        att._geometric_logits(att._project(h, p, mode)[0], p, valid)
+        att._geometric_logits(att._project(h, p, mode)[0], p, att.Band(valid))
         logits_nodes = len(tape._nodes)
     with Tape() as tape:
         att.attend(h, p, valid, mode)
