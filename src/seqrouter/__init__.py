@@ -2,8 +2,7 @@
 algorithmic tasks and tooling to study how they route information."""
 
 from .attention import (AttentionConfig, GeometricAttentionParams, MhaParams, Mode,
-                        RelAttentionParams, attend, geometric_ordering, geometric_weights,
-                        rel_scores)
+                        RelAttentionParams, attend, geometric_ordering, geometric_weights)
 from .autodiff import DimensionError, Init, Parameter, Tape, TapeError, Tensor, grad_check
 from .config import RunConfig, default_config, load_config
 from .layers import ACTConfig, act_halting, act_readout, act_schedule, encoder_step

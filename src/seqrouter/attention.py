@@ -197,11 +197,6 @@ class Band(NamedTuple):
         return full
 
 
-def _heads(x: Tensor, band: Band, n_heads: int) -> Tensor:
-    """The band's rows of packed x (M, d), zero-padded per head (B_b, H, N_b, d / H)."""
-    return ad._op(band.split(x.data, n_heads), (x,), lambda g: (band.grad(g),))
-
-
 def _bands(valid: np.ndarray) -> list[Band]:
     """The batch's length bands in band order. A sequence whose last valid
     column is L falls in band ceil(L / BAND), and the band's mask spans the
@@ -270,26 +265,6 @@ def _maybe_dropout(x: Tensor, rate: float, mode: Mode, site: str) -> Tensor:
 # softmax attention: standard, relative and gated absolute/relative
 
 
-def _scores(q: Tensor, k: Tensor, band: Band, n_heads: int, c: float,
-            pos: Tensor | None = None) -> Tensor:
-    """c (q_i.k_j + pos[i, j]) per head, (B_b, H, N_b, N_b), of the band's
-    rows of packed q, k (M, d) and an optional positional term pos
-    (B_b, H, N_b, N_b), with NEG_SCORE at pad sources. The VJP zeroes the pad
-    sources; it keeps only packed q and k."""
-    c, src_invalid = q.dtype.type(c), ~band.valid[:, None, None, :]
-    qd, kd, with_pos = q.data, k.data, pos is not None
-    s = _content(qd, kd, band, n_heads)[2]
-    if with_pos:
-        s = s + pos.data
-
-    def vjp(g):
-        gs = np.where(src_invalid, 0, g) * c
-        qh, kh = band.split(qd, n_heads), band.split(kd, n_heads)
-        return _content_grads(gs, qh, kh, band) + ((gs,) if with_pos else ())
-
-    return ad._op(np.where(src_invalid, NEG_SCORE, s * c), (q, k, pos) if with_pos else (q, k), vjp)
-
-
 def _offsets(x: np.ndarray) -> np.ndarray:
     """(..., N, N) view of x (..., N, 2N - 1) whose [..., i, j] is x[..., i, i - j + N - 1],
     the column of offset i - j: a strided view, not a gather (the "skewing" of
@@ -300,52 +275,57 @@ def _offsets(x: np.ndarray) -> np.ndarray:
                                            x.strides[:-2] + (si + sl, -sl))
 
 
-def _table_scores(q: Tensor, table: Tensor, band: Band, n_heads: int, view=None) -> Tensor:
-    """Per-head scores q_i.t_l, (B_b, H, N_b, L), of the band's rows of packed
-    q (M, d) against a key table t (L, d) that every sequence shares; with a view (_offsets),
-    a C-contiguous copy of view(scores). The VJP keeps the packed q and the
-    table, and adds the gradient back through the view into zeros."""
-    qd, td = q.data, table.data
-    kt = td.reshape(td.shape[0], n_heads, -1).transpose(1, 2, 0)  # (H, d_h, L)
-    full = np.matmul(band.split(qd, n_heads), kt)
+def _scores(q: Tensor, k: Tensor, band: Band, n_heads: int, c: float, tables=()) -> Tensor:
+    """Softmax weights (B_b, H, N_b, N_b), zero at pad sources, of the scores
+    c (q_i.k_j + sum over the table terms of u_i.t[i, j]) per head of the
+    band's rows of packed q, k (M, d). A table term (u, t, view) scores the
+    band's rows of packed queries u (M, d) against a key table t (L, d) that
+    every sequence shares, read through view (_offsets), or whole when view
+    is None. The VJP keeps the packed q, k and queries, the tables and the
+    weights, and zeroes the pad sources."""
+    c, src_invalid = q.dtype.type(c), ~band.valid[:, None, None, :]
+    qd, kd = q.data, k.data
+    # (queries, table, per-head keys (H, d_h, L), view) of each table term
+    terms = [(u.data, t.data, t.data.reshape(t.shape[0], n_heads, -1).transpose(1, 2, 0), view)
+             for u, t, view in tables]
+    s = _content(qd, kd, band, n_heads)[2]
+    for ud, _, kt, view in terms:
+        full = np.matmul(band.split(ud, n_heads), kt)
+        s += full if view is None else view(full)
+    x = np.where(src_invalid, NEG_SCORE, s * c)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    y = e / e.sum(axis=-1, keepdims=True)
 
     def vjp(g):
-        if view is not None:
-            g_full = np.zeros(g.shape[:-1] + kt.shape[-1:], g.dtype)
-            cells = view(g_full)
-            cells += g
-            g = g_full
-        return (band.grad(np.matmul(g, np.swapaxes(kt, -1, -2))),
-                np.matmul(np.swapaxes(band.split(qd, n_heads), -1, -2),
-                          g).sum(axis=0).transpose(2, 0, 1).reshape(td.shape))
+        gs = np.where(src_invalid, 0, y * (g - (g * y).sum(axis=-1, keepdims=True))) * c
+        grads = _content_grads(gs, band.split(qd, n_heads), band.split(kd, n_heads), band)
+        for ud, td, kt, view in terms:
+            g_full = gs
+            if view is not None:  # add the gradient back through the view into zeros
+                g_full = np.zeros(gs.shape[:-1] + kt.shape[-1:], gs.dtype)
+                cells = view(g_full)
+                cells += gs
+            grads += (band.grad(np.matmul(g_full, np.swapaxes(kt, -1, -2))),
+                      np.matmul(np.swapaxes(band.split(ud, n_heads), -1, -2),
+                                g_full).sum(axis=0).transpose(2, 0, 1).reshape(td.shape))
+        return grads
 
-    return ad._op(full if view is None else np.ascontiguousarray(view(full)), (q, table), vjp)
+    return ad._op(y, (q, k) + tuple(t for term in tables for t in term[:2]), vjp)
 
 
 def _rel_scores(rows, p: RelAttentionParams, band: Band) -> Tensor:
-    """Raw pre-softmax scores (B_b, H, N_b, N_b) of the band's rows of packed
-    (q_e, q_p, k_e) and, gated, the abs/rel gate column r (see _project):
-    content, content bias and a positional term that interpolates relative
-    offsets and absolute positions with r (fixed at 1 without it). The
-    sinusoid tables span the band's N_b columns. Masked sources are already
-    pushed to -inf."""
-    q_e, q_p, k_e, *gate = rows
+    """Softmax weights (B_b, H, N_b, N_b) of the band's rows of packed
+    (q_e, k_e, q_rel) and, gated, q_abs (see _project): content and content
+    bias, q_rel's scores against the projected sinusoid table of relative
+    offsets and q_abs's against that of absolute positions. The tables span
+    the band's N_b columns."""
+    q_e, k_e, *queries = rows
     cfg = p.cfg
-    nh, n, d, dtype = cfg.n_heads, band.valid.shape[1], cfg.d_model, q_e.dtype
-    rel_emb = Tensor(sinusoid_table(np.arange(-(n - 1), n), d, dtype))
-    positional = _table_scores(q_p, ad.matmul(rel_emb, p.w_kp), band, nh, view=_offsets)
-    if gate:
-        abs_emb = Tensor(sinusoid_table(np.arange(n), d, dtype))
-        score_abs = _table_scores(q_p, ad.matmul(abs_emb, p.w_kp), band, nh)
-        positional = ad.blend(_heads(gate[0], band, 1), positional, score_abs)  # r as (B_b, 1, N_b, 1)
-    return _scores(q_e, k_e, band, nh, 1.0 / math.sqrt(cfg.d_head), pos=positional)
-
-
-def rel_scores(h: Tensor, p: RelAttentionParams, valid: np.ndarray,
-               mode: Mode = EVAL) -> Tensor:
-    """Raw pre-softmax scores (B, H, N, N) of packed states h (M, d) over the
-    N columns of valid, as one band (see _rel_scores)."""
-    return _rel_scores(_project(h, p, mode)[0], p, Band(valid))
+    n, d, dtype = band.valid.shape[1], cfg.d_model, q_e.dtype
+    keys = (np.arange(-(n - 1), n), _offsets), (np.arange(n), None)  # relative, absolute
+    tables = [(u, ad.matmul(Tensor(sinusoid_table(at, d, dtype)), p.w_kp), view)
+              for u, (at, view) in zip(queries, keys)]
+    return _scores(q_e, k_e, band, cfg.n_heads, 1.0 / math.sqrt(cfg.d_head), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +453,13 @@ def _geometric_logits(rows, p: GeometricAttentionParams, band: Band) -> Tensor:
 
 def _project(h: Tensor, p, mode: Mode):
     """(rows, band_weights): the packed rows (M, c) that the weights of p's
-    kind are formed from, each one product over all rows of h, and the
-    function that forms a Band's per-head weights (B_b, H, N_b, N_b) from
-    them. The rows are q and k (MhaParams); the content and positional
-    queries q_e and q_p, the keys k_e and, gated, the abs/rel gate column r
-    (RelAttentionParams); q, k and the per-head direction scores d_lr and
-    d_rl (GeometricAttentionParams)."""
+    kind are formed from, each one op over all rows of h, and the function
+    that forms a Band's per-head weights (B_b, H, N_b, N_b) from them. The
+    rows are q and k (MhaParams); the content query q_e, the keys k_e and the
+    positional query q_rel, and, gated, q_abs (RelAttentionParams); q, k and
+    the per-head direction scores d_lr and d_rl (GeometricAttentionParams).
+    The abs/rel gate r is a column per target, shared by every head, so it
+    scales the positional query q_p: q_rel = r q_p and q_abs = (1 - r) q_p."""
     cfg = p.cfg
     if isinstance(p, GeometricAttentionParams):
         q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), cfg.content_dropout, mode, "att_content_q")
@@ -486,15 +467,16 @@ def _project(h: Tensor, p, mode: Mode):
         return rows, lambda band: _geometric_logits(rows, p, band)
     if isinstance(p, RelAttentionParams):
         q = ad.matmul(h, p.w_q)
-        rows = (_maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q"),
-                _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q"),
-                ad.matmul(h, p.w_ke))
+        q_e = _maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q")
+        q_p = _maybe_dropout(ad.add(q, p.b_qp), cfg.content_dropout, mode, "att_pos_q")
+        rows = q_e, ad.matmul(h, p.w_ke), q_p
         if p.w_ar is not None:
-            rows += (ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)),)
-        return rows, lambda band: ad.softmax(_rel_scores(rows, p, band))
+            r, zero = ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)), Tensor(np.zeros((), q.dtype))
+            rows = rows[:2] + (ad.blend(r, q_p, zero), ad.blend(r, zero, q_p))
+        return rows, lambda band: _rel_scores(rows, p, band)
     q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
     rows, c = (q, ad.matmul(h, p.w_k)), 1.0 / math.sqrt(cfg.d_head)
-    return rows, lambda band: ad.softmax(_scores(*rows, band, cfg.n_heads, c))
+    return rows, lambda band: _scores(*rows, band, cfg.n_heads, c)
 
 
 def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
@@ -503,8 +485,8 @@ def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     per length band (see _bands), in band order, zero at pad sources.
 
     Every kind projects its packed rows once (_project). Each band forms its
-    weights from its rows of them with the kind's function (a softmax of
-    _scores or of _rel_scores, or one op, _match_weights), and one op,
+    weights from its rows of them in one op (_scores, which _rel_scores
+    calls with the key tables, or _match_weights), and one op,
     _attend_values, multiplies every band's weights by its rows of v, in
     packed order for w_o. Only the pair work runs per band."""
     _check_inputs(h, valid)

@@ -361,20 +361,6 @@ def tanh(a: Tensor) -> Tensor:
     return _op(y, (a,), lambda g: (g * (1.0 - y * y),))
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    x = a.data
-    m = x.max(axis=-1, keepdims=True)
-    e = np.exp(x - m)
-    y = e / e.sum(axis=-1, keepdims=True)
-
-    def vjp(g):
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        return (y * (g - dot),)
-
-    return _op(y, (a,), vjp)
-
-
 def layernorm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with learned gain and bias."""
     x = a.data

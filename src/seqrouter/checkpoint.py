@@ -36,17 +36,25 @@ def _read_array(zf: zipfile.ZipFile, name: str, meta: dict) -> np.ndarray:
 
 def save_checkpoint(path, model: EncoderModel, opt: OptimizerState | None = None,
                     header: dict[str, Any] | None = None) -> None:
-    """Write the archive to a temp file beside ``path``, then rename it over
-    ``path``, so a crash mid-write leaves the previous checkpoint intact."""
+    """Write the archive to a temp file beside ``path``, fsync it, rename it
+    over ``path`` and fsync the directory, so a crash or power loss
+    mid-write leaves the previous checkpoint intact."""
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "wb") as fh:
             _write_archive(fh, model, opt, header)
+            fh.flush()
+            os.fsync(fh.fileno())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    directory = os.open(path.parent, os.O_RDONLY)
+    try:
+        os.fsync(directory)
+    finally:
+        os.close(directory)
 
 
 def _write_archive(fh, model: EncoderModel, opt: OptimizerState | None,

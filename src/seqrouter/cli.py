@@ -21,11 +21,14 @@ def main(argv=None) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from .gradchecks import MODULES
+    from .tasks import TASKS
+
     parser = argparse.ArgumentParser(prog="seqrouter")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen-data", help="generate a task dataset")
-    p.add_argument("--task", required=True, choices=("ctl_fwd", "ctl_bwd", "arith", "listops"))
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
     p.add_argument("--workers", type=int, default=1)
@@ -63,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_trace)
 
     p = sub.add_parser("grad-check", help="run the named gradient checks")
-    p.add_argument("--module", default=None, choices=("substrate", "attention", "layer"))
+    p.add_argument("--module", default=None, choices=MODULES)
     p.set_defaults(fn=cmd_grad_check)
 
     return parser

@@ -4,21 +4,20 @@ meaningful on structurally tiny gradient coordinates.
 
 - Per-op checks (``OP_CHECKS``): every function of autodiff, attention and
   layers that records a tape node, alone on a small input. These are the
-  autodiff ops (``substrate/<op>``), the attention ops (the per-head
-  layout, the softmax scores with a positional term, the key-table scores
-  of relative attention, the fused geometric logits-and-weights op and the
-  values product over every band) and the ACT readout. Each reads below
-  1e-9.
-- Composites: two op chains, every attention kind and every layer variant.
+  autodiff ops (``substrate/<op>``), the attention ops (the softmax
+  weights of the content scores with both key-table terms, the fused
+  geometric logits-and-weights op and the values product over every band)
+  and the ACT readout. Each reads below 1e-9.
+- Composites: an op chain, every attention kind and every layer variant.
 
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
 so pad columns and the boundary between packed rows and the padded
-attention layout, both ways (``_heads``, and the values op
-``_attend_values``), are covered. The per-op attention checks run that
-batch as a band of only some rows of the packed operands, and the values
-op over it and a second band. Each attention kind is also checked over
-three sequences in two length bands (``attention/<kind>-bands``); at
-d = 4 these read below 1e-9.
+attention layout, both ways (each weights op's per-head split and packed
+gradient, and the values op ``_attend_values``), are covered. The per-op
+attention checks run that batch as a band of only some rows of the packed
+operands, and the values op over it and a second band. Each attention
+kind is also checked over three sequences in two length bands
+(``attention/<kind>-bands``); at d = 4 these read below 1e-9.
 
 The layer checks of the relative kinds read 8e-6 to 6e-5, the others
 below 1e-8. The worst coordinates are in row 7 of ``w_kp``: ``layer/rel``
@@ -82,7 +81,6 @@ SUBSTRATE_OPS = {
                                           dtype=np.longdouble)]),
     "sigmoid": lambda gen: (ad.sigmoid, _normal(gen, (3, 4))),
     "tanh": lambda gen: (ad.tanh, _normal(gen, (3, 4))),
-    "softmax": lambda gen: (ad.softmax, _normal(gen, (3, 5))),
     "layernorm": lambda gen: (ad.layernorm, _normal(gen, (3, 5), (5,), (5,))),  # input, gain, bias
     # A repeated id: the gradient rows of one table row add up.
     "embedding": lambda gen: (lambda t: ad.embedding(t, np.array([[0, 2, 2], [4, 0, 2]])),
@@ -120,19 +118,6 @@ def check_composite_ops(seed: int = 0) -> float:
     return grad_check(fn, [x, w1, gain, bias, w2], step=1e-5)
 
 
-def check_softmax_chain(seed: int = 1) -> float:
-    gen = np.random.default_rng(seed)
-    x = Tensor(gen.normal(size=(4, 5)), dtype=np.longdouble)
-    r = gen.normal(size=(4, 5))
-
-    def fn(points):
-        (xx,) = points
-        y = ad.softmax(ad.sigmoid(xx))
-        return project(y, r)
-
-    return grad_check(fn, [x], step=1e-5)
-
-
 def _ragged(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Lengths (n, n - 2) and their (2, n) validity mask."""
     lengths = np.array([n, n - 2])
@@ -145,15 +130,6 @@ def _two_bands(n: int) -> list[att.Band]:
     m, other = 2 * n + 1, np.array([1, n + 1, 2 * n])
     return [att.Band(_ragged(n)[1], np.setdiff1d(np.arange(m), other), m),
             att.Band(np.array([[True, True], [True, False]]), other, m)]
-
-
-def check_heads(seed: int = 5, n: int = 4, d: int = 4) -> float:
-    """The layout op alone: a ragged band's rows of packed (M, d) rows to
-    the per-head (2, 2, n, d / 2) layout."""
-    gen, band = np.random.default_rng(seed), _two_bands(n)[0]
-    x = Tensor(gen.normal(size=(band.m, d)), dtype=np.longdouble)
-    r = gen.normal(size=(2, 2, n, d // 2))
-    return grad_check(lambda points: project(att._heads(points[0], band, 2), r), [x], step=1e-5)
 
 
 def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
@@ -178,17 +154,23 @@ def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
 
 
 def check_scores(seed: int = 9, n: int = 4, d: int = 4) -> float:
-    """Softmax attention scores of a ragged band's rows of packed q and k,
-    with a positional term; the pad sources, fixed at NEG_SCORE, weigh 0."""
+    """Softmax weights of a ragged band's rows of packed q and k with both
+    key-table terms: queries against a (2n - 1, d) table read through the
+    relative-offset view, and against an (n, d) one read whole. The pad
+    sources weigh 0."""
     gen, band = np.random.default_rng(seed), _two_bands(n)[0]
-    rows = [Tensor(gen.normal(size=(band.m, d)), dtype=np.longdouble) for _ in range(2)]
-    pos = Tensor(gen.normal(size=(2, 2, n, n)), dtype=np.longdouble)
-    r = gen.normal(size=(2, 2, n, n)) * band.valid[:, None, None, :]
+    rows = [Tensor(gen.normal(size=shape), dtype=np.longdouble)
+            for shape in [(band.m, d)] * 3 + [(2 * n - 1, d), (band.m, d), (n, d)]]
+    r = gen.normal(size=(2, 2, n, n))
 
     def fn(points):
-        return project(att._scores(*points[:2], band, 2, 0.7, pos=points[2]), r)
+        q, k, u_rel, t_rel, u_abs, t_abs = points
+        tables = (u_rel, t_rel, att._offsets), (u_abs, t_abs, None)
+        return project(att._scores(q, k, band, 2, 0.7, tables), r)
 
-    return grad_check(fn, rows + [pos], step=1e-5)
+    # At a step of 1e-5 the O(step^2) truncation error reads 1.6e-9 at
+    # t_abs[0], whose |grad| is 1.8e-4; at 1e-6 the worst coordinate reads 4.5e-10.
+    return grad_check(fn, rows, step=1e-6)
 
 
 def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
@@ -201,23 +183,6 @@ def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
     r = gen.normal(size=v.shape)
     return grad_check(lambda points: project(att._attend_values(points[:2], points[2], bands), r),
                       weights + [v], step=1e-5)
-
-
-def check_table_scores(seed: int = 7, n: int = 4, d: int = 4) -> float:
-    """Scores of a ragged band's rows of packed q against two shared key
-    tables: a (2n - 1, d) one read through the relative-offset view, and an
-    (n, d) one read whole."""
-    gen, band = np.random.default_rng(seed), _two_bands(n)[0]
-    q = Tensor(gen.normal(size=(band.m, d)), dtype=np.longdouble)
-    tables = [Tensor(gen.normal(size=(rows, d)), dtype=np.longdouble) for rows in (2 * n - 1, n)]
-    r = [gen.normal(size=(2, 2, n, n)) for _ in range(2)]
-
-    def fn(points):
-        rel = att._table_scores(points[0], points[1], band, 2, view=att._offsets)
-        absolute = att._table_scores(points[0], points[2], band, 2)
-        return ad.add(project(rel, r[0]), project(absolute, r[1]))
-
-    return grad_check(fn, [q] + tables, step=1e-5)
 
 
 def check_attention_kind(kind: str, seed: int = 3, d: int = 8, lengths=(4, 2)) -> float:
@@ -293,9 +258,7 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
 OP_CHECKS = {
     **{f"autodiff.{op}": {f"substrate/{op}": functools.partial(check_substrate_op, op)}
        for op in SUBSTRATE_OPS},
-    "attention._heads": {"attention/heads": check_heads},
     "attention._scores": {"attention/scores": check_scores},
-    "attention._table_scores": {"attention/table_scores": check_table_scores},
     "attention._match_weights": {"attention/match_weights": check_match_weights},
     "attention._attend_values": {"attention/attend_values": check_attend_values},
     "layers.act_readout": {f"layer/act_readout-{v.lower()}": functools.partial(check_act_readout, v)
@@ -307,7 +270,7 @@ MODULES = ("substrate", "attention", "layer")
 def run_checks(module: str | None = None) -> dict[str, float]:
     """All named checks, optionally filtered by module (substrate,
     attention, layer); grouped by module."""
-    checks = {"substrate/composite": check_composite_ops, "substrate/softmax_chain": check_softmax_chain}
+    checks = {"substrate/composite": check_composite_ops}
     for named in OP_CHECKS.values():
         checks.update(named)
     for kind in att.KINDS:
@@ -319,6 +282,6 @@ def run_checks(module: str | None = None) -> dict[str, float]:
     for name in LAYER_VARIANTS:
         checks[f"layer/{name}"] = functools.partial(check_layer_variant, name)
     if module not in (None,) + MODULES:
-        raise ValueError(f"unknown module {module!r}; expected substrate, attention, or layer")
+        raise ValueError(f"unknown module {module!r}; expected one of {', '.join(MODULES)}")
     order = sorted(checks, key=lambda name: MODULES.index(name.split("/")[0]))
     return {name: checks[name]() for name in order if module in (None, name.split("/")[0])}

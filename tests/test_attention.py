@@ -8,8 +8,7 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import (TOLERANCE, check_attend_values, check_heads,
-                                  check_scores, check_table_scores, project, run_checks)
+from seqrouter.gradchecks import TOLERANCE, check_attend_values, check_scores, project, run_checks
 from seqrouter.rng import RngTree
 
 from oracles import naive_mha, naive_rel_scores, sinusoid
@@ -123,36 +122,48 @@ def test_masked_sources_contribute_zero_gradient(kind):
 
 
 def test_scores_zero_the_gradient_at_pad_sources():
+    # Column 2 is a pad source of both sequences, and column 1 of the second.
     gen = np.random.default_rng(5)
-    valid = np.array([[True, True, True], [True, False, False]])
-    q, k = (Tensor(gen.normal(size=(4, 4))) for _ in range(2))
-    pos = Tensor(gen.normal(size=(2, 2, 3, 3)), requires_grad=True)
+    valid = np.array([[True, True, False], [True, False, False]])
+    q, k, u = (Tensor(gen.normal(size=(3, 4))) for _ in range(3))
+    table = Tensor(gen.normal(size=(3, 4)), requires_grad=True)
     r = gen.normal(size=(2, 2, 3, 3))
     with Tape() as tape:
-        s = att._scores(q, k, att.Band(valid), 2, 0.5, pos=pos)
-        tape.backward(project(s, r))
-    pad = ~valid[:, None, None, :]
-    assert (s.data[np.broadcast_to(pad, s.shape)] == att.NEG_SCORE).all()
-    np.testing.assert_array_equal(pos.grad, np.where(pad, 0.0, 0.5 * r))
+        w = att._scores(q, k, att.Band(valid), 2, 0.5, ((u, table, None),))
+        tape.backward(project(w, r))
+    assert (w.data[np.broadcast_to(~valid[:, None, None, :], w.shape)] == 0).all()
+    # Key-table row j scores source j only, so row 2 gets no gradient.
+    assert (table.grad[2] == 0).all() and (table.grad[:2] != 0).all()
+
+
+def rel_weights(h, p, valid):
+    """The relative kinds' softmax weights (B, H, N, N) of packed states h
+    (M, d) over the N columns of valid, as one band."""
+    return att._project(h, p, att.EVAL)[1](att.Band(valid))
+
+
+def softmax(x):
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
 
 
 def test_rel_scores_match_naive_relative_only():
     p = make_params("relative", d=8, heads=2, seed=5)
     gen = np.random.default_rng(6)
     h = gen.normal(size=(4, 8))
-    scores = att.rel_scores(Tensor(h), p, np.ones((1, 4), dtype=bool))
+    weights = rel_weights(Tensor(h), p, np.ones((1, 4), dtype=bool))
     want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2)
-    np.testing.assert_allclose(scores.data[0], want, atol=1e-5)
+    np.testing.assert_allclose(weights.data[0], softmax(want), atol=1e-6)
 
 
 def test_rel_scores_match_naive_gated():
     p = make_params("abs_rel_gated", d=8, heads=2, seed=7)
     gen = np.random.default_rng(8)
     h = gen.normal(size=(5, 8))
-    scores = att.rel_scores(Tensor(h), p, np.ones((1, 5), dtype=bool))
+    weights = rel_weights(Tensor(h), p, np.ones((1, 5), dtype=bool))
     r = 1.0 / (1.0 + np.exp(-(h @ p.w_ar.data[:, 0] + p.b_ar.data[0])))
     want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2, r=r)
-    np.testing.assert_allclose(scores.data[0], want, atol=1e-5)
+    np.testing.assert_allclose(weights.data[0], softmax(want), atol=1e-6)
 
 
 def test_gate_one_reduces_to_relative_only():
@@ -162,18 +173,17 @@ def test_gate_one_reduces_to_relative_only():
     p.w_ar.data[:] = 0.0
     h = rand_states(5, 8, seed=10)
     valid = np.ones((1, 5), dtype=bool)
-    gated = att.rel_scores(h, p, valid)
-    rel = att.rel_scores(h, dataclasses.replace(p, w_ar=None, b_ar=None), valid)
+    gated = rel_weights(h, p, valid)
+    rel = rel_weights(h, dataclasses.replace(p, w_ar=None, b_ar=None), valid)
     np.testing.assert_allclose(gated.data, rel.data, atol=1e-6)
 
 
-def shifted_scores(h, p, shift, seed):
-    """rel_scores of h (n, d) alone, and of h behind ``shift`` random rows,
-    cut to h's pairs."""
+def shifted_weights(h, p, shift):
+    """Weights of h (n, d) as one sequence, and as the same sequence placed
+    ``shift`` columns further right behind pad sources, cut to h's pairs."""
     n = h.shape[0]
-    longer = Tensor(np.concatenate([rand_states(shift, h.shape[1], seed=seed).data, h.data]))
-    alone = att.rel_scores(h, p, np.ones((1, n), dtype=bool))
-    behind = att.rel_scores(longer, p, np.ones((1, n + shift), dtype=bool))
+    alone = rel_weights(h, p, np.ones((1, n), dtype=bool))
+    behind = rel_weights(h, p, np.arange(n + shift)[None, :] >= shift)
     return alone.data, behind.data[:, :, shift:, shift:]
 
 
@@ -182,7 +192,7 @@ def test_gate_zero_uses_absolute_positions_only():
     p.b_ar.data[:] = -50.0
     p.w_ar.data[:] = 0.0
     h = rand_states(5, 8, seed=12)
-    base0, shifted = shifted_scores(h, p, 9, seed=19)
+    base0, shifted = shifted_weights(h, p, 9)
     # With r=0 the positional term depends on absolute p_j, so shifting moves it.
     assert np.abs(base0 - shifted).max() > 1e-4
     # And it no longer depends on the target/source offset structure beyond p_j:
@@ -197,13 +207,13 @@ def test_gate_zero_uses_absolute_positions_only():
         (h.data @ p.w_q.data[:, hd * 4:(hd + 1) * 4] + p.b_qe.data[hd * 4:(hd + 1) * 4])
         @ (h.data @ p.w_ke.data[:, hd * 4:(hd + 1) * 4]).T for hd in range(2)
     ])
-    want = (content + per_head_pos) / np.sqrt(4.0)
+    want = softmax((content + per_head_pos) / np.sqrt(4.0))
     np.testing.assert_allclose(base0[0], want, atol=1e-6)
 
 
 def test_relative_scores_shift_invariant():
     p = make_params("relative", seed=13)
-    a, b = shifted_scores(rand_states(6, 8, seed=14), p, 17, seed=20)
+    a, b = shifted_weights(rand_states(6, 8, seed=14), p, 17)
     np.testing.assert_allclose(a, b, rtol=1e-12, atol=1e-12)
 
 
@@ -228,14 +238,26 @@ def test_attention_dropout_only_in_train_mode():
     assert np.abs(train.data - eval_a.data).max() > 1e-6
 
 
-def test_heads_grad_check():
-    assert check_heads() < 1e-9
+def test_table_scores_grad_check(monkeypatch):
+    # The key tables' gradient flows through no other op, so a wrong factor
+    # shows only in the scores check: a factor of 1.001 on either table's
+    # gradient must fail it.
+    op = ad._op
 
+    def scores_with_fault(table):
+        def faulty(data, operands, vjp):
+            if len(operands) == 6:  # q, k and two (queries, table) terms
+                return op(data, operands, lambda g: tuple(x * 1.001 if i == table else x
+                                                          for i, x in enumerate(vjp(g))))
+            return op(data, operands, vjp)
 
-def test_table_scores_grad_check():
-    # The key tables' gradient flows through no other op, so a wrong
-    # factor shows only here: relative error 5e-4 at a factor of 1.001.
-    assert check_table_scores() < 1e-9
+        with monkeypatch.context() as patched:
+            patched.setattr(ad, "_op", faulty)
+            return check_scores()
+
+    for table in (3, 5):  # the offsets table, then the absolute one
+        assert scores_with_fault(table) > 1e-5
+    assert check_scores() < 1e-9
 
 
 def test_scores_grad_check():
@@ -247,7 +269,7 @@ def test_attend_values_grad_check():
 
 
 @pytest.mark.parametrize("kind, one_band, band_ops", [
-    ("standard_abs", 7, 2), ("relative", 11, 4), ("abs_rel_gated", 17, 8), ("geometric", 8, 1)])
+    ("standard_abs", 6, 1), ("relative", 9, 2), ("abs_rel_gated", 14, 3), ("geometric", 8, 1)])
 def test_each_extra_band_adds_only_its_pair_ops(kind, one_band, band_ops):
     p = make_params(kind, d=16, seed=26)
 
@@ -301,10 +323,9 @@ def test_scores_hold_only_their_output():
     m = np.count_nonzero(valid)
     gen = np.random.default_rng(32)
     q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
-    pos = Tensor(gen.normal(size=(b, nh, n, n)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._scores(q, k, att.Band(valid), nh, 0.125, pos=pos))
-    # The scores, with slack below the 128 KB of per-head q and k or the
-    # 512 KB q.k product, none of which is kept.
+    out, held = _held_bytes(lambda: att._scores(q, k, att.Band(valid), nh, 0.125))
+    # The weights, with slack below the 128 KB of per-head q and k or the
+    # 512 KB q.k product and pre-softmax scores, none of which is kept.
     assert out.shape == (b, nh, n, n)
     assert held <= out.data.nbytes + 64 * 1024, held
 
@@ -313,12 +334,13 @@ def test_table_scores_hold_only_their_output():
     b, nh, n, d = 4, 8, 64, 64
     valid = np.ones((b, n), dtype=bool)
     valid[1, 40:] = False
+    m = np.count_nonzero(valid)
     gen = np.random.default_rng(33)
-    q = Tensor(gen.normal(size=(np.count_nonzero(valid), d)).astype(np.float32), requires_grad=True)
+    q, k, u = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(3))
     table = Tensor(gen.normal(size=(2 * n - 1, d)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._table_scores(q, table, att.Band(valid), nh, view=att._offsets))
-    # The (B, H, N, N) scores, with slack below the 64 KB of per-head q;
-    # the 1 MB (B, H, N, 2N - 1) product is not kept either.
+    out, held = _held_bytes(lambda: att._scores(q, k, att.Band(valid), nh, 0.125, ((u, table, att._offsets),)))
+    # The (B, H, N, N) weights, with slack below the 64 KB of per-head
+    # queries; the 1 MB (B, H, N, 2N - 1) table product is not kept either.
     assert out.shape == (b, nh, n, n) and out.data.flags.c_contiguous
     assert held <= out.data.nbytes + 32 * 1024, held
 
@@ -338,7 +360,7 @@ def test_offsets_view_matches_gather(n):
 def test_every_attention_gradient_check_passes():
     results = run_checks("attention")
     kinds = ("standard_abs", "relative", "abs_rel_gated", "geometric")
-    ops = ("heads", "scores", "table_scores", "match_weights", "attend_values")
+    ops = ("scores", "match_weights", "attend_values")
     bands = tuple(f"{kind}-bands" for kind in kinds)
     assert {f"attention/{name}" for name in kinds + ops + bands} <= set(results)
     for name, err in results.items():

@@ -35,19 +35,6 @@ def tld(x, rq=True):
     return Tensor(np.asarray(x, dtype=np.longdouble), requires_grad=rq)
 
 
-def test_softmax_uniform():
-    out = ad.softmax(Tensor([0.0, 0.0, 0.0]))
-    np.testing.assert_allclose(out.data, [1 / 3, 1 / 3, 1 / 3], atol=1e-7)
-
-
-def test_softmax_rows_sum_to_one():
-    gen = np.random.default_rng(0)
-    x = Tensor(gen.normal(size=(4, 7)).astype(np.float32))
-    y = ad.softmax(x).data
-    assert (y >= 0).all()
-    np.testing.assert_allclose(y.sum(axis=-1), 1.0, atol=1e-6)
-
-
 def test_layernorm_constant_vector_is_bias():
     gain = t64(np.ones(5), rq=False)
     bias = t64(np.zeros(5), rq=False)
@@ -149,9 +136,7 @@ def test_no_tape_node_reaches_a_tensor_through_any_public_op():
         rows = ad.embedding(h, np.arange(5))
         # Each sequence as a band of its own; one values op over both.
         bands = [att.Band(valid[:1], np.arange(3), 5), att.Band(valid[1:, :2], np.arange(3, 5), 5)]
-        weights = [ad.softmax(att._scores(rows, rows, band, 2, 0.5,
-                                          pos=att._table_scores(rows, keys, band, 2, view=att._offsets)))
-                   for band in bands]
+        weights = [att._scores(rows, rows, band, 2, 0.5, ((rows, keys, att._offsets),)) for band in bands]
         values = att._attend_values(weights, rows, bands)
         firsts = ad.embedding(values, np.array([3, 0]))  # the first row of each sequence
         logits = ad.dropout(ad.add(ad.matmul(firsts, w_out), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
@@ -193,9 +178,10 @@ def test_blend_node_keeps_only_its_operands():
     assert held == {id(w.data), id(a.data), id(b.data)}
 
 
-def test_geometric_tape_holds_one_pair_array_per_layer_step():
+@pytest.mark.parametrize("kind", att.KINDS)
+def test_tape_holds_one_pair_array_per_layer_step(kind):
     cfg = ModelConfig(vocab_size=12, n_classes=5, d_model=16, d_ff=32, n_heads=2, n_layers=3,
-                      kind="geometric", gated=True, dropout=0.1, att_dropout=0.1)
+                      kind=kind, gated=True, dropout=0.1, att_dropout=0.1)
     model = EncoderModel.build(cfg, RngTree(0))
     gen = np.random.default_rng(1)
     # One band (3 sequences over 6 columns), then two: lengths 6 and 4 over
@@ -206,7 +192,7 @@ def test_geometric_tape_holds_one_pair_array_per_layer_step():
         with Tape() as tape:
             model.forward(tokens, np.array(lengths), mode=Mode(train=True, rng=RngTree(2)))
             # The weights, shared by the weights op and the values op; the
-            # match logits are recomputed in backward, not held.
+            # scores and match logits are not held.
             pair_arrays = {id(x) for node in tape._nodes for x in _reachable(node, np.ndarray)
                            if x.shape in pair_shapes}
         assert len(pair_arrays) == cfg.n_layers * len(shapes)

@@ -3,7 +3,8 @@ import shutil
 
 import pytest
 
-from seqrouter.cli import main
+from seqrouter import gradchecks, tasks
+from seqrouter.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -172,6 +173,15 @@ def test_grad_check_command(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "substrate/composite" in out and "PASS" in out
+
+
+def test_choices_come_from_the_task_and_check_tables():
+    subcommands = build_parser()._subparsers._group_actions[0].choices
+    choices = {(name, a.dest): a.choices for name, sub in subcommands.items() for a in sub._actions}
+    assert choices["gen-data", "task"] == tasks.TASKS
+    assert choices["grad-check", "module"] == gradchecks.MODULES
+    with pytest.raises(ValueError, match=r"^unknown module 'nope'; expected one of substrate, attention, layer$"):
+        gradchecks.run_checks("nope")
 
 
 def test_error_is_one_line_nonzero(capsys):

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import stat
 import subprocess
 import sys
 import textwrap
@@ -296,6 +297,28 @@ def test_diverged_checkpoint_replays_its_iteration(ctl_data, tmp_path, monkeypat
                     resume=str(run / "diverged.ckpt"))
     straight = train(tiny_run_config(ctl_data, tmp_path / "straight", n_iters=6, eval_every=2))
     assert Path(resumed.metrics_path).read_bytes() == Path(straight.metrics_path).read_bytes()
+
+
+def test_checkpoint_is_fsynced_before_and_after_its_rename(tmp_path, monkeypatch):
+    cfg = ModelConfig(vocab_size=9, n_classes=4, d_model=8, d_ff=16, n_heads=2, n_layers=2)
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    def fsync(fd):
+        st = os.fstat(fd)
+        events.append(("fsync", "dir" if stat.S_ISDIR(st.st_mode) else st.st_size))
+        real_fsync(fd)
+
+    def replace(src, dst):
+        events.append(("replace", Path(src).name, Path(dst).name))
+        real_replace(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "replace", replace)
+    save_checkpoint(tmp_path / "last.ckpt", EncoderModel.build(cfg, RngTree(0)))
+    # The temp file is flushed and synced whole, renamed, then the directory synced.
+    size = (tmp_path / "last.ckpt").stat().st_size
+    assert events == [("fsync", size), ("replace", "last.ckpt.tmp", "last.ckpt"), ("fsync", "dir")]
 
 
 def test_hard_kill_after_best_checkpoint_keeps_its_records(ctl_data, tmp_path):
