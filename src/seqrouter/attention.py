@@ -10,8 +10,8 @@ row-major order, are those rows. Only the per-pair scores, weights and
 their products with the values use a padded (B, H, N, ...) layout, and
 ``attend`` forms them per length band: a sequence whose last valid
 column is L falls in band ceil(L / BAND), and each band is padded to its
-own longest sequence, not the batch's. A band is a layout (``Band``): the
-pair ops read its rows straight from the packed operands.
+own longest sequence, not the batch's. A band is a layout (``Band``): its
+pair work reads its rows straight from the packed operands.
 """
 
 from __future__ import annotations
@@ -168,12 +168,11 @@ def sinusoid_table(positions: np.ndarray, d: int, dtype=np.float32) -> np.ndarra
 class Band(NamedTuple):
     """A length band of a packed batch as a layout: its validity mask valid
     (B_b, N_b), whose r-th true cell in row-major order holds the band's r-th
-    row; rows, the indices of those rows in the packed (M, c) operands, in
-    packed order (slice(None): all of them); and m = M."""
+    row, and rows, the indices of those rows in the packed (M, c) operands,
+    in packed order (slice(None): all of them)."""
 
     valid: np.ndarray
     rows: np.ndarray | slice = slice(None)
-    m: int = 0  # read only when rows are indices
 
     def split(self, x: np.ndarray, n_heads: int) -> np.ndarray:
         """The band's rows of packed x (M, c), zero-padded per head (B_b, H, N_b, c / H)."""
@@ -188,14 +187,6 @@ class Band(NamedTuple):
         b, h, n, dh = x.shape
         return np.take(x.transpose(0, 2, 1, 3).reshape(b * n, h * dh), np.flatnonzero(self.valid), axis=0)
 
-    def grad(self, x: np.ndarray) -> np.ndarray:
-        """join(x) as the gradient of a packed (M, H * d_h) operand, zero outside the band."""
-        if isinstance(self.rows, slice):
-            return self.join(x)
-        full = np.zeros((self.m, x.shape[1] * x.shape[3]), x.dtype)
-        full[self.rows] = self.join(x)
-        return full
-
 
 def _bands(valid: np.ndarray) -> list[Band]:
     """The batch's length bands in band order. A sequence whose last valid
@@ -206,30 +197,8 @@ def _bands(valid: np.ndarray) -> list[Band]:
     if (band == band[0]).all():
         return [Band(valid[:, :extent.max()])]
     row_band = np.repeat(band, np.count_nonzero(valid, axis=1))
-    return [Band(valid[band == b, :extent[band == b].max()], np.flatnonzero(row_band == b), len(row_band))
+    return [Band(valid[band == b, :extent[band == b].max()], np.flatnonzero(row_band == b))
             for b in np.unique(band)]
-
-
-def _attend_values(weights: list[Tensor], v: Tensor, bands: list[Band]) -> Tensor:
-    """Packed (M, d) rows whose band b rows are band b's per-head weights
-    (B_b, H, N_b, N_b) times its rows of the packed values v (M, d). The
-    backward keeps the weights' arrays and the packed v, and rebuilds each
-    band's per-head v."""
-    nh = weights[0].shape[1]
-    arrays, vd = [w.data for w in weights], v.data
-    out = np.empty(vd.shape, vd.dtype)
-    for a, band in zip(arrays, bands):
-        out[band.rows] = band.join(np.matmul(a, band.split(vd, nh)))
-
-    def vjp(g):
-        grads, g_v = [], np.empty(vd.shape, g.dtype)
-        for a, band in zip(arrays, bands):
-            gh = band.split(g, nh)
-            grads.append(np.matmul(gh, np.swapaxes(band.split(vd, nh), -1, -2)))
-            g_v[band.rows] = band.join(np.matmul(np.swapaxes(a, -1, -2), gh))
-        return (*grads, g_v)
-
-    return ad._op(out, (*weights, v), vjp)
 
 
 def _content(qd: np.ndarray, kd: np.ndarray, band: Band, n_heads: int):
@@ -240,10 +209,10 @@ def _content(qd: np.ndarray, kd: np.ndarray, band: Band, n_heads: int):
 
 
 def _content_grads(gs: np.ndarray, qh: np.ndarray, kh: np.ndarray, band: Band):
-    """Packed q and k gradients (M, d) of gs, the gradient of the per-head
-    product q_i.k_j (B_b, H, N_b, N_b), given the per-head q and k."""
-    return (band.grad(np.matmul(gs, kh)),
-            band.grad(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)))
+    """The band's rows (M_b, d) of the q and k gradients of gs, the gradient
+    of the per-head product q_i.k_j (B_b, H, N_b, N_b), given the per-head q and k."""
+    return (band.join(np.matmul(gs, kh)),
+            band.join(np.swapaxes(np.matmul(np.swapaxes(qh, -1, -2), gs), -1, -2)))
 
 
 def _check_inputs(h: Tensor, valid: np.ndarray) -> None:
@@ -275,19 +244,18 @@ def _offsets(x: np.ndarray) -> np.ndarray:
                                            x.strides[:-2] + (si + sl, -sl))
 
 
-def _scores(q: Tensor, k: Tensor, band: Band, n_heads: int, c: float, tables=()) -> Tensor:
-    """Softmax weights (B_b, H, N_b, N_b), zero at pad sources, of the scores
-    c (q_i.k_j + sum over the table terms of u_i.t[i, j]) per head of the
-    band's rows of packed q, k (M, d). A table term (u, t, view) scores the
-    band's rows of packed queries u (M, d) against a key table t (L, d) that
-    every sequence shares, read through view (_offsets), or whole when view
-    is None. The VJP keeps the packed q, k and queries, the tables and the
-    weights, and zeroes the pad sources."""
-    c, src_invalid = q.dtype.type(c), ~band.valid[:, None, None, :]
-    qd, kd = q.data, k.data
+def _scores(qd: np.ndarray, kd: np.ndarray, band: Band, n_heads: int, c: float, tables=()):
+    """(weights, tables, band_vjp): softmax weights (B_b, H, N_b, N_b), zero
+    at pad sources, of the scores c (q_i.k_j + sum over the table terms of
+    u_i.t[i, j]) per head of the band's rows of packed q, k (M, d). A table
+    term (u, t, view) scores the band's rows of packed queries u (M, d)
+    against a key table Tensor t (L, d) that every sequence shares, read
+    through view (_offsets), or whole when view is None. band_vjp returns the
+    band's rows (M_b, d) of the q, k and queries gradients, and the tables'."""
+    c, src_invalid = qd.dtype.type(c), ~band.valid[:, None, None, :]
     # (queries, table, per-head keys (H, d_h, L), view) of each table term
-    terms = [(u.data, t.data, t.data.reshape(t.shape[0], n_heads, -1).transpose(1, 2, 0), view)
-             for u, t, view in tables]
+    terms = [(ud, t.data, t.data.reshape(t.shape[0], n_heads, -1).transpose(1, 2, 0), view)
+             for ud, t, view in tables]
     s = _content(qd, kd, band, n_heads)[2]
     for ud, _, kt, view in terms:
         full = np.matmul(band.split(ud, n_heads), kt)
@@ -296,29 +264,28 @@ def _scores(q: Tensor, k: Tensor, band: Band, n_heads: int, c: float, tables=())
     e = np.exp(x - x.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
 
-    def vjp(g):
-        gs = np.where(src_invalid, 0, y * (g - (g * y).sum(axis=-1, keepdims=True))) * c
-        grads = _content_grads(gs, band.split(qd, n_heads), band.split(kd, n_heads), band)
+    def band_vjp(g):
+        gs = y * (g - (g * y).sum(axis=-1, keepdims=True)) * c
+        rows, shared = _content_grads(gs, band.split(qd, n_heads), band.split(kd, n_heads), band), ()
         for ud, td, kt, view in terms:
             g_full = gs
             if view is not None:  # add the gradient back through the view into zeros
                 g_full = np.zeros(gs.shape[:-1] + kt.shape[-1:], gs.dtype)
                 cells = view(g_full)
                 cells += gs
-            grads += (band.grad(np.matmul(g_full, np.swapaxes(kt, -1, -2))),
-                      np.matmul(np.swapaxes(band.split(ud, n_heads), -1, -2),
-                                g_full).sum(axis=0).transpose(2, 0, 1).reshape(td.shape))
-        return grads
+            rows += (band.join(np.matmul(g_full, np.swapaxes(kt, -1, -2))),)
+            shared += (np.matmul(np.swapaxes(band.split(ud, n_heads), -1, -2),
+                                 g_full).sum(axis=0).transpose(2, 0, 1).reshape(td.shape),)
+        return rows, shared
 
-    return ad._op(y, (q, k) + tuple(t for term in tables for t in term[:2]), vjp)
+    return y, tuple(t for _, t, _ in tables), band_vjp
 
 
-def _rel_scores(rows, p: RelAttentionParams, band: Band) -> Tensor:
-    """Softmax weights (B_b, H, N_b, N_b) of the band's rows of packed
-    (q_e, k_e, q_rel) and, gated, q_abs (see _project): content and content
-    bias, q_rel's scores against the projected sinusoid table of relative
-    offsets and q_abs's against that of absolute positions. The tables span
-    the band's N_b columns."""
+def _rel_scores(rows, p: RelAttentionParams, band: Band):
+    """_scores of the band's rows of packed (q_e, k_e, q_rel) and, gated,
+    q_abs (see _project): content and content bias, q_rel's scores against
+    the projected sinusoid table of relative offsets and q_abs's against
+    that of absolute positions. The tables span the band's N_b columns."""
     q_e, k_e, *queries = rows
     cfg = p.cfg
     n, d, dtype = band.valid.shape[1], cfg.d_model, q_e.dtype
@@ -395,22 +362,23 @@ def geometric_weights(p: Tensor) -> Tensor:
     return Tensor(_weights_from_logs(logp, log1mp, _closeness_mask(n, x.dtype), np.eye(n, dtype=bool)))
 
 
-def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
-                   p: GeometricAttentionParams, band: Band) -> Tensor:
-    """Geometric weights (B_b, H, N_b, N_b) of the band's rows of packed q, k
-    (M, d) and per-head direction scores d_lr, d_rl (M, H): A[i, j] = p[i, j] * prod over sources
+def _match_weights(qd: np.ndarray, kd: np.ndarray, d_lr: np.ndarray, d_rl: np.ndarray,
+                   p: GeometricAttentionParams, band: Band):
+    """(weights, (alpha, beta, gamma), band_vjp) (see _scores): geometric
+    weights (B_b, H, N_b, N_b) of the band's rows of packed q, k (M, d) and
+    per-head direction scores d_lr, d_rl (M, H): A[i, j] = p[i, j] * prod over sources
     k closer than j of (1 - p[i, k]), p = sigmoid(z), in log space as one
     masked GEMM, of match logits z = alpha_h q_i.k_j + beta_h D[i, j] + gamma_h,
     where D[i, j] is target i's d_lr for a source j at or right of i, else
-    d_rl. The diagonal and pad sources get weight 0 and shadow nothing. The
-    backward keeps the packed rows, the direction columns, the weights and
-    the mask, not z: its VJP rebuilds q.k^T and z."""
+    d_rl. The diagonal and pad sources get weight 0 and shadow nothing.
+    band_vjp keeps the packed rows, the direction columns, the weights and
+    the mask, not z: it rebuilds q.k^T and z."""
     nh, n = p.cfg.n_heads, band.valid.shape[1]
     right_or_self = np.arange(n)[:, None] <= np.arange(n)[None, :]
-    src_invalid, c = ~band.valid[:, None, None, :], _closeness_mask(n, q.dtype)
+    src_invalid, c = ~band.valid[:, None, None, :], _closeness_mask(n, qd.dtype)
     # C-contiguous (B_b, H, N_b, 1) columns fix the memory order of D, and so
     # the summation order of beta's gradient.
-    lr, rl = (np.ascontiguousarray(band.split(t.data, nh)) for t in (d_lr, d_rl))
+    lr, rl = (np.ascontiguousarray(band.split(x, nh)) for x in (d_lr, d_rl))
     alpha, beta, gamma = (t.data.reshape(nh, 1, 1) for t in (p.alpha, p.beta, p.gamma))
 
     def direction() -> np.ndarray:
@@ -419,31 +387,30 @@ def _match_weights(q: Tensor, k: Tensor, d_lr: Tensor, d_rl: Tensor,
     def logits(content: np.ndarray) -> np.ndarray:
         return alpha * content + beta * direction() + gamma
 
-    qd, kd = q.data, k.data
     logp, log1mp = ad._log_sigmoids(logits(_content(qd, kd, band, nh)[2]))
     w = _weights_from_logs(logp, np.where(src_invalid, 0, log1mp), c, src_invalid | np.eye(n, dtype=bool))
 
-    def vjp(g):
+    def band_vjp(g):
         qh, kh, content = _content(qd, kd, band, nh)
         # dA[i, j] / dz[i, m] = A[i, j] ([m = j] (1 - p[i, m]) - C[i, m, j] p[i, m])
         u, (logp, log1mp) = g * w, ad._log_sigmoids(logits(content))
         dz = u * np.exp(log1mp) - np.exp(logp) * _per_target_matmul(u, c.transpose(0, 2, 1))
         dz = np.where(src_invalid, 0, dz)
         d_dir = dz * beta
-        return (*_content_grads(dz * alpha, qh, kh, band),
-                band.grad(ad._unbroadcast(np.where(right_or_self, d_dir, 0), lr.shape)),
-                band.grad(ad._unbroadcast(np.where(right_or_self, 0, d_dir), rl.shape)),
-                ad._unbroadcast(dz * content, alpha.shape).reshape(nh),
-                ad._unbroadcast(dz * direction(), beta.shape).reshape(nh),
-                ad._unbroadcast(dz, gamma.shape).reshape(nh))
+        return ((*_content_grads(dz * alpha, qh, kh, band),
+                 band.join(ad._unbroadcast(np.where(right_or_self, d_dir, 0), lr.shape)),
+                 band.join(ad._unbroadcast(np.where(right_or_self, 0, d_dir), rl.shape))),
+                (ad._unbroadcast(dz * content, alpha.shape).reshape(nh),
+                 ad._unbroadcast(dz * direction(), beta.shape).reshape(nh),
+                 ad._unbroadcast(dz, gamma.shape).reshape(nh)))
 
-    return ad._op(w, (q, k, d_lr, d_rl, p.alpha, p.beta, p.gamma), vjp)
+    return w, (p.alpha, p.beta, p.gamma), band_vjp
 
 
-def _geometric_logits(rows, p: GeometricAttentionParams, band: Band) -> Tensor:
-    """Geometric weights (B_b, H, N_b, N_b) of the band's rows of packed
-    (q, k, d_lr, d_rl) (see _project). The benchmark's traced run times this
-    function by name as attention.scores."""
+def _geometric_logits(rows, p: GeometricAttentionParams, band: Band):
+    """_match_weights of the band's rows of packed (q, k, d_lr, d_rl) (see
+    _project). The benchmark's traced run times this function by name as
+    attention.scores."""
     return _match_weights(*rows, p, band)
 
 
@@ -454,8 +421,8 @@ def _geometric_logits(rows, p: GeometricAttentionParams, band: Band) -> Tensor:
 def _project(h: Tensor, p, mode: Mode):
     """(rows, band_weights): the packed rows (M, c) that the weights of p's
     kind are formed from, each one op over all rows of h, and the function
-    that forms a Band's per-head weights (B_b, H, N_b, N_b) from them. The
-    rows are q and k (MhaParams); the content query q_e, the keys k_e and the
+    that forms a Band's per-head weights from the rows' arrays (see _scores).
+    The rows are q and k (MhaParams); the content query q_e, the keys k_e and the
     positional query q_rel, and, gated, q_abs (RelAttentionParams); q, k and
     the per-head direction scores d_lr and d_rl (GeometricAttentionParams).
     The abs/rel gate r is a column per target, shared by every head, so it
@@ -464,7 +431,7 @@ def _project(h: Tensor, p, mode: Mode):
     if isinstance(p, GeometricAttentionParams):
         q = _maybe_dropout(ad.matmul(h, p.w_q, p.b_q), cfg.content_dropout, mode, "att_content_q")
         rows = q, ad.matmul(h, p.w_ke), ad.matmul(h, p.w_lr, p.b_lr), ad.matmul(h, p.w_rl, p.b_rl)
-        return rows, lambda band: _geometric_logits(rows, p, band)
+        return rows, lambda data, band: _geometric_logits(data, p, band)
     if isinstance(p, RelAttentionParams):
         q = ad.matmul(h, p.w_q)
         q_e = _maybe_dropout(ad.add(q, p.b_qe), cfg.content_dropout, mode, "att_content_q")
@@ -473,24 +440,44 @@ def _project(h: Tensor, p, mode: Mode):
         if p.w_ar is not None:
             r, zero = ad.sigmoid(ad.matmul(h, p.w_ar, p.b_ar)), Tensor(np.zeros((), q.dtype))
             rows = rows[:2] + (ad.blend(r, q_p, zero), ad.blend(r, zero, q_p))
-        return rows, lambda band: _rel_scores(rows, p, band)
+        return rows, lambda data, band: _rel_scores(data, p, band)
     q = _maybe_dropout(ad.matmul(h, p.w_q), cfg.content_dropout, mode, "att_content_q")
     rows, c = (q, ad.matmul(h, p.w_k)), 1.0 / math.sqrt(cfg.d_head)
-    return rows, lambda band: _scores(*rows, band, cfg.n_heads, c)
+    return rows, lambda data, band: _scores(*data, band, cfg.n_heads, c)
 
 
 def attend(h: Tensor, p, valid: np.ndarray, mode: Mode = EVAL):
     """Self-attention of packed states h (M, d) over valid sources; returns
-    (output (M, d), weights): the weights are one (B_b, H, N_b, N_b) Tensor
+    (output (M, d), weights): the weights are one (B_b, H, N_b, N_b) array
     per length band (see _bands), in band order, zero at pad sources.
 
-    Every kind projects its packed rows once (_project). Each band forms its
-    weights from its rows of them in one op (_scores, which _rel_scores
-    calls with the key tables, or _match_weights), and one op,
-    _attend_values, multiplies every band's weights by its rows of v, in
-    packed order for w_o. Only the pair work runs per band."""
+    Every kind projects its packed rows once (_project), and one op holds
+    the pair work of every band: each band's weights from its rows of them
+    (_scores, which _rel_scores calls with the key tables, or _match_weights)
+    times its rows of v, in packed order for w_o. The VJP runs the bands last
+    first and lists their shared operands (key tables, or alpha, beta and
+    gamma) in that order, so shared parameters sum their gradients in the
+    order, and with the rounding, of a tape with one op per band."""
     _check_inputs(h, valid)
-    band_weights, bands = _project(h, p, mode)[1], _bands(valid)
-    weights = [band_weights(band) for band in bands]
-    out = _attend_values(weights, ad.matmul(h, p.w_v), bands)
-    return ad.matmul(out, p.w_o), weights
+    rows, band_weights = _project(h, p, mode)
+    v, nh, bands = ad.matmul(h, p.w_v), p.cfg.n_heads, _bands(valid)
+    data, vd, shapes = [t.data for t in rows], v.data, [t.shape for t in (*rows, v)]
+    out, weights, vjps, shared = np.empty(vd.shape, vd.dtype), [], [], []
+    for band in bands:
+        w, band_shared, band_vjp = band_weights(data, band)
+        out[band.rows] = band.join(np.matmul(w, band.split(vd, nh)))
+        weights.append(w)
+        vjps.append(band_vjp)
+        shared[:0] = band_shared
+
+    def vjp(g):
+        grads, g_shared = [np.empty(shape, g.dtype) for shape in shapes], []
+        for band, w, band_vjp in zip(bands[::-1], weights[::-1], vjps[::-1]):
+            gh = band.split(g, nh)
+            g_rows, g_band = band_vjp(np.matmul(gh, np.swapaxes(band.split(vd, nh), -1, -2)))
+            for full, part in zip(grads, (*g_rows, band.join(np.matmul(np.swapaxes(w, -1, -2), gh)))):
+                full[band.rows] = part
+            g_shared += g_band
+        return (*grads, *g_shared)
+
+    return ad.matmul(ad._op(out, (*rows, v, *shared), vjp), p.w_o), weights

@@ -4,20 +4,19 @@ meaningful on structurally tiny gradient coordinates.
 
 - Per-op checks (``OP_CHECKS``): every function of autodiff, attention and
   layers that records a tape node, alone on a small input. These are the
-  autodiff ops (``substrate/<op>``), the attention ops (the softmax
-  weights of the content scores with both key-table terms, the fused
-  geometric logits-and-weights op and the values product over every band)
-  and the ACT readout. Each reads below 1e-9.
+  autodiff ops (``substrate/<op>``), the ACT readout and attention's one
+  op, ``attend``. Its checks run each attention kind over three sequences
+  in two length bands (``attention/<kind>-bands``), and each per-band
+  weight function alone (the softmax weights of the content scores with
+  both key-table terms, and the fused geometric logits-and-weights),
+  recorded by ``band_op`` as ``attend`` records them. Each reads below 1e-9.
 - Composites: an op chain, every attention kind and every layer variant.
 
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
 so pad columns and the boundary between packed rows and the padded
-attention layout, both ways (each weights op's per-head split and packed
-gradient, and the values op ``_attend_values``), are covered. The per-op
-attention checks run that batch as a band of only some rows of the packed
-operands, and the values op over it and a second band. Each attention
-kind is also checked over three sequences in two length bands
-(``attention/<kind>-bands``); at d = 4 these read below 1e-9.
+attention layout, both ways (each band's per-head split and its packed
+gradient rows), are covered. The per-band checks run that batch as a band
+of only some rows of the packed operands.
 
 The layer checks of the relative kinds read 8e-6 to 6e-5, the others
 below 1e-8. The worst coordinates are in row 7 of ``w_kp``: ``layer/rel``
@@ -124,29 +123,45 @@ def _ragged(n: int) -> tuple[np.ndarray, np.ndarray]:
     return lengths, np.arange(n)[None, :] < lengths[:, None]
 
 
-def _two_bands(n: int) -> list[att.Band]:
-    """The ragged batch (see _ragged) and a batch of lengths (2, 1) as two
-    bands of 2n + 1 packed rows; the second has rows 1, n + 1 and 2n."""
-    m, other = 2 * n + 1, np.array([1, n + 1, 2 * n])
-    return [att.Band(_ragged(n)[1], np.setdiff1d(np.arange(m), other), m),
-            att.Band(np.array([[True, True], [True, False]]), other, m)]
+def _ragged_band(n: int) -> att.Band:
+    """The ragged batch (see _ragged) as a band of 2n + 1 packed rows: all but
+    rows 1, n + 1 and 2n, which another band would hold."""
+    return att.Band(_ragged(n)[1], np.setdiff1d(np.arange(2 * n + 1), [1, n + 1, 2 * n]))
+
+
+def band_op(band_weights, rows: list[Tensor], band: att.Band) -> Tensor:
+    """The weights (B_b, H, N_b, N_b) of band_weights(arrays, band) (see
+    attention._project) of the packed row Tensors, recorded as one op whose
+    operands are the rows and the shared operands, as ``attend`` records
+    them; the rows outside the band get zero gradient."""
+    w, shared, band_vjp = band_weights([t.data for t in rows], band)
+    shapes = [t.shape for t in rows]
+
+    def vjp(g):
+        g_rows, g_shared = band_vjp(g)
+        grads = [np.zeros(shape, g.dtype) for shape in shapes]
+        for full, part in zip(grads, g_rows, strict=True):
+            full[band.rows] = part
+        return (*grads, *g_shared)
+
+    return ad._op(w, (*rows, *shared), vjp)
 
 
 def check_match_weights(seed: int = 6, n: int = 4, d: int = 4) -> float:
-    """The fused geometric op: weights from a ragged band's rows of packed
-    q, k and direction scores, with random alpha, beta and gamma."""
+    """The fused geometric weights of a ragged band's rows of packed q, k and
+    direction scores, with random alpha, beta and gamma."""
     p = att.init_attention(Init(RngTree(seed), np.longdouble, prefix="gc"), AttentionConfig(d, 2, "geometric"))
     gen = np.random.default_rng(seed + 100)
     gains = [p.alpha, p.beta, p.gamma]
     for gain in gains:
         gain.data[:] = gen.normal(size=gain.shape)
-    band = _two_bands(n)[0]
+    band = _ragged_band(n)
     # q and k (M, d), then the direction scores d_lr and d_rl (M, H).
-    rows = [Tensor(gen.normal(size=(band.m, c)), dtype=np.longdouble) for c in (d, d, 2, 2)]
+    rows = [Tensor(gen.normal(size=(2 * n + 1, c)), dtype=np.longdouble) for c in (d, d, 2, 2)]
     r = gen.normal(size=(2, 2, n, n))
 
     def fn(points):
-        return project(att._match_weights(*points[:4], p, band), r)
+        return project(band_op(lambda data, b: att._match_weights(*data, p, b), points[:4], band), r)
 
     # A smaller step than the other checks' keeps the O(step^2) truncation
     # error of this nonlinear op well below 1e-9 (3e-11 here, 2.5e-10 at 1e-5).
@@ -158,31 +173,22 @@ def check_scores(seed: int = 9, n: int = 4, d: int = 4) -> float:
     key-table terms: queries against a (2n - 1, d) table read through the
     relative-offset view, and against an (n, d) one read whole. The pad
     sources weigh 0."""
-    gen, band = np.random.default_rng(seed), _two_bands(n)[0]
+    gen, band, m = np.random.default_rng(seed), _ragged_band(n), 2 * n + 1
     rows = [Tensor(gen.normal(size=shape), dtype=np.longdouble)
-            for shape in [(band.m, d)] * 3 + [(2 * n - 1, d), (band.m, d), (n, d)]]
+            for shape in [(m, d)] * 3 + [(2 * n - 1, d), (m, d), (n, d)]]
     r = gen.normal(size=(2, 2, n, n))
 
     def fn(points):
         q, k, u_rel, t_rel, u_abs, t_abs = points
-        tables = (u_rel, t_rel, att._offsets), (u_abs, t_abs, None)
-        return project(att._scores(q, k, band, 2, 0.7, tables), r)
+
+        def weights(data, b):
+            return att._scores(*data[:2], b, 2, 0.7, ((data[2], t_rel, att._offsets), (data[3], t_abs, None)))
+
+        return project(band_op(weights, [q, k, u_rel, u_abs], band), r)
 
     # At a step of 1e-5 the O(step^2) truncation error reads 1.6e-9 at
     # t_abs[0], whose |grad| is 1.8e-4; at 1e-6 the worst coordinate reads 4.5e-10.
     return grad_check(fn, rows, step=1e-6)
-
-
-def check_attend_values(seed: int = 10, n: int = 4, d: int = 4) -> float:
-    """Per-head weights of two bands, (2, 2, n, n) and (2, 2, 2, 2), times
-    packed values whose rows the bands interleave."""
-    gen = np.random.default_rng(seed)
-    bands = _two_bands(n)
-    weights = [Tensor(gen.normal(size=(2, 2, w, w)), dtype=np.longdouble) for w in (n, 2)]
-    v = Tensor(gen.normal(size=(bands[0].m, d)), dtype=np.longdouble)
-    r = gen.normal(size=v.shape)
-    return grad_check(lambda points: project(att._attend_values(points[:2], points[2], bands), r),
-                      weights + [v], step=1e-5)
 
 
 def check_attention_kind(kind: str, seed: int = 3, d: int = 8, lengths=(4, 2)) -> float:
@@ -258,9 +264,14 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
 OP_CHECKS = {
     **{f"autodiff.{op}": {f"substrate/{op}": functools.partial(check_substrate_op, op)}
        for op in SUBSTRATE_OPS},
-    "attention._scores": {"attention/scores": check_scores},
-    "attention._match_weights": {"attention/match_weights": check_match_weights},
-    "attention._attend_values": {"attention/attend_values": check_attend_values},
+    "attention.attend": {
+        "attention/scores": check_scores,
+        "attention/match_weights": check_match_weights,
+        # Bands of widths 6 (lengths 3 and 6) and 18: each band's rows,
+        # widths, tables and masks, in one op.
+        **{f"attention/{kind}-bands": functools.partial(check_attention_kind, kind, d=4, lengths=(3, 18, 6))
+           for kind in att.KINDS},
+    },
     "layers.act_readout": {f"layer/act_readout-{v.lower()}": functools.partial(check_act_readout, v)
                            for v in "AU"},
 }
@@ -275,10 +286,6 @@ def run_checks(module: str | None = None) -> dict[str, float]:
         checks.update(named)
     for kind in att.KINDS:
         checks[f"attention/{kind}"] = functools.partial(check_attention_kind, kind)
-        # Bands of widths 6 (lengths 3 and 6) and 18: each band's rows,
-        # widths, tables and masks, and the values op over both.
-        checks[f"attention/{kind}-bands"] = functools.partial(check_attention_kind, kind, d=4,
-                                                              lengths=(3, 18, 6))
     for name in LAYER_VARIANTS:
         checks[f"layer/{name}"] = functools.partial(check_layer_variant, name)
     if module not in (None,) + MODULES:

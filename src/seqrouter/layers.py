@@ -77,7 +77,7 @@ def encoder_step(h: Tensor, lp: LayerParams, valid: np.ndarray, mode: Mode = EVA
                  drop: float = 0.0):
     """One shared step on packed states h (M, d), one row per true cell of
     valid (B, N); returns (next states (M, d), attention weights (one
-    (B_b, H, N_b, N_b) Tensor per length band, see attention.attend), gate
+    (B_b, H, N_b, N_b) array per length band, see attention.attend), gate
     (M, d) or None).
 
     Attention with a residual and layernorm feeds the FFN. With gate

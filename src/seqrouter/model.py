@@ -162,7 +162,7 @@ class EncoderModel:
             if halting is not None:
                 states.append(h)
             if rec is not None:
-                rec.attention.append(weights[0].data[0].copy())  # B = 1: one band
+                rec.attention.append(weights[0][0].copy())  # B = 1: one band
                 if gate is not None:
                     rec.gates.append(gate.data.copy())
         act_res = act_readout(states, p_hats, act_cfg, lengths) if act_cfg is not None else None

@@ -3,12 +3,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import TOLERANCE, check_attend_values, check_scores, project, run_checks
+from seqrouter.gradchecks import TOLERANCE, band_op, check_scores, project, run_checks
 from seqrouter.rng import RngTree
 
 from oracles import naive_mha, naive_rel_scores, sinusoid
@@ -51,14 +53,14 @@ def test_mha_single_column_is_value_projection():
     out, (weights,) = att.attend(h, p, np.ones((1, 1), dtype=bool))
     expect = h.data @ p.w_v.data @ p.w_o.data
     np.testing.assert_allclose(out.data, expect, atol=1e-10)
-    np.testing.assert_allclose(weights.data, 1.0)
+    np.testing.assert_allclose(weights, 1.0)
 
 
 def test_mha_identical_keys_give_uniform_weights():
     p = make_params("standard_abs")
     h = Tensor(np.tile(np.linspace(-1, 1, 8), (5, 1)).astype(np.float64))
     _, (weights,) = att.attend(h, p, np.ones((1, 5), dtype=bool))
-    np.testing.assert_allclose(weights.data, 0.2, atol=1e-12)
+    np.testing.assert_allclose(weights, 0.2, atol=1e-12)
 
 
 def test_mha_matches_naive_reference():
@@ -77,8 +79,8 @@ def test_mha_masked_sources_get_zero_weight():
     h = rand_states(8, 8, seed=3)
     valid = np.array([[True, True, True, False, False], [True] * 5])
     _, (weights,) = att.attend(h, p, valid)
-    assert (weights.data[0, ..., 3:] == 0).all()
-    np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
+    assert (weights[0, ..., 3:] == 0).all()
+    np.testing.assert_allclose(weights.sum(-1), 1.0, atol=1e-6)
 
 
 def test_mha_all_masked_raises():
@@ -121,6 +123,16 @@ def test_masked_sources_contribute_zero_gradient(kind):
         np.testing.assert_allclose(padded[rows], alone, rtol=1e-12, atol=1e-14)
 
 
+def scores_op(rows, valid, n_heads, c, tables=()):
+    """_scores of packed q, k and each table term's queries as one tape
+    node, over valid as one band; a table term is (queries, table, view)."""
+    def weights(data, band):
+        return att._scores(*data[:2], band, n_heads, c,
+                           [(u, t, view) for u, (_, t, view) in zip(data[2:], tables)])
+
+    return band_op(weights, list(rows) + [u for u, _, _ in tables], att.Band(valid))
+
+
 def test_scores_zero_the_gradient_at_pad_sources():
     # Column 2 is a pad source of both sequences, and column 1 of the second.
     gen = np.random.default_rng(5)
@@ -129,7 +141,7 @@ def test_scores_zero_the_gradient_at_pad_sources():
     table = Tensor(gen.normal(size=(3, 4)), requires_grad=True)
     r = gen.normal(size=(2, 2, 3, 3))
     with Tape() as tape:
-        w = att._scores(q, k, att.Band(valid), 2, 0.5, ((u, table, None),))
+        w = scores_op((q, k), valid, 2, 0.5, ((u, table, None),))
         tape.backward(project(w, r))
     assert (w.data[np.broadcast_to(~valid[:, None, None, :], w.shape)] == 0).all()
     # Key-table row j scores source j only, so row 2 gets no gradient.
@@ -139,7 +151,8 @@ def test_scores_zero_the_gradient_at_pad_sources():
 def rel_weights(h, p, valid):
     """The relative kinds' softmax weights (B, H, N, N) of packed states h
     (M, d) over the N columns of valid, as one band."""
-    return att._project(h, p, att.EVAL)[1](att.Band(valid))
+    rows, band_weights = att._project(h, p, att.EVAL)
+    return band_weights([t.data for t in rows], att.Band(valid))[0]
 
 
 def softmax(x):
@@ -153,7 +166,7 @@ def test_rel_scores_match_naive_relative_only():
     h = gen.normal(size=(4, 8))
     weights = rel_weights(Tensor(h), p, np.ones((1, 4), dtype=bool))
     want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2)
-    np.testing.assert_allclose(weights.data[0], softmax(want), atol=1e-6)
+    np.testing.assert_allclose(weights[0], softmax(want), atol=1e-6)
 
 
 def test_rel_scores_match_naive_gated():
@@ -163,7 +176,7 @@ def test_rel_scores_match_naive_gated():
     weights = rel_weights(Tensor(h), p, np.ones((1, 5), dtype=bool))
     r = 1.0 / (1.0 + np.exp(-(h @ p.w_ar.data[:, 0] + p.b_ar.data[0])))
     want = naive_rel_scores(h, p.w_q.data, p.w_ke.data, p.w_kp.data, p.b_qe.data, p.b_qp.data, 2, r=r)
-    np.testing.assert_allclose(weights.data[0], softmax(want), atol=1e-6)
+    np.testing.assert_allclose(weights[0], softmax(want), atol=1e-6)
 
 
 def test_gate_one_reduces_to_relative_only():
@@ -175,7 +188,7 @@ def test_gate_one_reduces_to_relative_only():
     valid = np.ones((1, 5), dtype=bool)
     gated = rel_weights(h, p, valid)
     rel = rel_weights(h, dataclasses.replace(p, w_ar=None, b_ar=None), valid)
-    np.testing.assert_allclose(gated.data, rel.data, atol=1e-6)
+    np.testing.assert_allclose(gated, rel, atol=1e-6)
 
 
 def shifted_weights(h, p, shift):
@@ -184,7 +197,7 @@ def shifted_weights(h, p, shift):
     n = h.shape[0]
     alone = rel_weights(h, p, np.ones((1, n), dtype=bool))
     behind = rel_weights(h, p, np.arange(n + shift)[None, :] >= shift)
-    return alone.data, behind.data[:, :, shift:, shift:]
+    return alone, behind[:, :, shift:, shift:]
 
 
 def test_gate_zero_uses_absolute_positions_only():
@@ -222,8 +235,8 @@ def test_relative_attend_rows_sum_to_one():
     h = rand_states(8, 8, seed=16)
     valid = np.array([[True] * 5, [True, True, True, False, False]])
     _, (weights,) = att.attend(h, p, valid)
-    np.testing.assert_allclose(weights.data.sum(-1), 1.0, atol=1e-6)
-    assert (weights.data[1, :, :, 3:] == 0).all()
+    np.testing.assert_allclose(weights.sum(-1), 1.0, atol=1e-6)
+    assert (weights[1, :, :, 3:] == 0).all()
 
 
 def test_attention_dropout_only_in_train_mode():
@@ -246,7 +259,7 @@ def test_table_scores_grad_check(monkeypatch):
 
     def scores_with_fault(table):
         def faulty(data, operands, vjp):
-            if len(operands) == 6:  # q, k and two (queries, table) terms
+            if len(operands) == 6:  # q, k, two terms' queries, then their tables
                 return op(data, operands, lambda g: tuple(x * 1.001 if i == table else x
                                                           for i, x in enumerate(vjp(g))))
             return op(data, operands, vjp)
@@ -255,7 +268,7 @@ def test_table_scores_grad_check(monkeypatch):
             patched.setattr(ad, "_op", faulty)
             return check_scores()
 
-    for table in (3, 5):  # the offsets table, then the absolute one
+    for table in (4, 5):  # the offsets table, then the absolute one
         assert scores_with_fault(table) > 1e-5
     assert check_scores() < 1e-9
 
@@ -264,13 +277,9 @@ def test_scores_grad_check():
     assert check_scores() < 1e-9
 
 
-def test_attend_values_grad_check():
-    assert check_attend_values() < 1e-9
-
-
-@pytest.mark.parametrize("kind, one_band, band_ops", [
-    ("standard_abs", 6, 1), ("relative", 9, 2), ("abs_rel_gated", 14, 3), ("geometric", 8, 1)])
-def test_each_extra_band_adds_only_its_pair_ops(kind, one_band, band_ops):
+@pytest.mark.parametrize("kind, one_band, tables", [
+    ("standard_abs", 5, 0), ("relative", 8, 1), ("abs_rel_gated", 13, 2), ("geometric", 7, 0)])
+def test_one_attention_op_per_layer_step(kind, one_band, tables):
     p = make_params(kind, d=16, seed=26)
 
     def nodes(lengths):
@@ -281,11 +290,13 @@ def test_each_extra_band_adds_only_its_pair_ops(kind, one_band, band_ops):
             att.attend(h, p, valid)
         return len(tape._nodes)
 
-    # One band records what attention recorded before it had bands.
+    # The projections, one op for all pair work and w_o's product; the
+    # relative kinds also project their key tables (offsets, and gated,
+    # absolute positions) at the band's width.
     assert nodes(np.array([6, 3, 5])) == one_band
-    # Three bands: each runs its own pair ops on its rows of the projected
-    # operands, and one values op serves every band.
-    assert nodes(np.array([6, 20, 3, 40])) == one_band + 2 * band_ops
+    # Three bands: the same one pair op; each band adds only its key-table
+    # projections.
+    assert nodes(np.array([6, 20, 3, 40])) == one_band + 2 * tables
 
 
 def _held_bytes(op):
@@ -301,19 +312,28 @@ def _held_bytes(op):
     return out, held
 
 
-def test_attend_values_holds_only_its_output():
+def test_attend_holds_only_its_rows_weights_and_output():
     b, nh, n, d = 4, 8, 64, 64
     valid = np.ones((b, n), dtype=bool)
     valid[1, 40:] = False
     m = np.count_nonzero(valid)
-    gen = np.random.default_rng(31)
-    weights = Tensor(gen.random((b, nh, n, n)).astype(np.float32), requires_grad=True)
-    v = Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._attend_values([weights], v, [att.Band(valid)]))
-    # The output, with slack below the 64 KB of zero-padded per-head v or
-    # (B, H, N, d_h) product, neither of which is kept.
-    assert out.shape == (m, d)
-    assert held <= out.data.nbytes + 16 * 1024, held
+    p = make_params("standard_abs", d=d, heads=nh, seed=31, dtype=np.float32)
+    h = rand_states(m, d, seed=31, dtype=np.float32)
+    h.requires_grad = True
+    att._bands(valid)  # np.unique's first call imports numpy.ma, which attend does not hold
+    weights = []
+
+    def run():
+        out, band_weights = att.attend(h, p, valid)
+        weights.extend(band_weights)
+        return out
+
+    out, held = _held_bytes(run)
+    # Two bands, of widths 40 and 64. q, k, v, the pair op's output, the
+    # output and each band's weights, with slack below the 64 KB of
+    # zero-padded per-head v or (B, H, N, d_h) product, neither of which is kept.
+    assert [w.shape for w in weights] == [(1, nh, 40, 40), (3, nh, n, n)]
+    assert held <= 5 * out.data.nbytes + sum(w.nbytes for w in weights) + 16 * 1024, held
 
 
 def test_scores_hold_only_their_output():
@@ -323,7 +343,7 @@ def test_scores_hold_only_their_output():
     m = np.count_nonzero(valid)
     gen = np.random.default_rng(32)
     q, k = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(2))
-    out, held = _held_bytes(lambda: att._scores(q, k, att.Band(valid), nh, 0.125))
+    out, held = _held_bytes(lambda: scores_op((q, k), valid, nh, 0.125))
     # The weights, with slack below the 128 KB of per-head q and k or the
     # 512 KB q.k product and pre-softmax scores, none of which is kept.
     assert out.shape == (b, nh, n, n)
@@ -338,7 +358,7 @@ def test_table_scores_hold_only_their_output():
     gen = np.random.default_rng(33)
     q, k, u = (Tensor(gen.normal(size=(m, d)).astype(np.float32), requires_grad=True) for _ in range(3))
     table = Tensor(gen.normal(size=(2 * n - 1, d)).astype(np.float32), requires_grad=True)
-    out, held = _held_bytes(lambda: att._scores(q, k, att.Band(valid), nh, 0.125, ((u, table, att._offsets),)))
+    out, held = _held_bytes(lambda: scores_op((q, k), valid, nh, 0.125, ((u, table, att._offsets),)))
     # The (B, H, N, N) weights, with slack below the 64 KB of per-head
     # queries; the 1 MB (B, H, N, 2N - 1) table product is not kept either.
     assert out.shape == (b, nh, n, n) and out.data.flags.c_contiguous
@@ -360,7 +380,7 @@ def test_offsets_view_matches_gather(n):
 def test_every_attention_gradient_check_passes():
     results = run_checks("attention")
     kinds = ("standard_abs", "relative", "abs_rel_gated", "geometric")
-    ops = ("scores", "match_weights", "attend_values")
+    ops = ("scores", "match_weights")
     bands = tuple(f"{kind}-bands" for kind in kinds)
     assert {f"attention/{name}" for name in kinds + ops + bands} <= set(results)
     for name, err in results.items():
@@ -382,15 +402,34 @@ def test_split_and_join_heads_are_exact_inverses():
     np.testing.assert_array_equal(heads[1, :, 0].reshape(-1), rows[5])
     np.testing.assert_array_equal(heads[0, 1, 4], rows[4, 3:])
     np.testing.assert_array_equal(band.join(heads), rows)
-    np.testing.assert_array_equal(band.grad(heads), rows)
     layout = gen.normal(size=(3, 2, 6, 3))
     round_trip = band.split(band.join(layout), 2)
     np.testing.assert_array_equal(round_trip, np.where(valid[:, None, :, None], layout, 0.0))
     # The same band as packed rows 1, 2, 4, ... of a 12-row operand: split
-    # reads those rows, and grad puts them back into zeros.
+    # reads those rows, and join gives them back in the same order.
     idx = np.array([1, 2, 4, 5, 6, 7, 8, 10, 11])
-    wider, sub = gen.normal(size=(12, 6)), att.Band(valid, idx, 12)
+    wider, sub = gen.normal(size=(12, 6)), att.Band(valid, idx)
     np.testing.assert_array_equal(sub.split(wider, 2), band.split(wider[idx], 2))
-    want = np.zeros_like(wider)
-    want[idx] = rows
-    np.testing.assert_array_equal(sub.grad(heads), want)
+    np.testing.assert_array_equal(sub.join(sub.split(wider, 2)), wider[idx])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(1, 70), min_size=1, max_size=8), st.integers(0, 4))
+def test_bands_partition_the_packed_rows(lengths, pad):
+    # attend's VJP writes each band's gradient rows into one uninitialized
+    # array, so every packed row must fall in exactly one band.
+    lengths = np.array(lengths)
+    valid = np.arange(lengths.max() + pad)[None, :] < lengths[:, None]
+    seq_band = -(-lengths // att.BAND)
+    row_band, m = np.repeat(seq_band, lengths), lengths.sum()
+    bands = att._bands(valid)
+    assert len(bands) == len(np.unique(seq_band))
+    covered = np.zeros(m, dtype=int)
+    for b, band in zip(np.unique(seq_band), bands):
+        rows = np.arange(m)[band.rows]
+        assert (np.diff(rows) > 0).all()  # packed order
+        assert (row_band[rows] == b).all()  # band = ceil(L / BAND)
+        # The band's mask: its sequences, to the longest of them.
+        np.testing.assert_array_equal(band.valid, valid[seq_band == b, :lengths[seq_band == b].max()])
+        covered[rows] += 1
+    assert (covered == 1).all()

@@ -126,24 +126,22 @@ def test_no_tape_node_reaches_a_tensor_through_any_public_op():
     gen = np.random.default_rng(5)
     x = t64(gen.normal(size=(6, 4)))
     w, bias, gain = t64(gen.normal(size=(4, 4))), t64(gen.normal(size=4)), t64(gen.normal(size=4))
-    table, keys = t64(gen.normal(size=(5, 3))), t64(gen.normal(size=(5, 4)))
-    w_out = t64(gen.normal(size=(4, 3)))
-    valid = np.array([[True, True, True], [True, True, False]])
+    table, w_out = t64(gen.normal(size=(5, 3))), t64(gen.normal(size=(4, 3)))
+    p = att.init_attention(ad.Init(RngTree(5), np.float64, prefix="t"), att.AttentionConfig(4, 2, "abs_rel_gated"))
+    valid = np.arange(17)[None, :] < np.array([17, 3])[:, None]
     with Tape() as tape:
         h = ad.layernorm(ad.matmul(x, w, bias), gain, bias)
         h = ad.blend(ad.sigmoid(h), ad.tanh(h), ad.relu(h))
         h = ad.add(h, ad.scale(h, 2.0))
-        rows = ad.embedding(h, np.arange(5))
-        # Each sequence as a band of its own; one values op over both.
-        bands = [att.Band(valid[:1], np.arange(3), 5), att.Band(valid[1:, :2], np.arange(3, 5), 5)]
-        weights = [att._scores(rows, rows, band, 2, 0.5, ((rows, keys, att._offsets),)) for band in bands]
-        values = att._attend_values(weights, rows, bands)
-        firsts = ad.embedding(values, np.array([3, 0]))  # the first row of each sequence
+        rows = ad.embedding(h, np.arange(20) % 6)
+        # Two bands, each with its own key tables; one attention op over both.
+        values, _ = att.attend(rows, p, valid)
+        firsts = ad.embedding(values, np.array([17, 0]))  # the first row of each sequence
         logits = ad.dropout(ad.add(ad.matmul(firsts, w_out), ad.embedding(table, np.array([0, 3]))), 0.5, gen)
         loss = ad.cross_entropy(logits, np.array([2, 0]))
         assert [t for node in tape._nodes for t in _reachable(node)] == []
         tape.backward(loss)
-    assert all(t.grad is not None for t in (x, w, bias, gain, table, keys, w_out))
+    assert all(t.grad is not None for t in (x, w, bias, gain, table, w_out, *ad.parameters(p)))
 
 
 @pytest.mark.parametrize("kind, act", [("standard_abs", "U"), ("relative", None),

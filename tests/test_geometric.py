@@ -9,7 +9,7 @@ from seqrouter import attention as att
 from seqrouter import autodiff as ad
 from seqrouter.attention import AttentionConfig, Mode, geometric_ordering, geometric_weights
 from seqrouter.autodiff import Init, Tape, Tensor
-from seqrouter.gradchecks import check_match_weights, project
+from seqrouter.gradchecks import band_op, check_match_weights, project
 from seqrouter.layers import encoder_step, init_layer
 from seqrouter.rng import RngTree
 
@@ -22,7 +22,7 @@ def geo_params(d=8, heads=2, seed=0, dtype=np.float64):
 
 
 def logits_op(valid, n_heads, dtype=np.float64):
-    """The fused weights op as a function of match logits z (B, H, N, N),
+    """The fused weights (match_op) as a function of match logits z (B, H, N, N),
     fed as packed rows q = att.Band(valid).join(z): with unit-vector k
     rows, alpha = 1 and beta = gamma = 0, q.k^T is z exactly, so q's
     gradient is z's at the valid targets."""
@@ -31,7 +31,12 @@ def logits_op(valid, n_heads, dtype=np.float64):
     p.alpha.data[:], p.beta.data[:], p.gamma.data[:] = 1.0, 0.0, 0.0
     k = Tensor(band.join(np.broadcast_to(np.eye(n, dtype=dtype), (b, n_heads, n, n))))
     d = Tensor(np.zeros((k.shape[0], n_heads), dtype=dtype))
-    return lambda q: att._match_weights(q, k, d, d, p, band)
+    return lambda q: match_op(p, (q, k, d, d), band)
+
+
+def match_op(p, rows, band):
+    """_match_weights of the packed row Tensors (q, k, d_lr, d_rl) as one tape node."""
+    return band_op(lambda data, b: att._match_weights(*data, p, b), list(rows), band)
 
 
 def test_ordering_forced_example():
@@ -158,7 +163,7 @@ def test_probs_all_zero_states_are_half():
         param.data[:] = 0.0
     _, (weights,) = att.attend(Tensor(np.zeros((4, 8))), p, np.ones((1, 4), dtype=bool))
     want = geometric_weights(Tensor(np.full((1, 2, 4, 4), 0.5))).data
-    np.testing.assert_allclose(weights.data, want, atol=1e-15)
+    np.testing.assert_allclose(weights, want, atol=1e-15)
 
 
 def test_probs_direction_bias_blocks_left():
@@ -169,7 +174,7 @@ def test_probs_direction_bias_blocks_left():
     h = Tensor(np.random.default_rng(5).normal(size=(5, 8)) * 0.1, dtype=np.float64)
     _, (weights,) = att.attend(h, p, np.ones((1, 5), dtype=bool))
     i_idx, j_idx = np.meshgrid(np.arange(5), np.arange(5), indexing="ij")
-    assert weights.data[0][:, i_idx > j_idx].max() < 1e-6
+    assert weights[0][:, i_idx > j_idx].max() < 1e-6
 
 
 def naive_probs(h, p):
@@ -183,7 +188,7 @@ def test_probs_match_pairwise_oracle():
     h = np.random.default_rng(7).normal(size=(5, 8))
     _, (weights,) = att.attend(Tensor(h), p, np.ones((1, 5), dtype=bool))
     for head, probs in enumerate(naive_probs(h, p)):
-        np.testing.assert_allclose(weights.data[0, head], naive_geometric_weights(probs), atol=1e-6)
+        np.testing.assert_allclose(weights[0, head], naive_geometric_weights(probs), atol=1e-6)
 
 
 def test_probs_padded_sources_are_zero():
@@ -193,9 +198,9 @@ def test_probs_padded_sources_are_zero():
     valid = np.array([[True, True, True, False, False], [True] * 5])
     # Pad sources neither receive mass nor shadow closer matches.
     _, (weights,) = att.attend(Tensor(np.concatenate([h[:3], h])), p, valid)
-    assert (weights.data[0, ..., 3:] == 0).all()
+    assert (weights[0, ..., 3:] == 0).all()
     want = naive_geometric_weights(np.pad(naive_probs(h[:3], p)[0], ((0, 2), (0, 2))))
-    np.testing.assert_allclose(weights.data[0, 0, :3], want[:3], atol=1e-12)
+    np.testing.assert_allclose(weights[0, 0, :3], want[:3], atol=1e-12)
 
 
 def test_attend_one_hot_rows_select_values():
@@ -213,13 +218,13 @@ def test_attend_one_hot_rows_select_values():
     p.b_rl.data[:] = -500.0
     out, (weights,) = att.attend(Tensor(h[0], dtype=np.float64), p, valid)
     # Every target except the last picks exactly its right neighbour.
-    picks = weights.data[0, 0].argmax(-1)
+    picks = weights[0, 0].argmax(-1)
     np.testing.assert_array_equal(picks[:-1], np.arange(1, 4))
     v = h[0] @ p.w_v.data
     dh = 4
     for head in range(2):
         np.testing.assert_allclose(
-            (weights.data[0, head] @ v[:, head * dh:(head + 1) * dh])[0],
+            (weights[0, head] @ v[:, head * dh:(head + 1) * dh])[0],
             v[1, head * dh:(head + 1) * dh], atol=1e-8)
     np.testing.assert_allclose(out.data[:-1], (v[1:] @ p.w_o.data), atol=1e-6)
 
@@ -240,8 +245,8 @@ def test_attend_row_mass_bounded_by_one():
     h = Tensor(np.random.default_rng(15).normal(size=(12, 8)), dtype=np.float64)
     valid = np.ones((2, 6), dtype=bool)
     _, (weights,) = att.attend(h, p, valid)
-    assert weights.data.min() >= 0.0
-    assert weights.data.sum(-1).max() <= 1.0 + 1e-6
+    assert weights.min() >= 0.0
+    assert weights.sum(-1).max() <= 1.0 + 1e-6
 
 
 def test_geometric_weights_grad_vs_fd():
@@ -312,7 +317,7 @@ def test_weights_op_holds_only_weights_and_mask():
     try:
         with Tape() as tape:
             before = tracemalloc.get_traced_memory()[0]
-            a = att._match_weights(q, k, d_lr, d_rl, p, att.Band(valid))
+            a = match_op(p, (q, k, d_lr, d_rl), att.Band(valid))
             held = tracemalloc.get_traced_memory()[0] - before
             tape.backward(project(a))
     finally:
@@ -360,7 +365,8 @@ def test_geometric_attend_records_few_nodes():
     h = Tensor(gen.normal(size=(lengths.sum(), 16)).astype(np.float32), requires_grad=True)
     mode = Mode(train=True, rng=RngTree(23, "drop"))
     with Tape() as tape:
-        att._geometric_logits(att._project(h, p, mode)[0], p, att.Band(valid))
+        rows = att._project(h, p, mode)[0]
+        att._geometric_logits([t.data for t in rows], p, att.Band(valid))
         logits_nodes = len(tape._nodes)
     with Tape() as tape:
         att.attend(h, p, valid, mode)
@@ -369,14 +375,15 @@ def test_geometric_attend_records_few_nodes():
     with Tape() as tape:
         encoder_step(h, lp, valid, mode, drop=0.1)
         step_nodes = len(tape._nodes)
-    # Four biased projections, q's dropout and one logits-and-weights op;
-    # then v's projection, the values op and the output product.
-    assert logits_nodes <= 6
-    assert attend_nodes <= 9
+    # Four biased projections and q's dropout; the logits and weights are no
+    # op of their own. Then v's projection, one op for all pair work and the
+    # output product.
+    assert logits_nodes <= 5
+    assert attend_nodes <= 8
     # attend, the residual and its layernorm, the FFN (two products, ReLU,
     # dropout) and its layernorm, the gate (two products, ReLU, sigmoid)
     # and the blend.
-    assert step_nodes <= 21
+    assert step_nodes <= 20
 
 
 @pytest.mark.parametrize("kind, most", [("standard_abs", 7), ("relative", 11), ("abs_rel_gated", 17)])
@@ -388,10 +395,10 @@ def test_relative_attend_records_few_nodes(kind, most):
     with Tape() as tape:
         att.attend(h, p, valid)
         # The q and k products (relative: one q product, two bias adds and
-        # one key table product with its offset scores op), one scores op,
-        # the softmax, v's product, the values op and the output product.
-        # The gate adds the absolute table's product and scores op, its own
-        # product, sigmoid, per-head layout and blend.
+        # the offsets key table's product), v's product, one op for all
+        # pair work and the output product: 5 nodes, relative 8. The gate
+        # adds the absolute table's product, its own product, the sigmoid
+        # and two blends: 13.
         assert len(tape._nodes) <= most
 
 

@@ -112,10 +112,10 @@ def test_band_rows_match_each_sequence_alone(kind):
         np.testing.assert_allclose(out.data[rows], alone.data, rtol=0, atol=1e-12)
         attended, _ = att.attend(Tensor(h.data[rows]), lp.attn, one)
         np.testing.assert_allclose(att_out.data[rows], attended.data, rtol=0, atol=1e-12)
-        w = weights[band[s] - 1].data[np.count_nonzero(band[:s] == band[s])]
-        np.testing.assert_allclose(w[:, :n, :n], alone_weights.data[0], rtol=0, atol=1e-12)
+        w = weights[band[s] - 1][np.count_nonzero(band[:s] == band[s])]
+        np.testing.assert_allclose(w[:, :n, :n], alone_weights[0], rtol=0, atol=1e-12)
         assert not w[:, :, n:].any()
-        np.testing.assert_array_equal(w, att_weights[band[s] - 1].data[np.count_nonzero(band[:s] == band[s])])
+        np.testing.assert_array_equal(w, att_weights[band[s] - 1][np.count_nonzero(band[:s] == band[s])])
 
 
 def test_ungated_matches_manual_reference():
