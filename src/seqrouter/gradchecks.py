@@ -3,13 +3,15 @@ extended (80-bit) precision, which keeps the difference quotient
 meaningful on structurally tiny gradient coordinates.
 
 - Per-op checks (``OP_CHECKS``): every function of autodiff, attention and
-  layers that records a tape node, alone on a small input. These are the
-  autodiff ops (``substrate/<op>``), the ACT readout and attention's one
-  op, ``attend``. Its checks run each attention kind over three sequences
-  in two length bands (``attention/<kind>-bands``), and each per-band
-  weight function alone (the softmax weights of the content scores with
-  both key-table terms, and the fused geometric logits-and-weights),
-  recorded by ``band_op`` as ``attend`` records them. Each reads below 1e-9.
+  layers that records a tape node, alone on a small input, and every
+  per-band weight function of attend's one node. These are the autodiff
+  ops (``substrate/<op>``), the ACT readout, attention's one op,
+  ``attend``, whose checks run each attention kind over three sequences in
+  two length bands (``attention/<kind>-bands``), and each per-band weight
+  function alone (``_scores``, the softmax weights of the content scores
+  with both key-table terms, and ``_match_weights``, the fused geometric
+  logits-and-weights), recorded by ``band_op`` as ``attend`` records them.
+  Each reads below 1e-9.
 - Composites: an op chain, every attention kind and every layer variant.
 
 Attention and layer checks run a two-sequence batch of lengths (n, n - 2),
@@ -260,13 +262,14 @@ def check_layer_variant(name: str, seed: int = 4, d: int = 8, n: int = 4) -> flo
 
 
 # Every function of autodiff, attention and layers that records a tape node
-# (calls ``_op``), keyed "module.function", with its per-op checks by name.
+# (calls ``_op``) or forms a band's part of attend's one node (returns a
+# ``band_vjp``), keyed "module.function", with its per-op checks by name.
 OP_CHECKS = {
     **{f"autodiff.{op}": {f"substrate/{op}": functools.partial(check_substrate_op, op)}
        for op in SUBSTRATE_OPS},
+    "attention._scores": {"attention/scores": check_scores},
+    "attention._match_weights": {"attention/match_weights": check_match_weights},
     "attention.attend": {
-        "attention/scores": check_scores,
-        "attention/match_weights": check_match_weights,
         # Bands of widths 6 (lengths 3 and 6) and 18: each band's rows,
         # widths, tables and masks, in one op.
         **{f"attention/{kind}-bands": functools.partial(check_attention_kind, kind, d=4, lengths=(3, 18, 6))
